@@ -27,11 +27,8 @@ import sys
 
 from .cone import ConeH
 from .exact import Matrix, Vector, format_rational, parse_rational
-from .polyhedron import FaceLimitError, HRep
+from .polyhedron import FaceLimitError, HRep, InternalInvariantError
 from .vlp import (
-    InfeasiblePointError,
-    InternalInvariantError,
-    NotEfficientError,
     SetKind,
     VLPProblem,
     connect,
@@ -278,19 +275,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InfeasiblePointError, NotEfficientError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CLIError, ValueError) as exc:
+        # ValueError covers InfeasiblePointError and NotEfficientError too.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FaceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (InternalInvariantError, RuntimeError) as exc:
+    except InternalInvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

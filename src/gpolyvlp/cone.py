@@ -14,20 +14,14 @@ from typing import Iterable, Sequence
 
 from .exact import Matrix, Vector, kernel_basis, parse_rational, format_rational
 from .lp import LPStatus, feasible, solve_lp
-from .polyhedron import VRep, HRep, dd_cone
+from .polyhedron import HRep, InternalInvariantError, _json_dim, dd_cone
 
 __all__ = [
     "ConeH",
     "ConeDecomposition",
-    "NotSeparableError",
     "decompose",
     "ri_generated_cone_contains",
-    "separate",
 ]
-
-
-class NotSeparableError(ValueError):
-    """Raised when no linear functional separates the set from the cone."""
 
 
 @dataclass(frozen=True)
@@ -91,9 +85,7 @@ class ConeH:
     def from_json_obj(obj: dict) -> "ConeH":
         if not isinstance(obj, dict):
             raise ValueError("cone must be a JSON object")
-        dim = obj.get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            raise ValueError("dim must be a positive integer")
+        dim = _json_dim(obj)
         normals_raw = obj.get("normals", [])
         if not isinstance(normals_raw, list):
             raise ValueError("normals must be a JSON array")
@@ -137,21 +129,15 @@ class ConeDecomposition:
             return False
         return all(r.dot(y_star) > 0 for r in self.k1_rays)
 
-    def ri_dual_witness(self) -> Vector:
-        """A canonical point of the relative interior of the dual cone: the
-        sum of the dual generators (the zero vector for the whole-space cone)."""
-        w = Vector.zero(self.cone.dim)
-        for g in self.dual_generators:
-            w = w + g
-        return w
-
 
 def decompose(K: ConeH) -> ConeDecomposition:
     y0 = K.lineality_basis()
     y1 = kernel_basis(Matrix.from_rows(y0, cols=K.dim))
     lin, rays = dd_cone(K.dim, y0, list(K.normals))
     if lin:
-        raise RuntimeError("the pointed part of the cone kept a lineality direction")
+        raise InternalInvariantError(
+            "the pointed part of the cone kept a lineality direction"
+        )
     return ConeDecomposition(
         cone=K,
         y0_basis=tuple(y0),
@@ -191,22 +177,3 @@ def ri_generated_cone_contains(generators: Sequence[Vector], y: Vector) -> bool:
             return False
     return True
 
-
-def separate(A: VRep, dec: ConeDecomposition) -> Vector:
-    """A linear functional z with z nonpositive on A's generators, zero on
-    A's lineality, and z.r >= 1 on every extreme ray of the cone's pointed
-    part.  Returns the canonical (lexicographically refined) feasible point;
-    raises NotSeparableError when the system is infeasible.
-    """
-    dim = dec.cone.dim
-    if A.dim != dim:
-        raise ValueError("set dimension differs from cone dimension")
-    eqs = [(w, 0) for w in A.lineality]
-    ineqs = [(u, 0) for u in A.points]
-    ineqs += [(v, 0) for v in A.rays]
-    ineqs += [(-r, -1) for r in dec.k1_rays]
-    P = HRep.of(dim, eqs, ineqs)
-    out = solve_lp(P, Vector.zero(dim))
-    if out.status != LPStatus.OPTIMAL:
-        raise NotSeparableError("not separable")
-    return out.point

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exact import Matrix, Vector, ZERO, ONE, rat
-from .polyhedron import HRep, VRep, h_to_v
+from .polyhedron import HRep, InternalInvariantError, h_to_v
 
 __all__ = [
     "LPStatus",
@@ -191,7 +191,8 @@ def _phase_one(rows: list, rhs: list, nvars: int) -> Optional[_Tableau]:
     T.basis = [nvars + i for i in range(m)]
     cost = [ZERO] * nvars + [ONE] * m
     status, _ = _simplex(T, cost)
-    assert status == "optimal"  # phase one is bounded below by zero
+    if status != "optimal":
+        raise InternalInvariantError("phase one came back unbounded")
     if any(T.b[r] != 0 for r in range(m) if T.basis[r] >= nvars):
         return None
     # drive artificials out of the basis; drop redundant rows
@@ -258,7 +259,8 @@ def solve_lp(P: HRep, c: Vector) -> LPOutcome:
     status, col = _simplex(T, cost)
     if status == "unbounded":
         ray = _ray_from_column(T, col, d).normalized_direction()
-        assert c.dot(ray) < 0
+        if c.dot(ray) >= 0:
+            raise InternalInvariantError("unbounded ray does not descend")
         return LPOutcome(LPStatus.UNBOUNDED, descent_ray=ray)
     value = c.dot(_extract_point(T, d))
 
@@ -282,7 +284,8 @@ def solve_lp(P: HRep, c: Vector) -> LPOutcome:
                     frozen.add(j)
         # an unbounded stage adds no freezes; later coordinates still resolve
     point = _extract_point(T, d)
-    assert c.dot(point) == value
+    if c.dot(point) != value:
+        raise InternalInvariantError("lexicographic refinement left the optimal face")
     return LPOutcome(LPStatus.OPTIMAL, value, point)
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "Face",
     "EmptyPolyhedronError",
     "FaceLimitError",
+    "InternalInvariantError",
     "dd_cone",
     "h_to_v",
     "v_to_h",
@@ -51,6 +52,18 @@ class EmptyPolyhedronError(ValueError):
 
 class FaceLimitError(RuntimeError):
     """Raised when face enumeration exceeds the configured cap."""
+
+
+class InternalInvariantError(RuntimeError):
+    """A self-check on a computed result failed."""
+
+
+def _json_dim(obj: dict) -> int:
+    """The "dim" field of a JSON object: a positive integer, never a boolean."""
+    dim = obj.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError("dim must be a positive integer")
+    return dim
 
 
 @dataclass(frozen=True)
@@ -120,9 +133,7 @@ class HRep:
     def from_json_obj(obj: dict) -> "HRep":
         if not isinstance(obj, dict):
             raise ValueError("polyhedron must be a JSON object")
-        dim = obj.get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            raise ValueError("dim must be a positive integer")
+        dim = _json_dim(obj)
 
         def block(name):
             pair = obj.get(name, [[], []])
@@ -208,9 +219,7 @@ class VRep:
     def from_json_obj(obj: dict) -> "VRep":
         if not isinstance(obj, dict):
             raise ValueError("generator form must be a JSON object")
-        dim = obj.get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            raise ValueError("dim must be a positive integer")
+        dim = _json_dim(obj)
 
         def grp(name):
             return [
@@ -336,17 +345,17 @@ def dd_cone(dim: int, eq_rows: Sequence[Vector], ineq_rows: Sequence[Vector]):
     for r in out_rays:
         for e in eq_rows:
             if e.dot(r) != 0:
-                raise RuntimeError("generator violates an equality row")
+                raise InternalInvariantError("generator violates an equality row")
         for a in ineq_rows:
             if a.dot(r) > 0:
-                raise RuntimeError("generator violates an inequality row")
+                raise InternalInvariantError("generator violates an inequality row")
     return basis, out_rays
 
 
 def _normalize_pair(r: Vector, pr: list):
     i = r.first_nonzero()
     if i is None:
-        raise RuntimeError("zero vector produced as an extreme ray")
+        raise InternalInvariantError("zero vector produced as an extreme ray")
     lead = r.coords[i]
     f = 1 / (lead if lead > 0 else -lead)
     if f == 1:
@@ -434,7 +443,9 @@ def h_to_v(P: HRep) -> VRep:
     lineality = []
     for l in lin:
         if l.coords[-1] != 0:
-            raise RuntimeError("homogenization lineality leaked a nonzero last coordinate")
+            raise InternalInvariantError(
+                "homogenization lineality leaked a nonzero last coordinate"
+            )
         lineality.append(_drop_last(l))
     return assemble_vrep(d, points, free_rays, lineality)
 
@@ -460,7 +471,9 @@ def v_to_h(V: VRep) -> HRep:
     if eq_aug:
         for row in rref(Matrix.of(eq_aug, cols=d + 1)).row_vectors():
             if Vector(row.coords[:-1]).is_zero():
-                raise RuntimeError("inconsistent implicit equalities for a nonempty set")
+                raise InternalInvariantError(
+                    "inconsistent implicit equalities for a nonempty set"
+                )
             eq_vecs.append(row)
     eq_rows = [(Vector(r.coords[:-1]), r.coords[-1]) for r in eq_vecs]
 
@@ -482,7 +495,7 @@ def v_to_h(V: VRep) -> HRep:
         lhs = Vector(aug.coords[:-1])
         i = lhs.first_nonzero()
         if i is None:
-            raise RuntimeError("facet row vanished modulo the equality rows")
+            raise InternalInvariantError("facet row vanished modulo the equality rows")
         lead = lhs.coords[i]
         f = 1 / (lead if lead > 0 else -lead)
         ineq_rows.append((lhs.scale(f), aug.coords[-1] * f))

@@ -6,10 +6,11 @@ have a nontrivial lineality space, so "efficient" means: no feasible x makes
 M u - M x land in K outside the lineality space of K.  "Weakly efficient"
 replaces the punctured cone with the topological interior of K.
 
-The module computes membership tests, scalarization witnesses lying in the
-relative interior of the dual cone, the full efficient and weakly efficient
-sets as unions of maximal faces of D, and piecewise-linear connectivity
-certificates between efficient points.  Everything is exact.
+The module computes membership tests, the weight region of a face (the dual
+weights that scalarize the whole face into the argmin over D; a witness is
+its relative interior point, a face test asks whether it is nonempty), the
+efficient and weakly efficient sets as unions of maximal faces of D, and
+piecewise-linear connectivity certificates.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .lp import (
 from .polyhedron import (
     Face,
     HRep,
+    InternalInvariantError,
     VRep,
     active_set,
     contains,
@@ -63,10 +65,6 @@ class InfeasiblePointError(ValueError):
 
 class NotEfficientError(ValueError):
     """The queried point fails the efficiency precondition."""
-
-
-class InternalInvariantError(RuntimeError):
-    """A self-check on a computed certificate failed."""
 
 
 class SetKind(enum.Enum):
@@ -167,29 +165,37 @@ def _require_feasible(P: VLPProblem, u: Vector) -> None:
         raise InfeasiblePointError("infeasible point")
 
 
-def _domination_lp(P: VLPProblem, u: Vector, slack_count: int):
-    """Feasibility rows shared by the efficiency tests: variables (x, s) with
-    x in D and s the scalarized slack block, one row per cone normal."""
+def _max_slack(P: VLPProblem, u: Vector, weak: bool) -> Rational:
+    """Optimum of the slack program behind the efficiency tests.
+
+    Variables are (x, s) with x in D and <n_j, M u - M x> <= -s_j for every
+    cone normal n_j.  The strict program gives each normal its own slack,
+    0 <= s_j <= 1; the weak program shares one slack t <= 1 between all
+    normals.  The objective maximizes the total slack.
+    """
     n = P.feasible_set.dim
-    m = len(P.cone.normals)
+    k = 1 if weak else len(P.cone.normals)
     M = P.objective
     Mu = M.matvec(u)
-    pad = (rat(0),) * slack_count
 
-    eqs = []
-    for row, b in P.feasible_set.eq_rows():
-        eqs.append((Vector(row.coords + pad), b))
-    ineqs = []
-    for row, b in P.feasible_set.ineq_rows():
-        ineqs.append((Vector(row.coords + pad), b))
-    rows = []
+    def row(x_part: Vector, s_part: Vector) -> Vector:
+        return Vector(x_part.coords + s_part.coords)
+
+    zero_x, zero_s = Vector.zero(n), Vector.zero(k)
+    eqs = [(row(a, zero_s), b) for a, b in P.feasible_set.eq_rows()]
+    ineqs = [(row(a, zero_s), b) for a, b in P.feasible_set.ineq_rows()]
     for j, nrm in enumerate(P.cone.normals):
-        # <n_j, M u - M x> <= -s_j, linearized over (x, s).
-        coeff = M.tmatvec(nrm).scale(rat(-1))
-        k = j if slack_count == m else 0
-        slack = tuple(rat(1) if i == k else rat(0) for i in range(slack_count))
-        rows.append((Vector(coeff.coords + slack), -nrm.dot(Mu)))
-    return n, m, eqs, ineqs + rows
+        slack = Vector.unit(k, 0 if weak else j)
+        ineqs.append((row(-M.tmatvec(nrm), slack), -nrm.dot(Mu)))
+    for j in range(k):
+        if not weak:
+            ineqs.append((row(zero_x, -Vector.unit(k, j)), rat(0)))
+        ineqs.append((row(zero_x, Vector.unit(k, j)), rat(1)))
+    c = row(zero_x, Vector.of([-1] * k))
+    out = solve_lp(HRep.of(n + k, eqs, ineqs), c)
+    if out.status is not LPStatus.OPTIMAL:
+        raise InternalInvariantError("slack maximization failed to solve")
+    return out.value
 
 
 def is_efficient(P: VLPProblem, u: Vector) -> bool:
@@ -202,20 +208,10 @@ def is_efficient(P: VLPProblem, u: Vector) -> bool:
     Raises InfeasiblePointError when u is not in D.
     """
     _require_feasible(P, u)
-    m = len(P.cone.normals)
-    if m == 0:
+    if not P.cone.normals:
         # K is the whole space, hence a subspace: nothing dominates anything.
         return True
-    n, m, eqs, ineqs = _domination_lp(P, u, m)
-    for j in range(m):
-        ej = tuple(rat(1) if i == n + j else rat(0) for i in range(n + m))
-        ineqs.append((Vector(ej).scale(rat(-1)), rat(0)))
-        ineqs.append((Vector(ej), rat(1)))
-    c = Vector((rat(0),) * n + (rat(-1),) * m)
-    out = solve_lp(HRep.of(n + m, eqs, ineqs), c)
-    if out.status is not LPStatus.OPTIMAL:
-        raise InternalInvariantError("slack maximization failed to solve")
-    return out.value == 0
+    return _max_slack(P, u, weak=False) == 0
 
 
 def is_weakly_efficient(P: VLPProblem, u: Vector) -> bool:
@@ -229,15 +225,51 @@ def is_weakly_efficient(P: VLPProblem, u: Vector) -> bool:
     _require_feasible(P, u)
     if P.cone_interior_empty:
         return True
-    m = len(P.cone.normals)
-    n, m, eqs, ineqs = _domination_lp(P, u, 1)
-    t_row = tuple(rat(1) if i == n else rat(0) for i in range(n + 1))
-    ineqs.append((Vector(t_row), rat(1)))
-    c = Vector((rat(0),) * n + (rat(-1),))
-    out = solve_lp(HRep.of(n + 1, eqs, ineqs), c)
-    if out.status is not LPStatus.OPTIMAL:
-        raise InternalInvariantError("slack maximization failed to solve")
-    return out.value == 0
+    return _max_slack(P, u, weak=True) == 0
+
+
+def _weight_region(P: VLPProblem, F: VRep, weak: bool) -> HRep:
+    """The admissible dual weights that put all of F in the argmin over D.
+
+    Strict weights y* in ri(K*) live in y-space: y*.w = 0 on Y0 and
+    y*.r >= 1 on the extreme rays of K1.  Weak weights y* = sum lambda_j g_j
+    over the dual generators live in lambda-space: lambda >= 0, sum = 1.
+    The argmin rows, written through <y*, z>: y* is constant on M F and no
+    generator of D beats F's first point.
+    """
+    dec = P.decomposition
+    M = P.objective
+    geom = P.feasible_vrep
+    base = F.points[0]
+    Mbase = M.matvec(base)
+
+    if weak:
+        gens = dec.dual_generators
+        dim = len(gens)
+
+        def row(z: Vector) -> Vector:
+            return Vector.of([g.dot(z) for g in gens])
+
+        eqs = [(Vector((rat(1),) * dim), rat(1))]
+        ineqs = [(-Vector.unit(dim, i), rat(0)) for i in range(dim)]
+    else:
+        dim = P.cone.dim
+
+        def row(z: Vector) -> Vector:
+            return z
+
+        eqs = [(w, rat(0)) for w in dec.y0_basis]
+        ineqs = [(-r, rat(-1)) for r in dec.k1_rays]
+
+    for g in F.points[1:]:
+        eqs.append((row(M.matvec(g - base)), rat(0)))
+    for v in F.rays + F.lineality:
+        eqs.append((row(M.matvec(v)), rat(0)))
+    for r in geom.rays:
+        ineqs.append((-row(M.matvec(r)), rat(0)))
+    for v in geom.points:
+        ineqs.append((row(Mbase - M.matvec(v)), rat(0)))
+    return HRep.of(dim, eqs, ineqs)
 
 
 def _relative_interior_point(V: VRep) -> Vector:
@@ -250,6 +282,16 @@ def _relative_interior_point(V: VRep) -> Vector:
     for r in V.rays:
         s = s + r
     return s
+
+
+def _point_weight(P: VLPProblem, u: Vector, weak: bool) -> Vector:
+    """The relative interior point of the weight region of u + lin(D), the
+    smallest flat of D that every weight scalarizing u scalarizes whole."""
+    F = VRep(P.feasible_set.dim, (u,), (), P.feasible_vrep.lineality)
+    region = h_to_v(_weight_region(P, F, weak))
+    if region.is_empty:
+        raise InternalInvariantError("no dual weight for a (weakly) efficient point")
+    return _relative_interior_point(region)
 
 
 def _verify_argmin(P: VLPProblem, ystar: Vector, u: Vector, label: str) -> None:
@@ -265,32 +307,23 @@ def scalarize_witness(P: VLPProblem, u: Vector) -> Vector:
     """A dual vector y* in the relative interior of K* with u minimizing
     x -> <M^T y*, x> over D.
 
-    The witness is the canonical relative interior point of the polyhedron of
-    separating functionals between the shifted image pi(M u) - (pi . M)(D)
-    and the pointed part of K, pulled back through the projection onto Y1.
-    Raises NotEfficientError when u is not efficient.  The result is
-    re-verified before it is returned.
+    The witness is the canonical relative interior point of the strict
+    weight region of u: the functionals that vanish on the lineality of K,
+    are at least 1 on every extreme ray of its pointed part, and put u in
+    the argmin over D.  The region lies in Y1 already, so no projection is
+    needed.  Raises NotEfficientError when u is not efficient.  The result
+    is re-verified before it is returned.
     """
     if not is_efficient(P, u):
         raise NotEfficientError("not efficient")
     dec = P.decomposition
-    q = P.cone.dim
     if dec.is_subspace:
         # K* is the annihilator of K, a subspace equal to its own relative
         # interior; the zero functional scalarizes every feasible point.
-        ystar = Vector.zero(q)
+        ystar = Vector.zero(P.cone.dim)
         _verify_argmin(P, ystar, u, "subspace witness")
         return ystar
-    D1 = P.image_set
-    target = P.project_to_y1(P.objective.matvec(u))
-    eqs = [(w, rat(0)) for w in D1.lineality]
-    ineqs = [(target - p, rat(0)) for p in D1.points]
-    ineqs += [(r.scale(rat(-1)), rat(0)) for r in D1.rays]
-    ineqs += [(r.scale(rat(-1)), rat(-1)) for r in dec.k1_rays]
-    region = h_to_v(HRep.of(q, eqs, ineqs))
-    if region.is_empty:
-        raise InternalInvariantError("no separating functional for an efficient point")
-    ystar = P.project_to_y1(_relative_interior_point(region))
+    ystar = _point_weight(P, u, weak=False)
     if not dec.ri_dual_contains(ystar):
         raise InternalInvariantError("witness left the relative interior of the dual")
     _verify_argmin(P, ystar, u, "witness")
@@ -308,33 +341,9 @@ def weak_witness(P: VLPProblem, u: Vector) -> Vector:
     q = P.cone.dim
     if P.cone_interior_empty:
         return Vector.zero(q)
-    dec = P.decomposition
-    gens = dec.dual_generators
-    m = len(gens)
-    M = P.objective
-    geom = P.feasible_vrep
-    Mu = M.matvec(u)
-
-    def lam_row(z: Vector) -> Vector:
-        return Vector.of([g.dot(z) for g in gens])
-
-    eqs = [(Vector((rat(1),) * m), rat(1))]
-    for ell in geom.lineality:
-        eqs.append((lam_row(M.matvec(ell)), rat(0)))
-    ineqs = []
-    for i in range(m):
-        ei = tuple(rat(-1) if j == i else rat(0) for j in range(m))
-        ineqs.append((Vector(ei), rat(0)))
-    for v in geom.points:
-        ineqs.append((lam_row(Mu - M.matvec(v)), rat(0)))
-    for r in geom.rays:
-        ineqs.append((lam_row(M.matvec(r)).scale(rat(-1)), rat(0)))
-    region = h_to_v(HRep.of(m, eqs, ineqs))
-    if region.is_empty:
-        raise InternalInvariantError("no dual weight for a weakly efficient point")
-    lam = _relative_interior_point(region)
+    lam = _point_weight(P, u, weak=True)
     ystar = Vector.zero(q)
-    for coeff, g in zip(lam.coords, gens):
+    for coeff, g in zip(lam.coords, P.decomposition.dual_generators):
         ystar = ystar + g.scale(coeff)
     if ystar.is_zero():
         raise InternalInvariantError("weak witness degenerated to zero")
@@ -352,45 +361,8 @@ def face_scalarizable(P: VLPProblem, face: Face, weak: bool) -> bool:
     argmin over D.  Strict efficiency draws weights from the relative
     interior of K*; weak efficiency from K* \\ {0} via a normalized conic
     combination of the dual generators."""
-    dec = P.decomposition
-    M = P.objective
-    geom = P.feasible_vrep
-    F = face.geometry
-    base = F.points[0]
-    Mbase = M.matvec(base)
-
-    # Rows are expressed through the products <y*, z>; for the weak variant
-    # y* = sum_j lambda_j g_j so each row is transported to lambda space.
-    if weak:
-        gens = dec.dual_generators
-
-        def row(z: Vector) -> Vector:
-            return Vector.of([g.dot(z) for g in gens])
-
-        m = len(gens)
-        eqs = [(Vector((rat(1),) * m), rat(1))]
-        ineqs = []
-        for i in range(m):
-            ei = tuple(rat(-1) if j == i else rat(0) for j in range(m))
-            ineqs.append((Vector(ei), rat(0)))
-    else:
-
-        def row(z: Vector) -> Vector:
-            return z
-
-        eqs = [(w, rat(0)) for w in dec.y0_basis]
-        ineqs = [(row(r).scale(rat(-1)), rat(-1)) for r in dec.k1_rays]
-
-    for g in F.points[1:]:
-        eqs.append((row(M.matvec(g - base)), rat(0)))
-    for v in list(F.rays) + list(F.lineality):
-        eqs.append((row(M.matvec(v)), rat(0)))
-    for r in geom.rays:
-        ineqs.append((row(M.matvec(r)).scale(rat(-1)), rat(0)))
-    for v in geom.points:
-        ineqs.append((row(Mbase - M.matvec(v)), rat(0)))
-    dim = len(dec.dual_generators) if weak else P.cone.dim
-    return solve_lp(HRep.of(dim, eqs, ineqs), Vector.zero(dim)).status is LPStatus.OPTIMAL
+    region = _weight_region(P, face.geometry, weak)
+    return solve_lp(region, Vector.zero(region.dim)).status is LPStatus.OPTIMAL
 
 
 def _maximal(passing: list) -> tuple:

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from gpolyvlp import cli
 from gpolyvlp.cli import main
+from gpolyvlp.polyhedron import InternalInvariantError
 from gpolyvlp.exact import format_rational, parse_rational
 
 TRIANGLE = {
@@ -168,6 +170,22 @@ class TestProblemParsing:
         code, _, err = run(capsys, "solve", "--problem", str(path))
         assert code == 2 and "invalid JSON" in err
 
+    @pytest.mark.parametrize("section", ["D", "K"])
+    def test_boolean_dim_is_rejected(self, tmp_path, capsys, section):
+        # bool is an int in Python, so true would otherwise pass as dim 1
+        obj = {
+            "version": "1",
+            "M": [["1"]],
+            "D": {"dim": 1, "ineq": [[["-1"], ["1"]], ["0", "1"]]},
+            "K": {"dim": 1, "normals": [["-1"]]},
+        }
+        obj[section]["dim"] = True
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "solve", "--problem", str(path))
+        assert code == 2 and out == ""
+        assert f"$.{section}: dim must be a positive integer" in err
+
 
 class TestTest:
     def test_efficient_point_reports_witness(self, triangle_file, capsys):
@@ -211,6 +229,17 @@ class TestTest:
             capsys, "test", "--problem", triangle_file, "--point", "1/0,1"
         )
         assert code == 2
+
+    def test_invariant_failure_exits_3(self, triangle_file, capsys, monkeypatch):
+        def broken(P, u):
+            raise InternalInvariantError("forced invariant failure")
+
+        monkeypatch.setattr(cli, "is_efficient", broken)
+        code, out, err = run(
+            capsys, "test", "--problem", triangle_file, "--point", "0,1"
+        )
+        assert code == 3 and out == ""
+        assert err == "error: forced invariant failure\n"
 
 
 class TestConnect:

@@ -301,6 +301,10 @@ class TestJson:
             HRep.from_json_obj({"dim": 2, "eq": [[["1"]], ["0"]], "ineq": [[], []]})
         with pytest.raises(ValueError):
             VRep.from_json_obj({"dim": 2, "points": [["1", "1/0"]]})
+        with pytest.raises(ValueError):
+            HRep.from_json_obj({"dim": True, "eq": [[], []], "ineq": [[], []]})
+        with pytest.raises(ValueError):
+            VRep.from_json_obj({"dim": True, "points": [["0"]]})
 
 
 class TestVRepValidation:

@@ -1,11 +1,13 @@
 """Tests for efficiency tests, witnesses, efficient sets, and connectivity."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpolyvlp.cli import load_problem
 from gpolyvlp.cone import ConeH
 from gpolyvlp.crosscheck import (
     dominated_via_generators,
@@ -13,7 +15,7 @@ from gpolyvlp.crosscheck import (
     efficient_via_witness_system,
     minimal_face,
 )
-from gpolyvlp.exact import Matrix, Vector, rat, vec
+from gpolyvlp.exact import Matrix, Vector, format_rational, rat, vec
 from gpolyvlp.instances import (
     InstanceConfig,
     first_quadrant,
@@ -158,6 +160,56 @@ class TestWitness:
     def test_weak_witness_requires_weak_efficiency(self, triangle):
         with pytest.raises(NotEfficientError):
             weak_witness(triangle, V(1, 1))
+
+    def test_witnesses_leave_the_image_set_uncomputed(self, triangle):
+        scalarize_witness(triangle, V(0, 1))
+        weak_witness(triangle, V(0, 1))
+        assert "image_set" not in vars(triangle)
+
+
+PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
+
+# Strict and weak witness of every vertex of each problems/*.json file;
+# None marks a vertex that has no witness of that kind.
+WITNESS_PINS = {
+    "triangle": {
+        "0,1": ("3,2", "3/4,1/4"),
+        "1,0": ("2,3", "1/4,3/4"),
+        "1,1": (None, None),
+    },
+    "square_constant_row": {
+        "0,0": ("2,2", "1/2,1/2"),
+        "0,1": ("2,2", "1/2,1/2"),
+        "1,0": (None, "0,1"),
+        "1,1": (None, "0,1"),
+    },
+    "subspace_cone": {v: ("0,0", "0,0") for v in ("0,0", "0,1", "1,0", "1,1")},
+    "halfplane_lineality": {"0,0": (None, "1,0")},
+}
+
+
+def _text(v: Vector) -> str:
+    return ",".join(format_rational(c) for c in v)
+
+
+def _witness_text(witness, P, u):
+    try:
+        return _text(witness(P, u))
+    except NotEfficientError:
+        return None
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_PINS))
+def test_problem_file_witnesses_are_pinned(name):
+    P = load_problem(str(PROBLEMS_DIR / f"{name}.json"))
+    got = {
+        _text(u): (
+            _witness_text(scalarize_witness, P, u),
+            _witness_text(weak_witness, P, u),
+        )
+        for u in P.feasible_vrep.points
+    }
+    assert got == WITNESS_PINS[name]
 
 
 class TestEfficientSets:
