@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .exact import Vector, rat
 from .lp import LPStatus, solve_lp
-from .polyhedron import Face, HRep, active_set, h_to_v
+from .polyhedron import Face, HRep, InternalInvariantError, active_set, h_to_v
 from .vlp import VLPProblem, face_scalarizable
 
 __all__ = [
@@ -62,7 +62,7 @@ def dominated_via_generators(P: VLPProblem, u: Vector) -> bool:
     if out.status is LPStatus.UNBOUNDED:
         return True
     if out.status is not LPStatus.OPTIMAL:
-        raise RuntimeError("domination oracle expected a feasible program")
+        raise InternalInvariantError("domination oracle expected a feasible program")
     return out.value < 0
 
 
@@ -125,5 +125,5 @@ def efficient_via_quotient(P: VLPProblem, u: Vector) -> bool:
     if out.status is LPStatus.UNBOUNDED:
         return False
     if out.status is not LPStatus.OPTIMAL:
-        raise RuntimeError("quotient oracle expected a feasible program")
+        raise InternalInvariantError("quotient oracle expected a feasible program")
     return out.value == 0

@@ -1,9 +1,12 @@
 """Exact rational scalars, vectors, matrices, and the small linear-algebra kernels.
 
 Every quantity in this package is a rational number; nothing is ever rounded.
-The scalar type is gmpy2.mpq when available (about an order of magnitude
-faster) and fractions.Fraction otherwise.  Both keep lowest terms with a
-positive denominator and raise ZeroDivisionError on a zero denominator.
+The scalar type is gmpy2.mpq when available and fractions.Fraction otherwise.
+Both keep lowest terms with a positive denominator and raise
+ZeroDivisionError on a zero denominator.  In the layers that compute with
+these scalars (this module, double description, cone calculus) mpq is about
+an order of magnitude faster; the simplex in lp.py pivots on Python ints and
+converts to this type only for its results.
 """
 
 from __future__ import annotations
@@ -67,13 +70,19 @@ def format_rational(x) -> str:
 
 @dataclass(frozen=True)
 class Vector:
-    """Immutable rational vector."""
+    """Immutable rational vector.
+
+    Vector and Matrix build their tuples from lists, not generators:
+    tuple() of a list takes an exact-size tuple from CPython's tuple free
+    lists, while tuple() of a generator grows and trims one and leaves it on
+    the free list of its final size, where it stays until a full collection.
+    """
 
     coords: tuple
 
     @staticmethod
     def of(values: Iterable) -> "Vector":
-        return Vector(tuple(rat(v) for v in values))
+        return Vector(tuple([rat(v) for v in values]))
 
     @staticmethod
     def zero(dim: int) -> "Vector":
@@ -81,7 +90,7 @@ class Vector:
 
     @staticmethod
     def unit(dim: int, k: int) -> "Vector":
-        return Vector(tuple(ONE if i == k else ZERO for i in range(dim)))
+        return Vector(tuple([ONE if i == k else ZERO for i in range(dim)]))
 
     @property
     def dim(self) -> int:
@@ -98,18 +107,18 @@ class Vector:
 
     def __add__(self, other: "Vector") -> "Vector":
         self._check_dim(other)
-        return Vector(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Vector(tuple([a + b for a, b in zip(self.coords, other.coords)]))
 
     def __sub__(self, other: "Vector") -> "Vector":
         self._check_dim(other)
-        return Vector(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Vector(tuple([a - b for a, b in zip(self.coords, other.coords)]))
 
     def __neg__(self) -> "Vector":
-        return Vector(tuple(-a for a in self.coords))
+        return Vector(tuple([-a for a in self.coords]))
 
     def scale(self, factor) -> "Vector":
         f = rat(factor)
-        return Vector(tuple(f * a for a in self.coords))
+        return Vector(tuple([f * a for a in self.coords]))
 
     def dot(self, other: "Vector"):
         self._check_dim(other)
@@ -158,7 +167,7 @@ class Matrix:
 
     @staticmethod
     def of(rows: Iterable[Iterable], cols: Optional[int] = None) -> "Matrix":
-        data = tuple(tuple(rat(v) for v in row) for row in rows)
+        data = tuple([tuple([rat(v) for v in row]) for row in rows])
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -193,11 +202,11 @@ class Matrix:
         return [Vector(r) for r in self.entries]
 
     def column(self, j: int) -> Vector:
-        return Vector(tuple(r[j] for r in self.entries))
+        return Vector(tuple([r[j] for r in self.entries]))
 
     def transpose(self) -> "Matrix":
         if not self.entries:
-            return Matrix(tuple(() for _ in range(self.cols)), 0)
+            return Matrix(tuple([() for _ in range(self.cols)]), 0)
         return Matrix(tuple(zip(*self.entries)), len(self.entries))
 
     def matvec(self, x: Vector) -> Vector:
@@ -227,9 +236,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
         cols = [other.column(j) for j in range(other.cols)]
-        data = tuple(
-            tuple(Vector(row).dot(c) for c in cols) for row in self.entries
-        )
+        data = tuple([tuple([Vector(row).dot(c) for c in cols]) for row in self.entries])
         return Matrix(data, other.cols)
 
     def __repr__(self) -> str:
@@ -272,7 +279,7 @@ def _echelon(rows: list, width: int) -> tuple:
 def rref(A: Matrix) -> Matrix:
     """Reduced row echelon form with zero rows dropped."""
     rows, _ = _echelon([list(r) for r in A.entries], A.cols)
-    return Matrix(tuple(tuple(r) for r in rows), A.cols)
+    return Matrix(tuple([tuple(r) for r in rows]), A.cols)
 
 
 def rank(A: Matrix) -> int:
@@ -341,7 +348,7 @@ def complement_projector(basis: Sequence[Vector], dim: int) -> Matrix:
     proj_rows = []
     z_cols = []
     for j in range(dim):
-        rhs = Vector(tuple(w.coords[j] for w in basis))
+        rhs = Vector(tuple([w.coords[j] for w in basis]))
         z = solve_linear(gram, rhs)
         if z is None:
             raise ValueError("dependent vectors passed as a basis")

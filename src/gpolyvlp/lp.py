@@ -1,19 +1,23 @@
 """Exact linear programming over the rationals.
 
-A deliberately plain two-phase primal simplex with Bland's rule: no floating
-point, no scaling heuristics, termination guaranteed by the anti-cycling
-pivot choice.  On top of the basic solver sit a lexicographic refinement
-(so optimal points are canonical), certified unbounded directions, argmin
-faces, and exact breakpoint analysis of objectives moving along a segment.
+A two-phase primal simplex with Bland's rule: no floating point, termination
+guaranteed by the anti-cycling pivot choice.  The tableau is kept in Python
+ints: each row is scaled to integers once, pivoting is integer-preserving
+over one common denominator, and the reduced costs ride along as one more
+row updated by every pivot.  Rationals appear only when a point or a ray is
+read off.  On top of the basic solver sit a lexicographic refinement (so
+optimal points are canonical), certified unbounded directions, argmin faces,
+and exact breakpoint analysis of objectives moving along a segment.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import Matrix, Vector, ZERO, ONE, rat
+from .exact import Rational, Vector, ZERO, ONE, rat
 from .polyhedron import HRep, InternalInvariantError, h_to_v
 
 __all__ = [
@@ -61,153 +65,184 @@ class UnsolvableSegmentError(ValueError):
 # simplex core on equality-standard form
 #
 # The tableau works on  A z = b, z >= 0  with z the split variables
-# (x+, x-, slacks).  Rows are kept as dense rational lists.
+# (x+, x-, slacks).  Each row of [A | b] is scaled by the lcm of its
+# denominators, so the data are integers, and pivoting is integer-preserving
+# (Edmonds; Bareiss): the stored rows are det * B^-1 [A | b] for the current
+# basis B and one positive common denominator det, which is |det B|.  Every
+# division in a pivot is exact.  The reduced costs are carried along as one
+# more integer row, a positive multiple of c - c_B B^-1 A, set up once per
+# objective and updated by every pivot.  Positive row and column scalings
+# change no sign and no ratio comparison, so the pivots are those of the
+# plain rational tableau; rationals appear only when a point or a ray is read
+# off.
+
+
+def _integers(values: Sequence) -> tuple:
+    """(ints, L): values times L, the lcm of their denominators."""
+    dens = [int(v.denominator) for v in values]
+    L = math.lcm(*dens)
+    return [int(v.numerator) * (L // q) for v, q in zip(values, dens)], L
 
 
 class _Tableau:
-    def __init__(self, A: list, b: list):
-        self.A = A  # list of rows, each a list of rationals
-        self.b = b
-        self.ncols = len(A[0]) if A else 0
-        self.basis: list = []
+    def __init__(self, rows: list, basis: list):
+        self.rows = rows  # integer rows, right-hand side last
+        self.basis = basis
+        self.ncols = len(rows[0]) - 1
+        self.det = 1
+        self.obj: Optional[list] = None  # reduced-cost row, rhs slot last
+
+    def set_objective(self, cost: Sequence):
+        """Carry the reduced costs of the integer cost vector cost."""
+        det = self.det
+        obj = [det * v for v in cost] + [0]
+        for row, col in zip(self.rows, self.basis):
+            f = cost[col]
+            if f:
+                obj = [o - f * v for o, v in zip(obj, row)]
+        self.obj = obj
 
     def pivot(self, row: int, col: int):
-        A, b = self.A, self.b
-        piv = A[row][col]
-        inv = 1 / piv
-        A[row] = [v * inv for v in A[row]]
-        b[row] = b[row] * inv
-        prow = A[row]
-        pb = b[row]
-        for r in range(len(A)):
-            if r == row:
-                continue
-            f = A[r][col]
-            if f == 0:
-                continue
-            arow = A[r]
-            A[r] = [arow[j] - f * prow[j] for j in range(self.ncols)]
-            b[r] = b[r] - f * pb
+        """Integer-preserving pivot on (row, col); the pivot row stays as it
+        is.  A negative pivot element comes only from driving an artificial
+        out, when no objective is carried; it flips the sign of every row, so
+        det stays positive."""
+        rows = self.rows
+        prow = rows[row]
+        p = prow[col]
+        det = self.det
+        nz = [(j, v) for j, v in enumerate(prow) if v]
+
+        def eliminate(other: list) -> list:
+            f = other[col]
+            if not f:
+                if p == det:
+                    return other
+                return [v * p // det for v in other]
+            new = [v * p for v in other]
+            for j, v in nz:
+                new[j] -= f * v
+            if det != 1:
+                new = [v // det for v in new]
+            return new
+
+        for r in range(len(rows)):
+            if r != row:
+                rows[r] = eliminate(rows[r])
+        if self.obj is not None:
+            self.obj = eliminate(self.obj)
+        if p < 0:
+            self.rows = [[-v for v in r] for r in rows]
+            p = -p
+        self.det = p
         self.basis[row] = col
 
     def solution(self) -> list:
         z = [ZERO] * self.ncols
-        for r, col in enumerate(self.basis):
-            z[col] = self.b[r]
+        for row, col in zip(self.rows, self.basis):
+            z[col] = Rational(row[-1], self.det)
         return z
 
 
-def _reduced_costs(T: _Tableau, c: list) -> list:
-    """c_j - c_B . A_j for every column, with basic columns exactly zero."""
-    lam = [c[col] for col in T.basis]  # multiplier per row
-    red = list(c)
-    for r, row in enumerate(T.A):
-        f = lam[r]
-        if f == 0:
-            continue
-        for j in range(T.ncols):
-            if row[j] != 0:
-                red[j] -= f * row[j]
-    for col in T.basis:
-        red[col] = ZERO
-    return red
-
-
-def _simplex(T: _Tableau, c: list, frozen: Optional[set] = None) -> tuple:
-    """Minimize c.z from the current basic feasible solution.
+def _simplex(T: _Tableau, frozen: Optional[set] = None) -> tuple:
+    """Minimize the carried objective from the current basic feasible solution.
 
     Bland's rule both for the entering column (lowest eligible index) and the
     leaving row (smallest basic variable index among the ratio ties), which
     rules out cycling.  Columns in frozen are never entered.  Returns
     ("optimal", None) or ("unbounded", entering_column_index).
     """
+    cols = [j for j in range(T.ncols) if frozen is None or j not in frozen]
+    basis = T.basis
     while True:
-        red = _reduced_costs(T, c)
-        enter = None
-        for j in range(T.ncols):
-            if frozen is not None and j in frozen:
-                continue
-            if red[j] < 0:
-                enter = j
-                break
+        obj = T.obj
+        enter = next((j for j in cols if obj[j] < 0), None)
         if enter is None:
             return "optimal", None
         leave = None
-        best = None
-        for r in range(len(T.A)):
-            a = T.A[r][enter]
+        for r, row in enumerate(T.rows):
+            a = row[enter]
             if a > 0:
-                ratio = T.b[r] / a
-                if best is None or ratio < best or (
-                    ratio == best and T.basis[r] < T.basis[leave]
-                ):
-                    best = ratio
-                    leave = r
+                # b / a < best_b / best_a, by cross-multiplying positive a's
+                if leave is None:
+                    leave, best_b, best_a = r, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, best_b, best_a = r, row[-1], a
         if leave is None:
             return "unbounded", enter
         T.pivot(leave, enter)
 
 
 def _standard_form(P: HRep) -> tuple:
-    """Equality standard form of an HRep.
+    """Integer equality standard form of an HRep.
 
     Variables are x+ (dim), x- (dim), then one slack per inequality.  Rows
-    with a negative right-hand side are negated so b >= 0 for phase one.
-    Returns (rows, rhs, nvars).
+    with a negative right-hand side are negated so b >= 0 for phase one, then
+    each row [a | b] is scaled to integers by the lcm of its denominators.
+    Returns (rows, scales, nvars), right-hand side last in each row.
     """
     d = P.dim
     n_ineq = P.ineq_lhs.rows
     nvars = 2 * d + n_ineq
     rows = []
-    rhs = []
+    scales = []
 
     def add(coef_x: Sequence, slack: Optional[int], b):
-        row = [ZERO] * nvars
+        row = [ZERO] * (nvars + 1)
         for j, v in enumerate(coef_x):
             row[j] = v
             row[d + j] = -v
         if slack is not None:
             row[2 * d + slack] = ONE
+        row[nvars] = b
+        ints, scale = _integers(row)
         if b < 0:
-            row = [-v for v in row]
-            b = -b
-        rows.append(row)
-        rhs.append(b)
+            ints = [-v for v in ints]
+        rows.append(ints)
+        scales.append(scale)
 
     for i in range(P.eq_lhs.rows):
         add(P.eq_lhs.row(i).coords, None, P.eq_rhs[i])
     for i in range(n_ineq):
         add(P.ineq_lhs.row(i).coords, i, P.ineq_rhs[i])
-    return rows, rhs, nvars
+    return rows, scales, nvars
 
 
-def _phase_one(rows: list, rhs: list, nvars: int) -> Optional[_Tableau]:
-    """Feasible tableau via artificial variables, or None if infeasible."""
+def _phase_one(rows: list, scales: list, nvars: int) -> Optional[_Tableau]:
+    """Feasible tableau via artificial variables, or None if infeasible.
+
+    Row i was scaled by d_i, so its artificial a_i' = d_i a_i gets a unit
+    column and cost 1/d_i; the phase-one objective is the plain sum of the
+    artificials.
+    """
     m = len(rows)
     if m == 0:
         raise ValueError("the simplex needs at least one constraint row")
-    A = [list(row) + [ONE if r == i else ZERO for r in range(m)] for i, row in enumerate(rows)]
-    T = _Tableau(A, list(rhs))
-    T.basis = [nvars + i for i in range(m)]
-    cost = [ZERO] * nvars + [ONE] * m
-    status, _ = _simplex(T, cost)
+    A = [row[:-1] + [1 if r == i else 0 for r in range(m)] + row[-1:] for i, row in enumerate(rows)]
+    T = _Tableau(A, [nvars + i for i in range(m)])
+    L = math.lcm(*scales)
+    T.set_objective([0] * nvars + [L // s for s in scales])
+    status, _ = _simplex(T)
     if status != "optimal":
         raise InternalInvariantError("phase one came back unbounded")
-    if any(T.b[r] != 0 for r in range(m) if T.basis[r] >= nvars):
+    if any(row[-1] != 0 for row, col in zip(T.rows, T.basis) if col >= nvars):
         return None
     # drive artificials out of the basis; drop redundant rows
+    T.obj = None
     keep = []
     for r in range(m):
         if T.basis[r] < nvars:
             keep.append(r)
             continue
-        enter = next((j for j in range(nvars) if T.A[r][j] != 0), None)
+        row = T.rows[r]
+        enter = next((j for j in range(nvars) if row[j] != 0), None)
         if enter is None:
             continue  # redundant row, drop it
         T.pivot(r, enter)
         keep.append(r)
-    T.A = [T.A[r][:nvars] for r in keep]
-    T.b = [T.b[r] for r in keep]
+    T.rows = [T.rows[r][:nvars] + T.rows[r][-1:] for r in keep]
     T.basis = [T.basis[r] for r in keep]
     T.ncols = nvars
     return T
@@ -215,17 +250,17 @@ def _phase_one(rows: list, rhs: list, nvars: int) -> Optional[_Tableau]:
 
 def _extract_point(T: _Tableau, dim: int) -> Vector:
     z = T.solution()
-    return Vector(tuple(z[j] - z[dim + j] for j in range(dim)))
+    return Vector(tuple([z[j] - z[dim + j] for j in range(dim)]))
 
 
 def _ray_from_column(T: _Tableau, col: int, dim: int) -> Vector:
     """Recession direction of the standard-form feasible set when column col
     can increase forever: z_col = 1, basic variables move by -A_col."""
-    delta = [ZERO] * T.ncols
-    delta[col] = ONE
-    for r, basic in enumerate(T.basis):
-        delta[basic] = -T.A[r][col]
-    return Vector(tuple(delta[j] - delta[dim + j] for j in range(dim)))
+    delta = [0] * T.ncols
+    delta[col] = T.det
+    for row, basic in zip(T.rows, T.basis):
+        delta[basic] = -row[col]
+    return Vector(tuple([Rational(delta[j] - delta[dim + j], T.det) for j in range(dim)]))
 
 
 def solve_lp(P: HRep, c: Vector) -> LPOutcome:
@@ -248,15 +283,13 @@ def solve_lp(P: HRep, c: Vector) -> LPOutcome:
             return LPOutcome(LPStatus.OPTIMAL, ZERO, Vector.zero(d))
         ray = (-c).normalized_direction()
         return LPOutcome(LPStatus.UNBOUNDED, descent_ray=ray)
-    rows, rhs, nvars = _standard_form(P)
-    T = _phase_one(rows, rhs, nvars)
+    rows, scales, nvars = _standard_form(P)
+    T = _phase_one(rows, scales, nvars)
     if T is None:
         return LPOutcome(LPStatus.INFEASIBLE)
-    cost = [ZERO] * nvars
-    for j in range(d):
-        cost[j] = c[j]
-        cost[d + j] = -c[j]
-    status, col = _simplex(T, cost)
+    cx, _ = _integers(c.coords)
+    T.set_objective(cx + [-v for v in cx] + [0] * (nvars - 2 * d))
+    status, col = _simplex(T)
     if status == "unbounded":
         ray = _ray_from_column(T, col, d).normalized_direction()
         if c.dot(ray) >= 0:
@@ -267,21 +300,15 @@ def solve_lp(P: HRep, c: Vector) -> LPOutcome:
     # lexicographic refinement: freeze out every column whose reduced cost
     # is positive (those stay nonbasic on the optimal face), then minimize
     # coordinate after coordinate under the accumulating freezes
-    frozen = set()
-    red = _reduced_costs(T, cost)
-    for j in range(nvars):
-        if red[j] > 0:
-            frozen.add(j)
+    frozen = {j for j in range(nvars) if T.obj[j] > 0}
     for k in range(d):
-        stage = [ZERO] * nvars
-        stage[k] = ONE
-        stage[d + k] = -ONE
-        status, _ = _simplex(T, stage, frozen)
+        stage = [0] * nvars
+        stage[k] = 1
+        stage[d + k] = -1
+        T.set_objective(stage)
+        status, _ = _simplex(T, frozen)
         if status == "optimal":
-            red = _reduced_costs(T, stage)
-            for j in range(nvars):
-                if red[j] > 0:
-                    frozen.add(j)
+            frozen.update(j for j in range(nvars) if T.obj[j] > 0)
         # an unbounded stage adds no freezes; later coordinates still resolve
     point = _extract_point(T, d)
     if c.dot(point) != value:

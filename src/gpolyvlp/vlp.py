@@ -24,6 +24,7 @@ from .cone import ConeDecomposition, ConeH, decompose
 from .exact import Matrix, Rational, Vector, complement_projector, rat
 from .lp import (
     LPStatus,
+    NoArgminError,
     argmin_face,
     parametric_breakpoints,
     solve_lp,
@@ -468,8 +469,13 @@ def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCert
     chain = [u]
     for j in range(len(bps) - 1):
         mid = (bps[j] + bps[j + 1]) / 2
-        F = h_to_v(argmin_face(P.feasible_set, c0 + (c1 - c0).scale(mid)))
-        chain.append(F.points[0])
+        try:
+            face = argmin_face(P.feasible_set, c0 + (c1 - c0).scale(mid))
+        except NoArgminError as exc:
+            raise InternalInvariantError(
+                "interpolated scalarization has no argmin inside the segment"
+            ) from exc
+        chain.append(h_to_v(face).points[0])
     chain.append(v)
     seg_weights = [weight_at(t) for t in bps]
 

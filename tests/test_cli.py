@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from gpolyvlp import cli
+from gpolyvlp import cli, vlp
 from gpolyvlp.cli import main
+from gpolyvlp.lp import NoArgminError
 from gpolyvlp.polyhedron import InternalInvariantError
 from gpolyvlp.exact import format_rational, parse_rational
 
@@ -303,6 +304,24 @@ class TestConnect:
         assert code == 0
         obj = json.loads(out)
         assert obj["points"][0] == ["0", "0"] and obj["points"][-1] == ["1", "1"]
+
+    def test_missing_midpoint_argmin_exits_3(self, triangle_file, capsys, monkeypatch):
+        def broken(P, c):
+            raise NoArgminError("no argmin")
+
+        monkeypatch.setattr(vlp, "argmin_face", broken)
+        code, out, err = run(
+            capsys,
+            "connect",
+            "--problem",
+            triangle_file,
+            "--from",
+            "0,1",
+            "--to",
+            "1,0",
+        )
+        assert code == 3 and out == ""
+        assert err == "error: interpolated scalarization has no argmin inside the segment\n"
 
 
 class TestCone:

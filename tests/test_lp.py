@@ -2,14 +2,21 @@
 
 Randomized cases are checked against an independent oracle built on the
 double description conversion: infeasibility, unboundedness and the optimal
-value all read off the generator form directly.
+value all read off the generator form directly.  A seeded golden corpus pins
+every LPOutcome bit for bit, so any change to the pivot path fails here.
 """
+
+import hashlib
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gpolyvlp.exact import Vector, rat, vec
+from gpolyvlp import lp
 from gpolyvlp.lp import (
+    LPOutcome,
     LPStatus,
     NoArgminError,
     UnsolvableSegmentError,
@@ -279,3 +286,138 @@ def test_breakpoints_partition_the_segment(P, raw_c0, raw_c1):
         left = face_at(bps[k] - (bps[k] - bps[k - 1]) / 3)
         right = face_at(bps[k] + (bps[k + 1] - bps[k]) / 3)
         assert left != right  # every listed interior breakpoint is genuine
+
+
+# ---------------------------------------------------------------------------
+# golden outcomes and targeted kernel cases
+
+
+def golden_corpus(count=600, seed=314159):
+    """Seeded LPs: dims 1-4, integer and p/q entries, some scaled-copy
+    equalities, about a fifth zero objectives."""
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() < 0.25:
+            return rat(rng.randint(-6, 6), rng.randint(2, 7))
+        return rat(rng.randint(-3, 3))
+
+    cases = []
+    for _ in range(count):
+        dim = rng.randint(1, 4)
+
+        def row():
+            return [entry() for _ in range(dim)], entry()
+
+        eqs = [row() for _ in range(rng.choice((0, 0, 0, 1, 1, 2)))]
+        ineqs = [row() for _ in range(rng.randint(0, dim + 3))]
+        if eqs and rng.random() < 0.3:
+            a, b = rng.choice(eqs)
+            f = rat(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 3)))
+            eqs.append(([f * v for v in a], f * b))
+        c = [rat(0)] * dim if rng.random() < 0.2 else [entry() for _ in range(dim)]
+        cases.append((HRep.of(dim, eqs, ineqs), Vector(tuple(c))))
+    return cases
+
+
+GOLDEN = golden_corpus()
+GOLDEN_BLOCK = 100
+
+
+def encode_outcome(out):
+    def coords(v):
+        return None if v is None else ",".join(str(x) for x in v)
+
+    value = None if out.value is None else str(out.value)
+    return f"{out.status.value}|{value}|{coords(out.point)}|{coords(out.descent_ray)}"
+
+
+def test_golden_outcomes():
+    outs = [solve_lp(P, c) for P, c in GOLDEN]
+    assert Counter(o.status for o in outs) == {
+        LPStatus.UNBOUNDED: 240,
+        LPStatus.OPTIMAL: 197,
+        LPStatus.INFEASIBLE: 163,
+    }
+    digest = hashlib.sha256("\n".join(encode_outcome(o) for o in outs).encode()).hexdigest()
+    assert digest == "00fedce1487e275af46145f26bb5606b4f14d91bab0e343761f81e3237cee94d"
+
+
+@pytest.mark.parametrize("start", range(0, len(GOLDEN), GOLDEN_BLOCK))
+def test_golden_corpus_matches_oracle(start):
+    for P, c in GOLDEN[start : start + GOLDEN_BLOCK]:
+        want_status, want_value = oracle_status(P, c)
+        out = solve_lp(P, c)
+        assert out.status == want_status
+        if want_status == LPStatus.OPTIMAL:
+            assert out.value == want_value
+            assert contains(P, out.point) and c.dot(out.point) == out.value
+        elif want_status == LPStatus.UNBOUNDED:
+            assert c.dot(out.descent_ray) < 0
+            assert in_recession_cone(P, out.descent_ray)
+
+
+def record_pivot_elements(monkeypatch):
+    seen = []
+    pivot = lp._Tableau.pivot
+
+    def recording(T, row, col):
+        seen.append(T.rows[row][col])
+        pivot(T, row, col)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", recording)
+    return seen
+
+
+class TestKernelCases:
+    def test_artificial_driven_out_on_negative_entry(self, monkeypatch):
+        # 3x <= -6 is negated for phase one, so its slack has a negative
+        # entry; phase one ends with that row's artificial basic at level
+        # zero, and the drive-out pivots on the slack's negative entry
+        P = HRep.of(1, eqs=[([3], -6)], ineqs=[([3], -6), ([-1], 3), ([-1], 2)])
+        c = vec([4])
+        pivots = record_pivot_elements(monkeypatch)
+        out = solve_lp(P, c)
+        assert any(p < 0 for p in pivots)
+        assert out == LPOutcome(LPStatus.OPTIMAL, rat(-8), vec([-2]))
+        assert oracle_status(P, c) == (LPStatus.OPTIMAL, rat(-8))
+
+    def test_witness_sized_denominators(self):
+        # an argmin re-check objective as _verify_argmin builds from a witness
+        P = HRep.of(
+            3,
+            ineqs=[
+                ([1, -3, -2], -6),
+                ([0, -3, 2], -3),
+                ([-3, -2, -3], -8),
+                ([2, 1, 0], 4),
+                ([3, -3, 1], -2),
+            ],
+        )
+        c = vec(
+            [
+                rat(-291609191990, 17569867637),
+                rat(-246347952373, 105419205822),
+                rat(22425154291, 5019962182),
+            ]
+        )
+        value = rat(-1013740562873, 52709602911)
+        out = solve_lp(P, c)
+        assert out == LPOutcome(
+            LPStatus.OPTIMAL, value, vec([rat(18, 19), rat(40, 19), rat(6, 19)])
+        )
+        assert oracle_status(P, c) == (LPStatus.OPTIMAL, value)
+
+    def test_redundant_equality_dropped(self):
+        # the second equality is -3/2 times the first; phase one drops a row
+        P = HRep.of(
+            2,
+            eqs=[([1, 1], 2), ([rat(-3, 2), rat(-3, 2)], -3)],
+            ineqs=[([-1, 0], 0), ([0, -1], 0)],
+        )
+        c = vec([1, 2])
+        rows, scales, nvars = lp._standard_form(P)
+        assert len(lp._phase_one(rows, scales, nvars).rows) == len(rows) - 1
+        out = solve_lp(P, c)
+        assert out == LPOutcome(LPStatus.OPTIMAL, rat(2), vec([2, 0]))
+        assert oracle_status(P, c) == (LPStatus.OPTIMAL, rat(2))
