@@ -39,7 +39,7 @@ __all__ = [
 ZERO = Rational(0)
 ONE = Rational(1)
 
-_RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RAT_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def rat(value=0, denominator=None) -> Rational:
@@ -53,7 +53,7 @@ def rat(value=0, denominator=None) -> Rational:
 
 def parse_rational(text: str) -> Rational:
     """Parse the wire form "p" or "p/q" (base 10, sign on the numerator only)."""
-    if not isinstance(text, str) or not _RAT_RE.match(text):
+    if not isinstance(text, str) or not _RAT_RE.fullmatch(text):
         raise ValueError(f"malformed rational {text!r}, expected 'p' or 'p/q'")
     if "/" in text:
         num, den = text.split("/")

@@ -4,6 +4,10 @@ The workhorse is an incremental double description method over exact
 rationals.  It maintains a lineality basis next to the extreme-ray list, so
 sets with nontrivial lineality (and cones that are whole subspaces) need no
 special casing anywhere above this module.
+
+Faces and DD adjacency are both decided by incidence, which rows are tight
+on which generators: the DD carries each ray's zero set as a bitmask, and
+the face lattice is read off the incidence of one DD of the polyhedron.
 """
 
 from __future__ import annotations
@@ -250,23 +254,24 @@ def dd_cone(dim: int, eq_rows: Sequence[Vector], ineq_rows: Sequence[Vector]):
     deduplicated and sorted.  Inequalities are inserted incrementally; when a
     new row cuts the current lineality space one basis vector turns into a
     ray and everything else is projected onto the row's hyperplane, otherwise
-    the classic step combines adjacent rays across the hyperplane.  Adjacency
-    uses the algebraic rank condition on the commonly tight rows.
+    the classic step combines adjacent rays across the hyperplane.
+
+    Each ray carries its zero set as a bitmask (bit i: ineq_rows[i] is tight
+    on it).  Every processed row is <= 0 on every ray, so the combination of
+    rays p and n is tight exactly on zeros[p] & zeros[n] plus the new row.
+    Adjacency is the algebraic rank condition on that common zero set.
     """
     for r in list(eq_rows) + list(ineq_rows):
         if r.dim != dim:
             raise ValueError("constraint row dimension mismatch")
     eq_base = [list(e.coords) for e in eq_rows]
     L = kernel_basis(Matrix.from_rows(list(eq_rows), cols=dim))
-    rays: list = []
-    prods: list = []  # prods[k][i] = processed[i] . rays[k]
-    processed: list = []
+    rays: dict = {}  # ray -> zero set over the rows inserted so far
 
-    for a in ineq_rows:
+    for i, a in enumerate(ineq_rows):
+        bit = 1 << i
         if a.is_zero():
-            for p in prods:
-                p.append(ZERO)
-            processed.append(a)
+            rays = {r: z | bit for r, z in rays.items()}
             continue
 
         chosen = None
@@ -276,7 +281,9 @@ def dd_cone(dim: int, eq_rows: Sequence[Vector], ineq_rows: Sequence[Vector]):
                 chosen = (idx, d)
                 break
         if chosen is not None:
-            # the row cuts the lineality space: one basis vector becomes a ray
+            # the row cuts the lineality space: one basis vector becomes a
+            # ray, tight on every earlier row; earlier rows vanish on l0, so
+            # the projected rays keep their zero sets and gain the new row
             idx, d = chosen
             l0 = L.pop(idx)
             r0 = l0 if d < 0 else -l0
@@ -285,60 +292,43 @@ def dd_cone(dim: int, eq_rows: Sequence[Vector], ineq_rows: Sequence[Vector]):
                 l - r0.scale(a.dot(l) / d0) if a.dot(l) != 0 else l
                 for l in L
             ]
-            new_rays, new_prods = [], []
-            for r, pr in zip(rays, prods):
+            cut = []
+            for r, z in rays.items():
                 dr = a.dot(r)
-                if dr != 0:
-                    # processed rows vanish on l0, so products are unchanged
-                    r = r - r0.scale(dr / d0)
-                new_rays.append(r)
-                new_prods.append(pr + [ZERO])
-            new_rays.append(r0)
-            new_prods.append([ZERO] * len(processed) + [d0])
-            processed.append(a)
-            rays, prods = _reduce_mod_lineality(new_rays, new_prods, L, dim)
+                cut.append((r - r0.scale(dr / d0) if dr != 0 else r, z | bit))
+            cut.append((r0, bit - 1))
+            proj = complement_projector(L, dim) if L else None
+            rays = {}
+            for r, z in cut:
+                rays.setdefault(_normalized(proj.matvec(r) if proj else r), z)
             continue
 
-        vals = [a.dot(r) for r in rays]
+        old = list(rays.items())
+        vals = [a.dot(r) for r, _ in old]
         pos = [k for k, v in enumerate(vals) if v > 0]
         if not pos:
-            for k, p in enumerate(prods):
-                p.append(vals[k])
-            processed.append(a)
+            rays = {r: z | bit if v == 0 else z for (r, z), v in zip(old, vals)}
             continue
         neg = [k for k, v in enumerate(vals) if v < 0]
-        zero = [k for k, v in enumerate(vals) if v == 0]
         target = dim - len(L) - 2
         rank_memo: dict = {}
+        rays = {r: z | bit if v == 0 else z for (r, z), v in zip(old, vals) if v <= 0}
         combos = []
         for p in pos:
             for n in neg:
-                common = tuple(
-                    i
-                    for i in range(len(processed))
-                    if prods[p][i] == 0 and prods[n][i] == 0
-                )
+                common = old[p][1] & old[n][1]
                 got = rank_memo.get(common)
                 if got is None:
-                    rows = eq_base + [list(processed[i].coords) for i in common]
-                    got = rank(Matrix.of(rows, cols=dim))
-                    rank_memo[common] = got
+                    rows = eq_base + [
+                        list(ineq_rows[j].coords) for j in range(i) if common >> j & 1
+                    ]
+                    got = rank_memo[common] = rank(Matrix.of(rows, cols=dim))
                 if got != target:
                     continue
-                r_new = rays[n].scale(vals[p]) - rays[p].scale(vals[n])
-                pr_new = [
-                    vals[p] * prods[n][i] - vals[n] * prods[p][i]
-                    for i in range(len(processed))
-                ]
-                combos.append(_normalize_pair(r_new, pr_new + [ZERO]))
-        kept = sorted(neg + zero)
-        rays2 = [rays[k] for k in kept]
-        prods2 = [prods[k] + [vals[k]] for k in kept]
-        for r_new, pr_new in combos:
-            rays2.append(r_new)
-            prods2.append(pr_new)
-        processed.append(a)
-        rays, prods = _dedupe(rays2, prods2)
+                r_new = old[n][0].scale(vals[p]) - old[p][0].scale(vals[n])
+                combos.append((_normalized(r_new), common | bit))
+        for r, z in combos:
+            rays.setdefault(r, z)
 
     basis = rref(Matrix.from_rows(L, cols=dim)).row_vectors() if L else []
     out_rays = sorted(rays, key=lambda r: r.coords)
@@ -352,37 +342,13 @@ def dd_cone(dim: int, eq_rows: Sequence[Vector], ineq_rows: Sequence[Vector]):
     return basis, out_rays
 
 
-def _normalize_pair(r: Vector, pr: list):
+def _normalized(r: Vector) -> Vector:
+    """r scaled to a +-1 leading coordinate."""
     i = r.first_nonzero()
     if i is None:
         raise InternalInvariantError("zero vector produced as an extreme ray")
     lead = r.coords[i]
-    f = 1 / (lead if lead > 0 else -lead)
-    if f == 1:
-        return r, pr
-    return r.scale(f), [f * v for v in pr]
-
-
-def _dedupe(rays: list, prods: list):
-    seen = set()
-    out_r, out_p = [], []
-    for r, p in zip(rays, prods):
-        if r.coords in seen:
-            continue
-        seen.add(r.coords)
-        out_r.append(r)
-        out_p.append(p)
-    return out_r, out_p
-
-
-def _reduce_mod_lineality(rays: list, prods: list, L: list, dim: int):
-    """Project rays orthogonal to span(L) and normalize; products survive
-    because every processed row vanishes on the lineality span."""
-    if L:
-        proj = complement_projector(L, dim)
-        rays = [proj.matvec(r) for r in rays]
-    pairs = [_normalize_pair(r, p) for r, p in zip(rays, prods)]
-    return _dedupe([r for r, _ in pairs], [p for _, p in pairs])
+    return r if lead == 1 or lead == -1 else r.scale(1 / abs(lead))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +413,9 @@ def h_to_v(P: HRep) -> VRep:
                 "homogenization lineality leaked a nonzero last coordinate"
             )
         lineality.append(_drop_last(l))
-    return assemble_vrep(d, points, free_rays, lineality)
+    # dd_cone's rays are already canonical and sorted, its basis in rref
+    points.sort(key=lambda p: p.coords)
+    return VRep(d, tuple(points), tuple(free_rays), tuple(lineality))
 
 
 def v_to_h(V: VRep) -> HRep:
@@ -575,44 +543,58 @@ def active_set(P: HRep, geom: VRep) -> tuple:
 def faces(P: HRep, max_faces: Optional[int] = None) -> list:
     """All nonempty faces of P, each tagged by its maximal active set.
 
-    Lattice search: children append one more inequality as an equality, the
-    discovered geometry is re-tagged with every inequality tight on it, and
-    duplicates merge on that canonical tag.  Exponential in the number of
-    inequalities in the worst case; intended for small systems (roughly 20
-    inequalities or fewer), with max_faces as a hard stop.
+    One double description of P, then the face lattice is read off the
+    generator-constraint incidence: a face keeps P's lineality and is
+    generated by the points and rays of P tight on its rows, so a set of
+    generators stands for a face, and it is nonempty iff it holds a point.
+    Lattice search: children add one more tight row, each child is tagged
+    with every inequality tight on all of its generators, and duplicates
+    merge on that canonical tag.  Exponential in the number of inequalities
+    in the worst case; intended for small systems (roughly 20 inequalities
+    or fewer), with max_faces as a hard stop.
     """
     geom = h_to_v(P)
     if geom.is_empty:
         raise EmptyPolyhedronError("empty polyhedron")
-    m = P.ineq_lhs.rows
-    ineqs = P.ineq_rows()
-    root = active_set(P, geom)
-    found = {root: geom}
-    tried = {root}
-    frontier = [root]
+    n_pts = len(geom.points)
+    gens = geom.points + geom.rays
+    tight = []  # tight[i] bit k: row i is tight on gens[k]
+    for row, b in P.ineq_rows():
+        mask = 0
+        for k, g in enumerate(gens):
+            if row.dot(g) == (b if k < n_pts else 0):
+                mask |= 1 << k
+        tight.append(mask)
+
+    def tag(G: int) -> tuple:
+        return tuple(i for i, t in enumerate(tight) if t & G == G)
+
+    everything = (1 << len(gens)) - 1
+    point_bits = (1 << n_pts) - 1
+    found = {tag(everything): everything}
+    frontier = list(found)
     while frontier:
         nxt = []
         for S in frontier:
-            s_set = set(S)
-            for i in range(m):
-                if i in s_set:
+            for i in range(len(tight)):
+                if i in S:
                     continue
-                tentative = tuple(sorted(s_set | {i}))
-                if tentative in tried:
+                G = found[S] & tight[i]
+                if not G & point_bits:
                     continue
-                tried.add(tentative)
-                sub = P.with_extra_eqs([ineqs[j] for j in tentative])
-                g = h_to_v(sub)
-                if g.is_empty:
-                    continue
-                canon = active_set(P, g)
-                tried.add(canon)
+                canon = tag(G)
                 if canon not in found:
-                    found[canon] = g
+                    found[canon] = G
                     if max_faces is not None and len(found) > max_faces:
                         raise FaceLimitError(
                             f"face enumeration exceeded the cap of {max_faces}"
                         )
                     nxt.append(canon)
         frontier = nxt
-    return [Face(active, found[active]) for active in sorted(found)]
+
+    def geometry(G: int) -> VRep:
+        pts = tuple(p for k, p in enumerate(geom.points) if G >> k & 1)
+        rays = tuple(r for k, r in enumerate(geom.rays) if G >> (n_pts + k) & 1)
+        return VRep(P.dim, pts, rays, geom.lineality)
+
+    return [Face(active, geometry(found[active])) for active in sorted(found)]

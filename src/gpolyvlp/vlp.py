@@ -475,7 +475,12 @@ def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCert
             raise InternalInvariantError(
                 "interpolated scalarization has no argmin inside the segment"
             ) from exc
-        chain.append(h_to_v(face).points[0])
+        # the argmin face is a face of D, so its lexicographically smallest
+        # point is the first point of D's generator form that it contains
+        first = next((p for p in P.feasible_vrep.points if contains(face, p)), None)
+        if first is None:
+            raise InternalInvariantError("argmin face holds no point of D")
+        chain.append(first)
     chain.append(v)
     seg_weights = [weight_at(t) for t in bps]
 

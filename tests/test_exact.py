@@ -33,7 +33,7 @@ def test_parse_rational_wire_format():
     assert parse_rational("-3/4") == rat(-3, 4)
     assert parse_rational("7") == rat(7)
     assert format_rational(parse_rational("-10/4")) == "-5/2"
-    for bad in ["1/0", "1/-2", "a", "1.5", "", "1/2/3"]:
+    for bad in ["1/0", "1/-2", "a", "1.5", "", "1/2/3", "1\n", "3/4\n", "١٢", "１/２"]:
         with pytest.raises(ValueError):
             parse_rational(bad)
 

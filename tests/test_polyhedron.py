@@ -1,16 +1,26 @@
-"""Conversion and face-lattice tests with hand-checked geometry."""
+"""Conversion and face-lattice tests with hand-checked geometry.
 
+A seeded golden corpus pins h_to_v, v_to_h and faces bit for bit, and every
+face is checked against its own double description and, for few rows,
+against a brute force over all row subsets.
+"""
+
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gpolyvlp import polyhedron
 from gpolyvlp.exact import Matrix, Vector, rat, vec
 from gpolyvlp.polyhedron import (
     EmptyPolyhedronError,
     FaceLimitError,
     HRep,
     VRep,
+    active_set,
     assemble_vrep,
     canonical_vrep,
     contains,
@@ -376,3 +386,106 @@ def test_centroid_plus_ray_sum_is_relative_interior(P):
         bump = bump + g
     assert contains(P, bump)
     assert relative_interior_contains(V, bump)
+
+
+# ---------------------------------------------------------------------------
+# golden conversions and the face-lattice oracle
+
+
+def dd_corpus(count=320, seed=271828):
+    """Seeded HReps: dims 1-5, integer and p/q entries, equalities, some rows
+    free of the last coordinate (lineality), boxes, duplicate and scaled
+    rows, and 0.x <= 0 / 0.x <= 1 / 0.x <= -1 rows."""
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() < 0.2:
+            return rat(rng.randint(-5, 5), rng.randint(2, 5))
+        return rat(rng.randint(-3, 3))
+
+    cases = []
+    for _ in range(count):
+        dim = rng.randint(1, 5)
+        free = dim > 1 and rng.random() < 0.2
+
+        def row():
+            a = [entry() for _ in range(dim)]
+            if free:
+                a[-1] = rat(0)
+            return a, entry()
+
+        eqs = [row() for _ in range(rng.choice((0, 0, 0, 1, 1, 2)))]
+        ineqs = [row() for _ in range(rng.randint(0, min(dim + 2, 6)))]
+        if dim <= 3 and rng.random() < 0.3:
+            for j in range(dim):
+                e = [rat(0)] * dim
+                e[j] = rat(1)
+                ineqs.append((e, rat(2)))
+                ineqs.append(([-v for v in e], rat(1)))
+        if ineqs and rng.random() < 0.2:
+            a, b = rng.choice(ineqs)
+            f = rat(rng.choice((1, 1, 2, 3)), rng.choice((1, 2)))
+            ineqs.append(([f * v for v in a], f * b))
+        for rhs, p in ((0, 0.15), (1, 0.1), (-1, 0.04)):
+            if rng.random() < p:
+                ineqs.insert(rng.randint(0, len(ineqs)), ([rat(0)] * dim, rat(rhs)))
+        cases.append(HRep.of(dim, eqs, ineqs))
+    return cases
+
+
+DD_GOLDEN = dd_corpus()
+DD_BLOCK = 80
+
+
+def encode_conversions(P):
+    V = h_to_v(P)
+    rec = {"h_to_v": V.to_json_obj()}
+    if not V.is_empty:
+        rec["v_to_h"] = v_to_h(V).to_json_obj()
+        rec["faces"] = [[list(f.active_ineq), f.geometry.to_json_obj()] for f in faces(P)]
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
+def test_dd_golden_digest():
+    recs = [encode_conversions(P) for P in DD_GOLDEN]
+    shapes = [json.loads(r) for r in recs]
+    assert sum("faces" not in r for r in shapes) == 83
+    assert sum(bool(r["h_to_v"]["lineality"]) for r in shapes) == 127
+    assert sum(bool(r["h_to_v"]["rays"]) for r in shapes) == 151
+    assert sum(len(r.get("faces", ())) for r in shapes) == 1680
+    assert sum(r.is_zero() for P in DD_GOLDEN for r, _ in P.ineq_rows()) == 108
+    digest = hashlib.sha256("\n".join(recs).encode()).hexdigest()
+    assert digest == "32665e0e2f39a3dc0a662efa44ed1f33095a27b1c46dc313b0e8e25a91778fae"
+
+
+@pytest.mark.parametrize("start", range(0, len(DD_GOLDEN), DD_BLOCK))
+def test_faces_match_their_own_double_description(start, monkeypatch):
+    # each face equals the DD of P with its active rows as equalities; with
+    # at most 6 rows every row subset is tried, so no face is missing either
+    calls = []
+    real = polyhedron.h_to_v
+    monkeypatch.setattr(polyhedron, "h_to_v", lambda P: calls.append(P) or real(P))
+    for P in DD_GOLDEN[start : start + DD_BLOCK]:
+        if h_to_v(P).is_empty:
+            continue
+        calls.clear()
+        by_tag = {f.active_ineq: f.geometry for f in faces(P)}
+        assert len(calls) == 1
+        for tag, geometry in by_tag.items():
+            assert active_set(P, geometry) == tag
+        ineqs = P.ineq_rows()
+        if len(ineqs) <= 6:
+            subsets = itertools.chain.from_iterable(
+                itertools.combinations(range(len(ineqs)), k) for k in range(len(ineqs) + 1)
+            )
+        else:
+            subsets = list(by_tag)
+        seen = set()
+        for T in subsets:
+            g = h_to_v(P.with_extra_eqs([ineqs[i] for i in T]))
+            if g.is_empty:
+                continue
+            tag = active_set(P, g)
+            assert tag in by_tag and by_tag[tag] == g
+            seen.add(tag)
+        assert seen == set(by_tag)
