@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .cone import ConeH
@@ -138,10 +139,11 @@ def _max_faces() -> int:
     raw = os.environ.get("GPOLY_MAX_FACES", "")
     if not raw:
         return DEFAULT_MAX_FACES
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise CLIError(f"GPOLY_MAX_FACES: not an integer: {raw!r}") from exc
+    # ASCII digits only: int() would also take signs, spaces, underscores
+    # and non-ASCII digits
+    if not re.fullmatch("[0-9]+", raw):
+        raise CLIError(f"GPOLY_MAX_FACES: not an integer: {raw!r}")
+    cap = int(raw)
     if cap < 1:
         raise CLIError("GPOLY_MAX_FACES: must be positive")
     return cap

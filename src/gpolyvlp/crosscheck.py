@@ -4,21 +4,26 @@ Each function here deliberately avoids the formulation used by the main
 implementation so that agreement between the two is meaningful evidence:
 domination is decided through explicit cone generators, and efficiency is
 re-decided inside the quotient by the lineality space of the ordering cone,
-using the projected image polyhedron and the pointed part of the cone.
+using the projected image polyhedron and the pointed part of the cone.  The
+(weakly) efficient set is re-derived by testing every face of D, with none
+of the main route's pruning or special cases.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .exact import Vector, rat
 from .lp import LPStatus, solve_lp
-from .polyhedron import Face, HRep, InternalInvariantError, active_set, h_to_v
-from .vlp import VLPProblem, face_scalarizable
+from .polyhedron import Face, HRep, InternalInvariantError, active_set, faces, h_to_v
+from .vlp import EfficientSet, SetKind, VLPProblem, face_scalarizable
 
 __all__ = [
     "dominated_via_generators",
     "minimal_face",
     "efficient_via_witness_system",
     "efficient_via_quotient",
+    "solution_set_via_all_faces",
 ]
 
 
@@ -127,3 +132,32 @@ def efficient_via_quotient(P: VLPProblem, u: Vector) -> bool:
     if out.status is not LPStatus.OPTIMAL:
         raise InternalInvariantError("quotient oracle expected a feasible program")
     return out.value == 0
+
+
+def solution_set_via_all_faces(
+    P: VLPProblem, weak: bool = False, max_faces: Optional[int] = None
+) -> EfficientSet:
+    """The (weakly) efficient set by testing every face of D.
+
+    Every face from faces() goes through face_scalarizable, and the passing
+    faces with no passing face strictly containing them are kept, in faces()
+    order.  A subspace cone or an empty-interior cone gets no special case:
+    the zero weight is admissible there, so every face passes and the
+    improper face is the answer.  Only an empty D, and a weak order with no
+    dual generators (K the whole space, so no weight at all), answer without
+    a face test.  Raises FaceLimitError when D has more than max_faces faces.
+    """
+    kind = SetKind.WEAKLY_EFFICIENT if weak else SetKind.EFFICIENT
+    sub = P.decomposition.is_subspace
+    eint = P.cone_interior_empty
+    if P.feasible_vrep.is_empty or (weak and not P.decomposition.dual_generators):
+        return EfficientSet(P, kind, (), sub, eint)
+    passing = [
+        f for f in faces(P.feasible_set, max_faces=max_faces) if face_scalarizable(P, f, weak)
+    ]
+    keep = tuple(
+        f
+        for f in passing
+        if not any(set(g.active_ineq) < set(f.active_ineq) for g in passing)
+    )
+    return EfficientSet(P, kind, keep, sub, eint)

@@ -556,6 +556,15 @@ def faces(P: HRep, max_faces: Optional[int] = None) -> list:
     geom = h_to_v(P)
     if geom.is_empty:
         raise EmptyPolyhedronError("empty polyhedron")
+    return _face_lattice(P, geom, max_faces)
+
+
+def _face_lattice(P: HRep, geom: VRep, max_faces: Optional[int]) -> list:
+    """The faces of P, sorted by tag, read off geom = h_to_v(P), nonempty.
+
+    The whole lattice is built before anything is returned, so max_faces
+    counts every face whatever the caller does with them.
+    """
     n_pts = len(geom.points)
     gens = geom.points + geom.rays
     tight = []  # tight[i] bit k: row i is tight on gens[k]

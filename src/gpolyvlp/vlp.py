@@ -11,6 +11,12 @@ weights that scalarize the whole face into the argmin over D; a witness is
 its relative interior point, a face test asks whether it is nonempty), the
 efficient and weakly efficient sets as unions of maximal faces of D, and
 piecewise-linear connectivity certificates.  Everything is exact.
+
+A weight that scalarizes a face scalarizes every face of it, so a face that
+contains a failing face fails too.  The set routines read the face lattice
+off the one DD of D, test faces smallest first, and skip every face that
+contains a failing one; the rows of M g in weight space are built once per
+set call for the generators g of D.
 """
 
 from __future__ import annotations
@@ -34,9 +40,9 @@ from .polyhedron import (
     HRep,
     InternalInvariantError,
     VRep,
+    _face_lattice,
     active_set,
     contains,
-    faces,
     h_to_v,
     map_polyhedron,
 )
@@ -229,47 +235,58 @@ def is_weakly_efficient(P: VLPProblem, u: Vector) -> bool:
     return _max_slack(P, u, weak=True) == 0
 
 
-def _weight_region(P: VLPProblem, F: VRep, weak: bool) -> HRep:
+def _image(P: VLPProblem, v: Vector, weak: bool) -> Vector:
+    """The weight-space row of M v: M v itself for strict weights, which live
+    in y-space, and (g_j . M v)_j over the dual generators g_j for weak
+    weights, which live in lambda-space.  Linear in v."""
+    z = P.objective.matvec(v)
+    if not weak:
+        return z
+    return Vector.of([g.dot(z) for g in P.decomposition.dual_generators])
+
+
+def _generator_images(P: VLPProblem, weak: bool) -> dict:
+    """The weight-space row of every generator of D, keyed by generator."""
+    return {v: _image(P, v, weak) for v in P.feasible_vrep.generators()}
+
+
+def _weight_region(P: VLPProblem, F: VRep, weak: bool, images: dict) -> HRep:
     """The admissible dual weights that put all of F in the argmin over D.
 
     Strict weights y* in ri(K*) live in y-space: y*.w = 0 on Y0 and
     y*.r >= 1 on the extreme rays of K1.  Weak weights y* = sum lambda_j g_j
     over the dual generators live in lambda-space: lambda >= 0, sum = 1.
     The argmin rows, written through <y*, z>: y* is constant on M F and no
-    generator of D beats F's first point.
+    generator of D beats F's first point.  images holds the row of every
+    generator of D (see _generator_images); a point of F outside them is
+    mapped here.  Rows are differences of images, exactly the rows of the
+    differences, because the map is linear.
     """
     dec = P.decomposition
-    M = P.objective
     geom = P.feasible_vrep
-    base = F.points[0]
-    Mbase = M.matvec(base)
+
+    def image(v: Vector) -> Vector:
+        got = images.get(v)
+        return got if got is not None else _image(P, v, weak)
 
     if weak:
-        gens = dec.dual_generators
-        dim = len(gens)
-
-        def row(z: Vector) -> Vector:
-            return Vector.of([g.dot(z) for g in gens])
-
+        dim = len(dec.dual_generators)
         eqs = [(Vector((rat(1),) * dim), rat(1))]
         ineqs = [(-Vector.unit(dim, i), rat(0)) for i in range(dim)]
     else:
         dim = P.cone.dim
-
-        def row(z: Vector) -> Vector:
-            return z
-
         eqs = [(w, rat(0)) for w in dec.y0_basis]
         ineqs = [(-r, rat(-1)) for r in dec.k1_rays]
 
+    base = image(F.points[0])
     for g in F.points[1:]:
-        eqs.append((row(M.matvec(g - base)), rat(0)))
+        eqs.append((image(g) - base, rat(0)))
     for v in F.rays + F.lineality:
-        eqs.append((row(M.matvec(v)), rat(0)))
+        eqs.append((image(v), rat(0)))
     for r in geom.rays:
-        ineqs.append((-row(M.matvec(r)), rat(0)))
+        ineqs.append((-images[r], rat(0)))
     for v in geom.points:
-        ineqs.append((row(Mbase - M.matvec(v)), rat(0)))
+        ineqs.append((base - images[v], rat(0)))
     return HRep.of(dim, eqs, ineqs)
 
 
@@ -289,7 +306,7 @@ def _point_weight(P: VLPProblem, u: Vector, weak: bool) -> Vector:
     """The relative interior point of the weight region of u + lin(D), the
     smallest flat of D that every weight scalarizing u scalarizes whole."""
     F = VRep(P.feasible_set.dim, (u,), (), P.feasible_vrep.lineality)
-    region = h_to_v(_weight_region(P, F, weak))
+    region = h_to_v(_weight_region(P, F, weak, _generator_images(P, weak)))
     if region.is_empty:
         raise InternalInvariantError("no dual weight for a (weakly) efficient point")
     return _relative_interior_point(region)
@@ -357,26 +374,48 @@ def _whole_set_face(P: VLPProblem) -> Face:
     return Face(active_set(P.feasible_set, geom), geom)
 
 
+def _scalarizable(P: VLPProblem, F: VRep, weak: bool, images: dict) -> bool:
+    region = _weight_region(P, F, weak, images)
+    return solve_lp(region, Vector.zero(region.dim)).status is LPStatus.OPTIMAL
+
+
 def face_scalarizable(P: VLPProblem, face: Face, weak: bool) -> bool:
     """Whether some admissible dual weight scalarizes the whole face into the
     argmin over D.  Strict efficiency draws weights from the relative
     interior of K*; weak efficiency from K* \\ {0} via a normalized conic
-    combination of the dual generators."""
-    region = _weight_region(P, face.geometry, weak)
-    return solve_lp(region, Vector.zero(region.dim)).status is LPStatus.OPTIMAL
+    combination of the dual generators.  One feasibility LP over the weight
+    region.  A weight that passes a face passes every face of it, so a face
+    that contains a failing face fails too; the set routines rely on this."""
+    return _scalarizable(P, face.geometry, weak, _generator_images(P, weak))
 
 
-def _maximal(passing: list) -> tuple:
-    keep = []
-    for f in passing:
-        mine = set(f.active_ineq)
-        if any(
-            g is not f and set(g.active_ineq) < mine
-            for g in passing
-        ):
+def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -> tuple:
+    """The maximal faces of a nonempty D that pass the face test, in faces()
+    order.
+
+    The lattice is read off P.feasible_vrep, with no second DD, and built
+    whole before any test, so max_faces counts every face.  Faces are tested
+    smallest first (largest tag first; a proper subface has a strictly
+    larger tag), and a face whose tag lies inside the tag of a failed face
+    contains that face, so it fails untested.
+    """
+    lattice = _face_lattice(P.feasible_set, P.feasible_vrep, max_faces)
+    images = _generator_images(P, weak)
+    tags = [sum(1 << i for i in f.active_ineq) for f in lattice]
+    failed = []
+    passed = set()
+    for k in sorted(range(len(lattice)), key=lambda k: -len(lattice[k].active_ineq)):
+        if any(tags[k] & ~bad == 0 for bad in failed):
             continue
-        keep.append(f)
-    return tuple(keep)
+        if _scalarizable(P, lattice[k].geometry, weak, images):
+            passed.add(tags[k])
+        else:
+            failed.append(tags[k])
+    return tuple(
+        f
+        for f, tag in zip(lattice, tags)
+        if tag in passed and not any(g != tag and g & ~tag == 0 for g in passed)
+    )
 
 
 def efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> EfficientSet:
@@ -384,9 +423,12 @@ def efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> EfficientSe
 
     A face belongs to the efficient set exactly when some weight in the
     relative interior of K* scalarizes all of it into the argmin over D; the
-    union of such faces is the whole efficient set.  When K is a subspace the
-    efficient set is all of D, returned as the single improper face.  An
-    infeasible D yields no faces.
+    union of such faces is the whole efficient set.  Faces are tested
+    smallest first, and a face containing a failing face is skipped, since
+    it fails too; the answer is the same as testing every face.  max_faces
+    caps the face lattice, which is enumerated whole (FaceLimitError).
+    When K is a subspace the efficient set is all of D, returned as the
+    single improper face.  An infeasible D yields no faces.
     """
     sub = P.decomposition.is_subspace
     eint = P.cone_interior_empty
@@ -394,20 +436,18 @@ def efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> EfficientSe
         return EfficientSet(P, SetKind.EFFICIENT, (), sub, eint)
     if sub:
         return EfficientSet(P, SetKind.EFFICIENT, (_whole_set_face(P),), True, eint)
-    passing = [
-        f
-        for f in faces(P.feasible_set, max_faces=max_faces)
-        if face_scalarizable(P, f, weak=False)
-    ]
-    return EfficientSet(P, SetKind.EFFICIENT, _maximal(passing), False, eint)
+    found = _maximal_scalarizable(P, weak=False, max_faces=max_faces)
+    return EfficientSet(P, SetKind.EFFICIENT, found, False, eint)
 
 
 def weakly_efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> EfficientSet:
     """The weakly efficient set of P as a tuple of maximal faces of D.
 
     Weights come from K* \\ {0}, normalized as convex combinations of the
-    dual generators; when the interior of K is empty every feasible point is
-    weakly efficient and all of D is returned as the single improper face.
+    dual generators; faces are tested as in efficient_set, smallest first
+    and never a superset of a failing face.  When the interior of K is empty
+    every feasible point is weakly efficient and all of D is returned as the
+    single improper face.
     """
     sub = P.decomposition.is_subspace
     eint = P.cone_interior_empty
@@ -420,12 +460,7 @@ def weakly_efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> Effi
         # K is the whole space, whose interior contains zero: every point is
         # strictly dominated by itself and the weakly efficient set is empty.
         return EfficientSet(P, kind, (), sub, eint)
-    passing = [
-        f
-        for f in faces(P.feasible_set, max_faces=max_faces)
-        if face_scalarizable(P, f, weak=True)
-    ]
-    return EfficientSet(P, kind, _maximal(passing), sub, eint)
+    return EfficientSet(P, kind, _maximal_scalarizable(P, weak=True, max_faces=max_faces), sub, eint)
 
 
 def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCertificate:

@@ -111,10 +111,12 @@ class TestSolve:
         assert "face" in err
 
     def test_bad_face_cap_is_a_usage_error(self, triangle_file, capsys, monkeypatch):
-        monkeypatch.setenv("GPOLY_MAX_FACES", "many")
-        code, _, err = run(capsys, "solve", "--problem", triangle_file)
-        assert code == 2
-        assert "GPOLY_MAX_FACES" in err
+        # int() accepts all of these but "many", and "0" is not positive
+        for cap in ["many", " 12 ", "1_0", "+3", "12\n", "\u0661\u0662", "\uff11\uff12", "0"]:
+            monkeypatch.setenv("GPOLY_MAX_FACES", cap)
+            code, _, err = run(capsys, "solve", "--problem", triangle_file)
+            assert code == 2, cap
+            assert "GPOLY_MAX_FACES" in err
 
 
 class TestProblemParsing:

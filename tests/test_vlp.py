@@ -1,5 +1,7 @@
 """Tests for efficiency tests, witnesses, efficient sets, and connectivity."""
 
+import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpolyvlp import polyhedron, vlp
 from gpolyvlp.cli import load_problem
 from gpolyvlp.cone import ConeH
 from gpolyvlp.crosscheck import (
@@ -14,6 +17,7 @@ from gpolyvlp.crosscheck import (
     efficient_via_quotient,
     efficient_via_witness_system,
     minimal_face,
+    solution_set_via_all_faces,
 )
 from gpolyvlp.exact import Matrix, Vector, format_rational, rat, vec
 from gpolyvlp.instances import (
@@ -24,7 +28,7 @@ from gpolyvlp.instances import (
     triangle_problem,
 )
 from gpolyvlp.lp import LPStatus, argmin_face, solve_lp
-from gpolyvlp.polyhedron import HRep, faces, h_to_v, vrep_contains
+from gpolyvlp.polyhedron import FaceLimitError, HRep, faces, h_to_v, vrep_contains
 from gpolyvlp.vlp import (
     InfeasiblePointError,
     InternalInvariantError,
@@ -382,3 +386,123 @@ def test_connect_certificates_are_sound(P):
         out = solve_lp(P.feasible_set, c)
         assert c.dot(a) == out.value and c.dot(b) == out.value
     assert len(cert.points) - 1 <= len(faces(P.feasible_set))
+
+
+# ---------------------------------------------------------------------------
+# pruned face search against the all-faces oracle
+
+
+def orthant_cube(n):
+    """The unit n-cube with identity objective, ordered by the orthant."""
+    unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    neg = [tuple(-v for v in e) for e in unit]
+    D = HRep.of(n, ineqs=[(e, 0) for e in neg] + [(e, 1) for e in unit])
+    return VLPProblem(Matrix.identity(n), D, ConeH.of(n, neg))
+
+
+def set_corpus(seed, count, config):
+    """Seeded problems; every fifth with q >= 2 gets an empty-interior cone
+    by adding the negative of its first normal."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        P = random_problem(rng, config, allow_subspace=True)
+        normals = P.cone.normals
+        if i % 5 == 4 and P.cone.dim >= 2:
+            K = ConeH(P.cone.dim, (normals[0], -normals[0]) + normals[1:])
+            P = VLPProblem(P.objective, P.feasible_set, K)
+        out.append(P)
+    return out
+
+
+SET_CORPUS = (
+    set_corpus(2718, 200, small_config)
+    + set_corpus(2718, 60, InstanceConfig())
+    + [orthant_cube(n) for n in (2, 3)]
+)
+
+
+def set_json(E):
+    return {
+        "kind": E.kind.value,
+        "subspace_cone": E.subspace_cone,
+        "empty_interior": E.empty_interior,
+        "faces": [
+            {"active_ineq": list(f.active_ineq), "vrep": f.geometry.to_json_obj()}
+            for f in E.faces
+        ],
+    }
+
+
+def test_solution_set_golden_digest():
+    doc = [[set_json(efficient_set(P)), set_json(weakly_efficient_set(P))] for P in SET_CORPUS]
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert sum(len(E["faces"]) for pair in doc for E in pair) == 413
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "34f9c9b9abc7724ff09c1b23fd03951801f8c7532c093c18f9a3f7f83b5b1a2b"
+
+
+def _capped(routine, *args, **kwargs):
+    try:
+        return routine(*args, **kwargs)
+    except FaceLimitError:
+        return "cap"
+
+
+def test_pruned_sets_match_all_faces_oracle():
+    assert sum(P.decomposition.is_subspace for P in SET_CORPUS) == 68
+    assert sum(P.cone_interior_empty for P in SET_CORPUS) == 95
+    assert sum(bool(P.feasible_vrep.lineality) for P in SET_CORPUS) == 43
+    assert sum(P.feasible_set.eq_lhs.rows > 0 for P in SET_CORPUS) == 128
+    capped = 0
+    for P in SET_CORPUS:
+        for routine, weak in ((efficient_set, False), (weakly_efficient_set, True)):
+            assert routine(P) == solution_set_via_all_faces(P, weak)
+            got = _capped(routine, P, max_faces=3)
+            want = _capped(solution_set_via_all_faces, P, weak, max_faces=3)
+            if got != "cap" and (got.empty_interior if weak else got.subspace_cone):
+                # the main route answers these without enumerating faces
+                continue
+            assert got == want
+            capped += got == "cap"
+    assert capped == 168
+
+
+def test_set_routines_run_one_dd_per_call(monkeypatch):
+    calls = []
+    real = polyhedron.h_to_v
+
+    def counting(P):
+        calls.append(P)
+        return real(P)
+
+    monkeypatch.setattr(polyhedron, "h_to_v", counting)
+    monkeypatch.setattr(vlp, "h_to_v", counting)
+    for P in SET_CORPUS[:50] + [orthant_cube(4)]:
+        for routine in (efficient_set, weakly_efficient_set):
+            calls.clear()
+            routine(VLPProblem(P.objective, P.feasible_set, P.cone))
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "routine, tests, tags",
+    [
+        (efficient_set, 16, [(0, 1, 2, 3)]),
+        (weakly_efficient_set, 66, [(0,), (1,), (2,), (3,)]),
+    ],
+)
+def test_orthant_cube_skips_faces_containing_a_failure(routine, tests, tags, monkeypatch):
+    # strict: the 16 vertices; every edge holds a failing vertex.  Weak: the
+    # 65 faces that miss the vertex (1,1,1,1), and that vertex itself
+    calls = []
+    real = vlp.solve_lp
+
+    def counting(H, c):
+        calls.append(H)
+        return real(H, c)
+
+    monkeypatch.setattr(vlp, "solve_lp", counting)
+    E = routine(orthant_cube(4))
+    assert len(calls) == tests
+    assert [f.active_ineq for f in E.faces] == tags
