@@ -13,8 +13,10 @@ A problem file is a single JSON object:
 All numerics are exact rational strings "p" or "p/q" and results are printed
 in the same format, so rewriting any output reproduces it bit for bit.
 Errors are reported on stderr with a JSON path when they come from the
-problem file.  Exit codes: 0 success, 2 parse/dimension/precondition errors,
-3 violated internal invariants, 4 face enumeration larger than
+problem file.  Exit codes are chosen by error type: 0 success, 2 input
+errors (parse, dimension, an infeasible or inefficient point, an empty
+polyhedron), 3 internal failures (violated invariants and any other
+ValueError raised after parsing), 4 face enumeration larger than
 GPOLY_MAX_FACES (default 4096).
 """
 
@@ -28,8 +30,15 @@ import sys
 
 from .cone import ConeH
 from .exact import Matrix, Vector, format_rational, parse_rational
-from .polyhedron import FaceLimitError, HRep, InternalInvariantError
+from .polyhedron import (
+    EmptyPolyhedronError,
+    FaceLimitError,
+    HRep,
+    InternalInvariantError,
+)
 from .vlp import (
+    InfeasiblePointError,
+    NotEfficientError,
     SetKind,
     VLPProblem,
     connect,
@@ -277,14 +286,20 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CLIError, ValueError) as exc:
-        # ValueError covers InfeasiblePointError and NotEfficientError too.
+    except (
+        CLIError,
+        InfeasiblePointError,
+        NotEfficientError,
+        EmptyPolyhedronError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FaceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except InternalInvariantError as exc:
+    except (InternalInvariantError, ValueError) as exc:
+        # a ValueError that is none of the input errors above was raised by
+        # a kernel after parsing, so it is an internal failure too
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -4,13 +4,16 @@ Every quantity in this package is a rational number; nothing is ever rounded.
 The scalar type is gmpy2.mpq when available and fractions.Fraction otherwise.
 Both keep lowest terms with a positive denominator and raise
 ZeroDivisionError on a zero denominator.  In the layers that compute with
-these scalars (this module, double description, cone calculus) mpq is about
-an order of magnitude faster; the simplex in lp.py pivots on Python ints and
-converts to this type only for its results.
+these scalars (this module, cone calculus) mpq is about an order of
+magnitude faster.  The simplex in lp.py and the double description in
+polyhedron.py compute on Python ints instead: each row is scaled to integers
+once by _integers, and results are converted to this type only when they
+are read off.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -66,6 +69,13 @@ def parse_rational(text: str) -> Rational:
 def format_rational(x) -> str:
     """Inverse of parse_rational; str() of both scalar backends conforms."""
     return str(x)
+
+
+def _integers(values: Sequence) -> tuple:
+    """(ints, L): values times L, the lcm of their denominators."""
+    dens = [int(v.denominator) for v in values]
+    L = math.lcm(*dens)
+    return [int(v.numerator) * (L // q) for v, q in zip(values, dens)], L
 
 
 @dataclass(frozen=True)

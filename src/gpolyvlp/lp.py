@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import Rational, Vector, ZERO, ONE, rat
+from .exact import Rational, Vector, ZERO, ONE, _integers, rat
 from .polyhedron import HRep, InternalInvariantError, h_to_v
 
 __all__ = [
@@ -75,13 +75,6 @@ class UnsolvableSegmentError(ValueError):
 # change no sign and no ratio comparison, so the pivots are those of the
 # plain rational tableau; rationals appear only when a point or a ray is read
 # off.
-
-
-def _integers(values: Sequence) -> tuple:
-    """(ints, L): values times L, the lcm of their denominators."""
-    dens = [int(v.denominator) for v in values]
-    L = math.lcm(*dens)
-    return [int(v.numerator) * (L // q) for v, q in zip(values, dens)], L
 
 
 class _Tableau:

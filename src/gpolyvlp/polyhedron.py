@@ -1,9 +1,13 @@
 """Polyhedral convex sets in halfspace and generator form, with exact conversions.
 
-The workhorse is an incremental double description method over exact
-rationals.  It maintains a lineality basis next to the extreme-ray list, so
+The workhorse is an incremental double description method that computes on
+Python ints.  It maintains a lineality basis next to the extreme-ray list, so
 sets with nontrivial lineality (and cones that are whole subspaces) need no
-special casing anywhere above this module.
+special casing anywhere above this module.  Rows are scaled to primitive
+integer vectors once; rays are primitive integer representatives modulo the
+lineality space, kept reduced against an integer echelon basis of it, and
+they are converted to rationals and projected orthogonally to the lineality
+space once, on output.
 
 Faces and DD adjacency are both decided by incidence, which rows are tight
 on which generators: the DD carries each ray's zero set as a bitmask, and
@@ -13,13 +17,17 @@ the face lattice is read off the incidence of one DD of the polyhedron.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .exact import (
     Matrix,
+    Rational,
     Vector,
     ZERO,
     ONE,
+    _integers,
     complement_projector,
     format_rational,
     kernel_basis,
@@ -251,10 +259,25 @@ def dd_cone(dim: int, eq_rows: Sequence[Vector], ineq_rows: Sequence[Vector]):
 
     Returns (lineality_basis, extreme_rays), the rays canonical modulo the
     lineality span: orthogonal to it, scaled to a +-1 leading coordinate,
-    deduplicated and sorted.  Inequalities are inserted incrementally; when a
-    new row cuts the current lineality space one basis vector turns into a
-    ray and everything else is projected onto the row's hyperplane, otherwise
-    the classic step combines adjacent rays across the hyperplane.
+    deduplicated and sorted.
+
+    The method computes on Python ints.  Every row is scaled once to a
+    primitive integer vector, which changes no sign.  The lineality space L
+    is held as primitive integer vectors, each with a pivot column where it
+    is positive and every other basis vector is zero; rays are primitive
+    integer representatives modulo L that are zero on every pivot column.
+    Each class r + L has exactly one such representative, so rays dedupe on
+    it, and every processed row vanishes on L, so it gives the same signs
+    and zero sets as any other representative.
+
+    Inequalities are inserted incrementally.  When a new row a cuts L, one
+    basis vector r0 (signed so that a.r0 < 0) turns into a ray, and every
+    other vector v, basis or ray, becomes the positive combination
+    (-a.r0) v + (a.v) r0 on the row's hyperplane.  r0 is zero on the other
+    pivot columns, so the results are already reduced modulo the new L.
+    Otherwise the classic step combines adjacent rays p and n across the
+    hyperplane as (a.p) n - (a.n) p.  Rays are converted to rationals and
+    projected orthogonally to L once, at the end.
 
     Each ray carries its zero set as a bitmask (bit i: ineq_rows[i] is tight
     on it).  Every processed row is <= 0 on every ray, so the combination of
@@ -264,47 +287,44 @@ def dd_cone(dim: int, eq_rows: Sequence[Vector], ineq_rows: Sequence[Vector]):
     for r in list(eq_rows) + list(ineq_rows):
         if r.dim != dim:
             raise ValueError("constraint row dimension mismatch")
-    eq_base = [list(e.coords) for e in eq_rows]
-    L = kernel_basis(Matrix.from_rows(list(eq_rows), cols=dim))
+    eqs = [_primitive(_integers(e.coords)[0]) for e in eq_rows]
+    ineqs = [_primitive(_integers(a.coords)[0]) for a in ineq_rows]
+    kernel = kernel_basis(Matrix.from_rows(list(eq_rows), cols=dim))
+    L = _echelon_int([_integers(l.coords)[0] for l in kernel])
     rays: dict = {}  # ray -> zero set over the rows inserted so far
 
-    for i, a in enumerate(ineq_rows):
+    for i, a in enumerate(ineqs):
         bit = 1 << i
-        if a.is_zero():
+        if not any(a):
             rays = {r: z | bit for r, z in rays.items()}
             continue
 
-        chosen = None
-        for idx, l in enumerate(L):
-            d = a.dot(l)
-            if d != 0:
-                chosen = (idx, d)
-                break
-        if chosen is not None:
-            # the row cuts the lineality space: one basis vector becomes a
-            # ray, tight on every earlier row; earlier rows vanish on l0, so
-            # the projected rays keep their zero sets and gain the new row
-            idx, d = chosen
-            l0 = L.pop(idx)
-            r0 = l0 if d < 0 else -l0
-            d0 = a.dot(r0)
-            L = [
-                l - r0.scale(a.dot(l) / d0) if a.dot(l) != 0 else l
-                for l in L
-            ]
-            cut = []
+        cut = next((k for k, (_, l) in enumerate(L) if _dot(a, l)), None)
+        if cut is not None:
+            # the row cuts the lineality space: l0 becomes a ray, tight on
+            # every earlier row; earlier rows vanish on l0, so the moved rays
+            # keep their zero sets and gain the new row
+            _, l0 = L.pop(cut)
+            d0 = _dot(a, l0)
+            r0 = l0 if d0 < 0 else tuple([-x for x in l0])
+            f0 = abs(d0)
+
+            def onto(v):
+                dv = _dot(a, v)
+                if not dv:
+                    return v
+                return _primitive([f0 * x + dv * y for x, y in zip(v, r0)])
+
+            L = [(c, onto(l)) for c, l in L]
+            moved = {}
             for r, z in rays.items():
-                dr = a.dot(r)
-                cut.append((r - r0.scale(dr / d0) if dr != 0 else r, z | bit))
-            cut.append((r0, bit - 1))
-            proj = complement_projector(L, dim) if L else None
-            rays = {}
-            for r, z in cut:
-                rays.setdefault(_normalized(proj.matvec(r) if proj else r), z)
+                moved.setdefault(onto(r), z | bit)
+            moved.setdefault(r0, bit - 1)
+            rays = moved
             continue
 
         old = list(rays.items())
-        vals = [a.dot(r) for r, _ in old]
+        vals = [_dot(a, r) for r, _ in old]
         pos = [k for k, v in enumerate(vals) if v > 0]
         if not pos:
             rays = {r: z | bit if v == 0 else z for (r, z), v in zip(old, vals)}
@@ -315,31 +335,75 @@ def dd_cone(dim: int, eq_rows: Sequence[Vector], ineq_rows: Sequence[Vector]):
         rays = {r: z | bit if v == 0 else z for (r, z), v in zip(old, vals) if v <= 0}
         combos = []
         for p in pos:
+            rp, vp = old[p][0], vals[p]
             for n in neg:
                 common = old[p][1] & old[n][1]
                 got = rank_memo.get(common)
                 if got is None:
-                    rows = eq_base + [
-                        list(ineq_rows[j].coords) for j in range(i) if common >> j & 1
-                    ]
-                    got = rank_memo[common] = rank(Matrix.of(rows, cols=dim))
+                    rows = eqs + [ineqs[j] for j in range(i) if common >> j & 1]
+                    got = rank_memo[common] = len(_echelon_int(rows))
                 if got != target:
                     continue
-                r_new = old[n][0].scale(vals[p]) - old[p][0].scale(vals[n])
-                combos.append((_normalized(r_new), common | bit))
+                vn = vals[n]
+                r_new = _primitive([vp * x - vn * y for x, y in zip(old[n][0], rp)])
+                combos.append((r_new, common | bit))
         for r, z in combos:
             rays.setdefault(r, z)
 
-    basis = rref(Matrix.from_rows(L, cols=dim)).row_vectors() if L else []
-    out_rays = sorted(rays, key=lambda r: r.coords)
-    for r in out_rays:
-        for e in eq_rows:
-            if e.dot(r) != 0:
-                raise InternalInvariantError("generator violates an equality row")
-        for a in ineq_rows:
-            if a.dot(r) > 0:
-                raise InternalInvariantError("generator violates an inequality row")
+    lin = [l for _, l in L]
+    gens = list(rays) + lin
+    if any(_dot(e, g) for e in eqs for g in gens):
+        raise InternalInvariantError("generator violates an equality row")
+    if any(_dot(a, r) > 0 for a in ineqs for r in rays) or any(
+        _dot(a, l) for a in ineqs for l in lin
+    ):
+        raise InternalInvariantError("generator violates an inequality row")
+
+    basis = rref(Matrix.of(lin, cols=dim)).row_vectors() if lin else []
+    proj = complement_projector(basis, dim) if basis else None
+    out_rays = []
+    for r in rays:
+        v = Vector(tuple([Rational(x) for x in r]))
+        out_rays.append(_normalized(proj.matvec(v) if proj else v))
+    out_rays.sort(key=lambda r: r.coords)
     return basis, out_rays
+
+
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
+
+
+def _primitive(v) -> tuple:
+    """The integer vector v divided by the gcd of its entries."""
+    g = gcd(*v)
+    return tuple(v) if g <= 1 else tuple([x // g for x in v])
+
+
+def _echelon_int(rows) -> list:
+    """Reduced echelon form of integer rows, fraction-free: rows combine
+    with integer multipliers and are divided by the gcd of their entries.
+
+    Returns (pivot column, primitive row) pairs, one per unit of rank: each
+    row is positive at its pivot column and every other row is zero there.
+    """
+    out = []
+    for r in rows:
+        for c, e in out:
+            f = r[c]
+            if f:
+                g = e[c]
+                r = [g * x - f * y for x, y in zip(r, e)]
+        c = next((j for j, x in enumerate(r) if x), None)
+        if c is None:
+            continue
+        r = _primitive([-x for x in r] if r[c] < 0 else r)
+        g = r[c]
+        out = [
+            (k, _primitive([g * x - e[c] * y for x, y in zip(e, r)])) if e[c] else (k, e)
+            for k, e in out
+        ]
+        out.append((c, r))
+    return out
 
 
 def _normalized(r: Vector) -> Vector:

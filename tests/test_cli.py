@@ -1,10 +1,16 @@
 """End-to-end tests for the command line interface."""
 
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpolyvlp import cli, vlp
 from gpolyvlp.cli import main
@@ -244,6 +250,19 @@ class TestTest:
         assert code == 3 and out == ""
         assert err == "error: forced invariant failure\n"
 
+    def test_kernel_value_error_exits_3(self, triangle_file, capsys, monkeypatch):
+        # a ValueError raised by a kernel after parsing is an internal
+        # failure, not bad input
+        def broken(P, u):
+            raise ValueError("dependent vectors passed as a basis")
+
+        monkeypatch.setattr(cli, "is_efficient", broken)
+        code, out, err = run(
+            capsys, "test", "--problem", triangle_file, "--point", "0,1"
+        )
+        assert code == 3 and out == ""
+        assert err == "error: dependent vectors passed as a basis\n"
+
 
 class TestConnect:
     def test_triangle_certificate(self, triangle_file, capsys):
@@ -374,3 +393,79 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["efficient"] is True
+
+
+# ---------------------------------------------------------------------------
+# malformed problem files map to the documented exit codes
+
+PROBLEM_DOCS = [
+    json.loads(path.read_text())
+    for path in sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
+]
+ODD_VALUES = [
+    "0", "1", "-1", "1/2", "-7/3", "2", "1/0", "0.5", "x", "", "\uff11",
+    "123456789012345678901234567890/7", 0, 1, 3, -1, True, None, [], {},
+    ["1"], [["1"]], [["1", "0"]], {"dim": 1},
+]
+COMMANDS = [
+    ["solve"],
+    ["solve", "--kind", "weak"],
+    ["test", "--point", "0,0"],
+    ["test", "--point", "1,0", "--kind", "weak"],
+    ["connect", "--from", "0,1", "--to", "1,0"],
+    ["cone", "decompose"],
+]
+
+
+def _paths(node, prefix=()):
+    """Every path of keys and indices below node."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_problems(draw):
+    """A problems/*.json document with one to three entries replaced by an
+    odd value, deleted or duplicated."""
+    doc = copy.deepcopy(draw(st.sampled_from(PROBLEM_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *head, key = draw(st.sampled_from(paths))
+        parent = doc
+        for k in head:
+            parent = parent[k]
+        action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if action == "replace":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = [copy.deepcopy(parent[key])]
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=mutated_problems(), command=st.sampled_from(COMMANDS))
+def test_mutated_problem_files_exit_by_error_type(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.json"
+        path.write_text(json.dumps(doc))
+        argv = command[:1] + ["--problem", str(path)] + command[1:]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")

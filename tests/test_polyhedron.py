@@ -489,3 +489,50 @@ def test_faces_match_their_own_double_description(start, monkeypatch):
             assert tag in by_tag and by_tag[tag] == g
             seen.add(tag)
         assert seen == set(by_tag)
+
+
+def test_large_row_scalings_keep_conversions():
+    # DD_GOLDEN's entries stay small; scale every row of one block by a big,
+    # tiny or odd factor (either sign for equalities) so the integer scaling
+    # and gcd reduction of the double description see large numbers
+    factors = [rat(10**12, 7), rat(1, 10**9), rat(3, 2), rat(2**61 - 1), rat(7, 10**15)]
+    rng = random.Random(4242)
+
+    def scaled(rows, signs):
+        out = []
+        for a, b in rows:
+            f = rng.choice(factors) * rng.choice(signs)
+            out.append(([f * v for v in a], f * b))
+        return out
+
+    for P in DD_GOLDEN[:DD_BLOCK]:
+        Q = HRep.of(P.dim, scaled(P.eq_rows(), (1, -1)), scaled(P.ineq_rows(), (1,)))
+        assert encode_conversions(Q) == encode_conversions(P)
+
+
+def test_one_projection_per_double_description(monkeypatch):
+    # rays are reduced modulo an integer echelon basis of the lineality space
+    # during the method and projected orthogonally to it once, on output
+    projections = []
+    real_projector = polyhedron.complement_projector
+    real_dd = polyhedron.dd_cone
+    monkeypatch.setattr(
+        polyhedron,
+        "complement_projector",
+        lambda basis, dim: projections.append(dim) or real_projector(basis, dim),
+    )
+    with_lineality = []
+
+    def counted(dim, eq_rows, ineq_rows):
+        projections.clear()
+        lin, rays = real_dd(dim, eq_rows, ineq_rows)
+        assert len(projections) <= (1 if lin else 0)
+        with_lineality.append(bool(lin))
+        return lin, rays
+
+    monkeypatch.setattr(polyhedron, "dd_cone", counted)
+    for P in DD_GOLDEN:
+        V = h_to_v(P)
+        if not V.is_empty:
+            v_to_h(V)
+    assert sum(with_lineality) > 100 and not all(with_lineality)
