@@ -2,12 +2,16 @@
 
 A two-phase primal simplex with Bland's rule: no floating point, termination
 guaranteed by the anti-cycling pivot choice.  The tableau is kept in Python
-ints: each row is scaled to integers once, pivoting is integer-preserving
-over one common denominator, and the reduced costs ride along as one more
-row updated by every pivot.  Rationals appear only when a point or a ray is
-read off.  On top of the basic solver sit a lexicographic refinement (so
-optimal points are canonical), certified unbounded directions, argmin faces,
-and exact breakpoint analysis of objectives moving along a segment.
+ints: each row of the standard form is scaled to integers once, straight from
+the HRep, pivoting is integer-preserving over one common denominator, and the
+reduced costs ride along as one more row updated by every pivot.  Rationals
+appear only when a point or a ray is read off.  The private core _solve runs
+the two phases and returns the status, the optimal value and certified
+unbounded directions; the pipeline's callers (feasibility, argmin faces,
+breakpoint checks, the efficiency and face tests) read no more than that.
+solve_lp adds a lexicographic refinement on top, so its optimal points are
+canonical.  Exact breakpoint analysis of objectives moving along a segment
+sits on top of both.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import Rational, Vector, ZERO, ONE, _integers, rat
-from .polyhedron import HRep, InternalInvariantError, h_to_v
+from .exact import Rational, Vector, ZERO, _integers, rat
+from .polyhedron import HRep, InternalInvariantError, VRep, h_to_v
 
 __all__ = [
     "LPStatus",
@@ -171,10 +175,12 @@ def _simplex(T: _Tableau, frozen: Optional[set] = None) -> tuple:
 def _standard_form(P: HRep) -> tuple:
     """Integer equality standard form of an HRep.
 
-    Variables are x+ (dim), x- (dim), then one slack per inequality.  Rows
-    with a negative right-hand side are negated so b >= 0 for phase one, then
-    each row [a | b] is scaled to integers by the lcm of its denominators.
-    Returns (rows, scales, nvars), right-hand side last in each row.
+    Variables are x+ (dim), x- (dim), then one slack per inequality.  Each
+    row [a | b] is scaled to integers once by the lcm of its denominators,
+    and the int row is written straight out: the x- part is the negated x+
+    part and the slack entry is the scale.  Rows with a negative right-hand
+    side are negated so b >= 0 for phase one.  Returns (rows, scales,
+    nvars), right-hand side last in each row.
     """
     d = P.dim
     n_ineq = P.ineq_lhs.rows
@@ -183,17 +189,16 @@ def _standard_form(P: HRep) -> tuple:
     scales = []
 
     def add(coef_x: Sequence, slack: Optional[int], b):
-        row = [ZERO] * (nvars + 1)
-        for j, v in enumerate(coef_x):
-            row[j] = v
-            row[d + j] = -v
-        if slack is not None:
-            row[2 * d + slack] = ONE
-        row[nvars] = b
-        ints, scale = _integers(row)
+        ints, scale = _integers(coef_x + (b,))
+        unit = scale
         if b < 0:
             ints = [-v for v in ints]
-        rows.append(ints)
+            unit = -scale
+        row = ints[:-1] + [-v for v in ints[:-1]] + [0] * (n_ineq + 1)
+        if slack is not None:
+            row[2 * d + slack] = unit
+        row[nvars] = ints[-1]
+        rows.append(row)
         scales.append(scale)
 
     for i in range(P.eq_lhs.rows):
@@ -256,30 +261,27 @@ def _ray_from_column(T: _Tableau, col: int, dim: int) -> Vector:
     return Vector(tuple([Rational(delta[j] - delta[dim + j], T.det) for j in range(dim)]))
 
 
-def solve_lp(P: HRep, c: Vector) -> LPOutcome:
-    """Minimize c.x over an HRep, exactly and deterministically.
+def _optimize(P: HRep, c: Vector) -> tuple:
+    """Phase one and phase two of min c.x over an HRep: (outcome, tableau).
 
-    The optimal point is canonical: the simplex is re-run restricted to the
-    optimal face, minimizing one coordinate after another, so whenever the
-    optimal face has a lexicographically smallest point that is the point
-    returned.  A coordinate stage that is unbounded below on the face is
-    skipped (the outcome stays deterministic, Bland's rule leaves nothing to
-    chance).  Unbounded problems come with a certified descent ray.
+    The outcome has no point; for OPTIMAL its value is c at the basic optimal
+    point, and for UNBOUNDED it carries the certified descent ray.  The
+    tableau is the optimal one, or None when there is none to refine (no
+    optimum, or P is the whole space).
     """
     if c.dim != P.dim:
         raise ValueError("objective dimension differs from ambient dimension")
     d = P.dim
     if P.eq_lhs.rows == 0 and P.ineq_lhs.rows == 0:
-        # whole space: bounded only for the zero objective, where every point
-        # is optimal and the origin is the canonical pick
+        # whole space: bounded only for the zero objective
         if c.is_zero():
-            return LPOutcome(LPStatus.OPTIMAL, ZERO, Vector.zero(d))
+            return LPOutcome(LPStatus.OPTIMAL, ZERO), None
         ray = (-c).normalized_direction()
-        return LPOutcome(LPStatus.UNBOUNDED, descent_ray=ray)
+        return LPOutcome(LPStatus.UNBOUNDED, descent_ray=ray), None
     rows, scales, nvars = _standard_form(P)
     T = _phase_one(rows, scales, nvars)
     if T is None:
-        return LPOutcome(LPStatus.INFEASIBLE)
+        return LPOutcome(LPStatus.INFEASIBLE), None
     cx, _ = _integers(c.coords)
     T.set_objective(cx + [-v for v in cx] + [0] * (nvars - 2 * d))
     status, col = _simplex(T)
@@ -287,12 +289,42 @@ def solve_lp(P: HRep, c: Vector) -> LPOutcome:
         ray = _ray_from_column(T, col, d).normalized_direction()
         if c.dot(ray) >= 0:
             raise InternalInvariantError("unbounded ray does not descend")
-        return LPOutcome(LPStatus.UNBOUNDED, descent_ray=ray)
-    value = c.dot(_extract_point(T, d))
+        return LPOutcome(LPStatus.UNBOUNDED, descent_ray=ray), None
+    return LPOutcome(LPStatus.OPTIMAL, c.dot(_extract_point(T, d))), T
+
+
+def _solve(P: HRep, c: Vector) -> LPOutcome:
+    """Minimize c.x over an HRep for the status, the optimal value and the
+    descent ray only: solve_lp without the lexicographic refinement, so the
+    outcome has no point.  Status, value and ray are solve_lp's."""
+    return _optimize(P, c)[0]
+
+
+def solve_lp(P: HRep, c: Vector) -> LPOutcome:
+    """Minimize c.x over an HRep, exactly and deterministically.
+
+    The optimal point is canonical: after the two phases of _solve the
+    simplex is re-run restricted to the optimal face, minimizing one
+    coordinate after another, so whenever the optimal face has a
+    lexicographically smallest point that is the point returned.  A
+    coordinate stage that is unbounded below on the face is skipped (the
+    outcome stays deterministic, Bland's rule leaves nothing to chance).
+    Unbounded problems come with a certified descent ray.  Callers that read
+    only the status or the value use _solve.
+    """
+    out, T = _optimize(P, c)
+    if out.status is not LPStatus.OPTIMAL:
+        return out
+    d = P.dim
+    if T is None:
+        # the whole space under the zero objective: every point is optimal
+        # and the origin is the canonical pick
+        return LPOutcome(LPStatus.OPTIMAL, ZERO, Vector.zero(d))
 
     # lexicographic refinement: freeze out every column whose reduced cost
     # is positive (those stay nonbasic on the optimal face), then minimize
     # coordinate after coordinate under the accumulating freezes
+    nvars = T.ncols
     frozen = {j for j in range(nvars) if T.obj[j] > 0}
     for k in range(d):
         stage = [0] * nvars
@@ -304,13 +336,13 @@ def solve_lp(P: HRep, c: Vector) -> LPOutcome:
             frozen.update(j for j in range(nvars) if T.obj[j] > 0)
         # an unbounded stage adds no freezes; later coordinates still resolve
     point = _extract_point(T, d)
-    if c.dot(point) != value:
+    if c.dot(point) != out.value:
         raise InternalInvariantError("lexicographic refinement left the optimal face")
-    return LPOutcome(LPStatus.OPTIMAL, value, point)
+    return LPOutcome(LPStatus.OPTIMAL, out.value, point)
 
 
 def feasible(P: HRep) -> bool:
-    return solve_lp(P, Vector.zero(P.dim)).status == LPStatus.OPTIMAL
+    return _solve(P, Vector.zero(P.dim)).status == LPStatus.OPTIMAL
 
 
 def argmin_face(P: HRep, c: Vector) -> HRep:
@@ -318,7 +350,7 @@ def argmin_face(P: HRep, c: Vector) -> HRep:
 
     Raises NoArgminError when the problem is infeasible or unbounded.
     """
-    out = solve_lp(P, c)
+    out = _solve(P, c)
     if out.status != LPStatus.OPTIMAL:
         raise NoArgminError("no argmin")
     return P.with_extra_eqs([(c, out.value)])
@@ -338,7 +370,11 @@ def parametric_breakpoints(c0: Vector, c1: Vector, P: HRep) -> list:
     """
     if c0.dim != P.dim or c1.dim != P.dim:
         raise ValueError("objective dimension differs from ambient dimension")
-    geom = h_to_v(P)
+    return _breakpoints(c0, c1, P, h_to_v(P))
+
+
+def _breakpoints(c0: Vector, c1: Vector, P: HRep, geom: VRep) -> list:
+    """parametric_breakpoints over P, given geom = h_to_v(P)."""
     if geom.is_empty:
         raise UnsolvableSegmentError("unsolvable on segment")
     delta = c1 - c0
@@ -397,6 +433,6 @@ def parametric_breakpoints(c0: Vector, c1: Vector, P: HRep) -> list:
     breakpoints.append(rat(1))
 
     for t in breakpoints:
-        if solve_lp(P, cost(t)).status != LPStatus.OPTIMAL:
+        if _solve(P, cost(t)).status != LPStatus.OPTIMAL:
             raise UnsolvableSegmentError("unsolvable on segment")
     return breakpoints

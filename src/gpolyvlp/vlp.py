@@ -12,6 +12,14 @@ its relative interior point, a face test asks whether it is nonempty), the
 efficient and weakly efficient sets as unions of maximal faces of D, and
 piecewise-linear connectivity certificates.  Everything is exact.
 
+Witnesses come first.  By the efficiency criterion a verified weight
+(ri(K*) for efficiency, K* \\ {0} for weak efficiency) that puts u in the
+argmin over D certifies u by itself, so scalarize_witness, weak_witness and
+connect run no efficiency test of their own; only an empty weight region
+runs the primal slack program of is_efficient / is_weakly_efficient, to
+confirm that u is dominated.  No LP here reads an optimal point, so all of
+them run through the value-only lp._solve.
+
 A weight that scalarizes a face scalarizes every face of it, so a face that
 contains a failing face fails too.  The set routines read the face lattice
 off the one DD of D, test faces smallest first, and skip every face that
@@ -28,13 +36,7 @@ from typing import Optional
 
 from .cone import ConeDecomposition, ConeH, decompose
 from .exact import Matrix, Rational, Vector, complement_projector, rat
-from .lp import (
-    LPStatus,
-    NoArgminError,
-    argmin_face,
-    parametric_breakpoints,
-    solve_lp,
-)
+from .lp import LPStatus, NoArgminError, _breakpoints, _solve, argmin_face
 from .polyhedron import (
     Face,
     HRep,
@@ -199,7 +201,7 @@ def _max_slack(P: VLPProblem, u: Vector, weak: bool) -> Rational:
             ineqs.append((row(zero_x, -Vector.unit(k, j)), rat(0)))
         ineqs.append((row(zero_x, Vector.unit(k, j)), rat(1)))
     c = row(zero_x, Vector.of([-1] * k))
-    out = solve_lp(HRep.of(n + k, eqs, ineqs), c)
+    out = _solve(HRep.of(n + k, eqs, ineqs), c)
     if out.status is not LPStatus.OPTIMAL:
         raise InternalInvariantError("slack maximization failed to solve")
     return out.value
@@ -304,17 +306,23 @@ def _relative_interior_point(V: VRep) -> Vector:
 
 def _point_weight(P: VLPProblem, u: Vector, weak: bool) -> Vector:
     """The relative interior point of the weight region of u + lin(D), the
-    smallest flat of D that every weight scalarizing u scalarizes whole."""
+    smallest flat of D that every weight scalarizing u scalarizes whole.
+
+    An empty region means u is not (weakly) efficient, and that verdict is
+    cross-checked by the primal slack program before NotEfficientError is
+    raised: a zero slack there contradicts it."""
     F = VRep(P.feasible_set.dim, (u,), (), P.feasible_vrep.lineality)
     region = h_to_v(_weight_region(P, F, weak, _generator_images(P, weak)))
     if region.is_empty:
-        raise InternalInvariantError("no dual weight for a (weakly) efficient point")
+        if _max_slack(P, u, weak) == 0:
+            raise InternalInvariantError("no dual weight for a (weakly) efficient point")
+        raise NotEfficientError("not weakly efficient" if weak else "not efficient")
     return _relative_interior_point(region)
 
 
 def _verify_argmin(P: VLPProblem, ystar: Vector, u: Vector, label: str) -> None:
     c = P.objective.tmatvec(ystar)
-    out = solve_lp(P.feasible_set, c)
+    out = _solve(P.feasible_set, c)
     if out.status is not LPStatus.OPTIMAL or c.dot(u) != out.value:
         raise InternalInvariantError(
             "%s does not scalarize its point to an argmin of D" % label
@@ -329,11 +337,14 @@ def scalarize_witness(P: VLPProblem, u: Vector) -> Vector:
     weight region of u: the functionals that vanish on the lineality of K,
     are at least 1 on every extreme ray of its pointed part, and put u in
     the argmin over D.  The region lies in Y1 already, so no projection is
-    needed.  Raises NotEfficientError when u is not efficient.  The result
-    is re-verified before it is returned.
+    needed.  The witness is sought first: by the efficiency criterion a
+    verified witness certifies efficiency by itself, so no separate
+    efficiency test runs.  Only an empty region falls back to the slack
+    program of is_efficient, which must confirm that u is dominated; then
+    NotEfficientError is raised.  The result is re-verified before it is
+    returned.  Raises InfeasiblePointError when u is not in D.
     """
-    if not is_efficient(P, u):
-        raise NotEfficientError("not efficient")
+    _require_feasible(P, u)
     dec = P.decomposition
     if dec.is_subspace:
         # K* is the annihilator of K, a subspace equal to its own relative
@@ -351,14 +362,20 @@ def scalarize_witness(P: VLPProblem, u: Vector) -> Vector:
 def weak_witness(P: VLPProblem, u: Vector) -> Vector:
     """A dual vector y* in K* \\ {0} with u minimizing <M^T y*, x> over D,
     certifying weak efficiency.  When K has empty interior the weakly
-    efficient set is all of D and the zero weight is returned.
-    Raises NotEfficientError when u is not weakly efficient.
+    efficient set is all of D and the zero weight is returned; when K is the
+    whole space no point is weakly efficient.  As in scalarize_witness the
+    weight is sought first, and only an empty weight region runs the slack
+    program of is_weakly_efficient, which must confirm the verdict before
+    NotEfficientError is raised.  Raises InfeasiblePointError when u is not
+    in D.
     """
-    if not is_weakly_efficient(P, u):
-        raise NotEfficientError("not weakly efficient")
+    _require_feasible(P, u)
     q = P.cone.dim
     if P.cone_interior_empty:
         return Vector.zero(q)
+    if not P.cone.normals:
+        # the interior of the whole space contains zero: u dominates itself
+        raise NotEfficientError("not weakly efficient")
     lam = _point_weight(P, u, weak=True)
     ystar = Vector.zero(q)
     for coeff, g in zip(lam.coords, P.decomposition.dual_generators):
@@ -376,7 +393,7 @@ def _whole_set_face(P: VLPProblem) -> Face:
 
 def _scalarizable(P: VLPProblem, F: VRep, weak: bool, images: dict) -> bool:
     region = _weight_region(P, F, weak, images)
-    return solve_lp(region, Vector.zero(region.dim)).status is LPStatus.OPTIMAL
+    return _solve(region, Vector.zero(region.dim)).status is LPStatus.OPTIMAL
 
 
 def face_scalarizable(P: VLPProblem, face: Face, weak: bool) -> bool:
@@ -466,8 +483,10 @@ def weakly_efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> Effi
 def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCertificate:
     """A piecewise-linear path from u to v inside the (weakly) efficient set.
 
-    Both endpoints must pass the corresponding efficiency test.  Witnesses
-    xi_0 for u and xi_1 for v are interpolated; the breakpoints of
+    Witnesses xi_0 for u and xi_1 for v (scalarize_witness, or weak_witness
+    when weak) certify the endpoints, and no separate efficiency test runs;
+    an endpoint without a witness raises NotEfficientError("endpoint not
+    efficient").  The witnesses are interpolated; the breakpoints of
     t -> argmin <M^T xi_t, x> partition [0, 1], and within each interval the
     argmin face is constant.  The chain takes u, then the lexicographically
     smallest argmin vertex of each interval, then v; each surviving segment
@@ -475,24 +494,23 @@ def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCert
     argmin face contains both of its endpoints.  Every returned point and
     segment stays inside the efficient set (weakly efficient set when weak).
     """
-    test = is_weakly_efficient if weak else is_efficient
-    if not test(P, u) or not test(P, v):
-        raise NotEfficientError("endpoint not efficient")
+    witness = weak_witness if weak else scalarize_witness
+    try:
+        xi0 = witness(P, u)
+        xi1 = xi0 if u == v else witness(P, v)
+    except NotEfficientError as exc:
+        raise NotEfficientError("endpoint not efficient") from exc
     if u == v:
         return PathCertificate((u,), (), (rat(0), rat(1)))
     if weak and P.cone_interior_empty:
         # The weakly efficient set is all of D, which is convex: the straight
         # segment is a valid path and the zero weight scalarizes it trivially.
         return PathCertificate((u, v), (Vector.zero(P.cone.dim),), (rat(0), rat(1)))
-    if weak:
-        xi0, xi1 = weak_witness(P, u), weak_witness(P, v)
-    else:
-        xi0, xi1 = scalarize_witness(P, u), scalarize_witness(P, v)
 
     M = P.objective
     c0, c1 = M.tmatvec(xi0), M.tmatvec(xi1)
     try:
-        bps = parametric_breakpoints(c0, c1, P.feasible_set)
+        bps = _breakpoints(c0, c1, P.feasible_set, P.feasible_vrep)
     except ValueError as exc:
         raise InternalInvariantError(
             "interpolated scalarizations became unsolvable"
@@ -529,7 +547,7 @@ def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCert
 
     for i, w in enumerate(weights):
         c = M.tmatvec(w)
-        out = solve_lp(P.feasible_set, c)
+        out = _solve(P.feasible_set, c)
         if (
             out.status is not LPStatus.OPTIMAL
             or c.dot(points[i]) != out.value

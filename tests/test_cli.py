@@ -395,6 +395,32 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["efficient"] is True
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_out_is_a_usage_error(tmp_path, target):
+    # a path under a missing directory, and a directory itself
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(TRIANGLE))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "gpolyvlp",
+            "test",
+            "--problem",
+            str(path),
+            "--point",
+            "0,1",
+            "--out",
+            str(tmp_path / target),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot write ")
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # malformed problem files map to the documented exit codes
 

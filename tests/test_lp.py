@@ -343,6 +343,19 @@ def test_golden_outcomes():
     assert digest == "00fedce1487e275af46145f26bb5606b4f14d91bab0e343761f81e3237cee94d"
 
 
+def test_value_only_core_matches_solve_lp():
+    # the refinement moves only the point: status, value and descent ray
+    # come from the two phases alone
+    for P, c in GOLDEN:
+        core, full = lp._solve(P, c), solve_lp(P, c)
+        assert core.point is None
+        assert (core.status, core.value, core.descent_ray) == (
+            full.status,
+            full.value,
+            full.descent_ray,
+        )
+
+
 @pytest.mark.parametrize("start", range(0, len(GOLDEN), GOLDEN_BLOCK))
 def test_golden_corpus_matches_oracle(start):
     for P, c in GOLDEN[start : start + GOLDEN_BLOCK]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpolyvlp import polyhedron, vlp
+from gpolyvlp import lp, polyhedron, vlp
 from gpolyvlp.cli import load_problem
 from gpolyvlp.cone import ConeH
 from gpolyvlp.crosscheck import (
@@ -214,6 +214,55 @@ def test_problem_file_witnesses_are_pinned(name):
         for u in P.feasible_vrep.points
     }
     assert got == WITNESS_PINS[name]
+
+
+def test_witnesses_run_no_slack_program_for_efficient_points(monkeypatch):
+    # a verified witness certifies efficiency by itself; only is_efficient
+    # and the dominated points' fallback run the primal slack program
+    calls = []
+    real = vlp._max_slack
+
+    def counting(P, u, weak):
+        calls.append(u)
+        return real(P, u, weak)
+
+    monkeypatch.setattr(vlp, "_max_slack", counting)
+    P = load_problem(str(PROBLEMS_DIR / "triangle.json"))
+    assert is_efficient(P, V(0, 1))
+    assert scalarize_witness(P, V(0, 1)) == V(3, 2)
+    assert len(calls) == 1
+    calls.clear()
+    cert = connect(P, V(0, 1), V(1, 0))
+    assert cert.weights == (V("5/2", "5/2"),)
+    assert calls == []
+    with pytest.raises(NotEfficientError, match="not efficient"):
+        scalarize_witness(P, V(1, 1))
+    assert calls == [V(1, 1)]
+
+
+@pytest.mark.parametrize("witness", [scalarize_witness, weak_witness])
+def test_empty_weight_region_with_zero_slack_is_an_invariant_failure(witness, monkeypatch):
+    # (1, 1) has no weight of either kind; a slack program that calls it
+    # efficient contradicts the dual route
+    P = load_problem(str(PROBLEMS_DIR / "triangle.json"))
+    monkeypatch.setattr(vlp, "_max_slack", lambda P, u, weak: rat(0))
+    with pytest.raises(InternalInvariantError, match="no dual weight"):
+        witness(P, V(1, 1))
+
+
+def test_connect_converts_the_feasible_set_once(monkeypatch):
+    calls = []
+    real = polyhedron.h_to_v
+
+    def counting(H):
+        calls.append(H)
+        return real(H)
+
+    for module in (polyhedron, lp, vlp):
+        monkeypatch.setattr(module, "h_to_v", counting)
+    P = triangle_problem()
+    connect(P, V(0, 1), V(1, 0))
+    assert sum(H is P.feasible_set for H in calls) == 1
 
 
 class TestEfficientSets:
@@ -496,13 +545,13 @@ def test_orthant_cube_skips_faces_containing_a_failure(routine, tests, tags, mon
     # strict: the 16 vertices; every edge holds a failing vertex.  Weak: the
     # 65 faces that miss the vertex (1,1,1,1), and that vertex itself
     calls = []
-    real = vlp.solve_lp
+    real = vlp._solve
 
     def counting(H, c):
         calls.append(H)
         return real(H, c)
 
-    monkeypatch.setattr(vlp, "solve_lp", counting)
+    monkeypatch.setattr(vlp, "_solve", counting)
     E = routine(orthant_cube(4))
     assert len(calls) == tests
     assert [f.active_ineq for f in E.faces] == tags
