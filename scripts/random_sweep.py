@@ -66,19 +66,30 @@ def parse_args(argv=None) -> argparse.Namespace:
         action="store_true",
         help="also draw ordering cones that are linear subspaces",
     )
-    return ap.parse_args(argv)
+    args = ap.parse_args(argv)
+    if args.count < 1:
+        ap.error("--count must be at least 1")
+    if args.vertices < 0 or args.sets_every < 0:
+        ap.error("--vertices and --sets-every must be nonnegative")
+    if args.vertices == 0 and args.sets_every == 0:
+        ap.error("--vertices 0 with --sets-every 0 checks no verdict and no set")
+    try:
+        args.config = InstanceConfig(
+            max_dim=args.max_dim,
+            max_ineqs=args.max_ineqs,
+            max_eqs=args.max_eqs,
+            max_outputs=args.max_outputs,
+            max_normals=args.max_normals,
+            coeff_bound=args.coeff_bound,
+        )
+    except ValueError as exc:
+        ap.error(f"invalid instance sizes: {exc}")
+    return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    config = InstanceConfig(
-        max_dim=args.max_dim,
-        max_ineqs=args.max_ineqs,
-        max_eqs=args.max_eqs,
-        max_outputs=args.max_outputs,
-        max_normals=args.max_normals,
-        coeff_bound=args.coeff_bound,
-    )
+    config = args.config
     rng = random.Random(args.seed)
     verdicts = efficient = sets_checked = 0
     t0 = time.perf_counter()

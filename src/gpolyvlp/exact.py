@@ -46,7 +46,12 @@ _RAT_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def rat(value=0, denominator=None) -> Rational:
-    """Coerce ints, strings, Fractions, or pairs to the exact scalar type."""
+    """Coerce ints, strings, Fractions, or pairs to the exact scalar type.
+
+    A value of the scalar type comes back as it is: rationals are immutable,
+    and rebuilding one costs a constructor call for nothing."""
+    if type(value) is Rational and denominator is None:
+        return value
     if denominator is not None:
         return Rational(value, denominator)
     if isinstance(value, str):

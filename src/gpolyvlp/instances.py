@@ -40,6 +40,15 @@ class InstanceConfig:
     max_normals: int = 3
     coeff_bound: int = 3
 
+    def __post_init__(self):
+        # a zero bound leaves no nonzero vector to draw, a zero maximum no
+        # size to draw from
+        for name in ("max_dim", "max_ineqs", "max_outputs", "max_normals", "coeff_bound"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.max_eqs < 0:
+            raise ValueError("max_eqs must be nonnegative")
+
 
 def triangle_problem() -> VLPProblem:
     """Identity objective over the triangle with vertices (0,1), (1,0), (1,1),
@@ -66,6 +75,8 @@ def random_vector(rng: random.Random, dim: int, bound: int) -> Vector:
 
 
 def _nonzero_vector(rng: random.Random, dim: int, bound: int) -> Vector:
+    if dim < 1 or bound < 1:
+        raise ValueError("a nonzero vector needs a dimension and an entry bound of at least 1")
     while True:
         v = random_vector(rng, dim, bound)
         if not v.is_zero():

@@ -5,13 +5,16 @@ guaranteed by the anti-cycling pivot choice.  The tableau is kept in Python
 ints: each row of the standard form is scaled to integers once, straight from
 the HRep, pivoting is integer-preserving over one common denominator, and the
 reduced costs ride along as one more row updated by every pivot.  Rationals
-appear only when a point or a ray is read off.  The private core _solve runs
-the two phases and returns the status, the optimal value and certified
-unbounded directions; the pipeline's callers (feasibility, argmin faces,
-breakpoint checks, the efficiency and face tests) read no more than that.
-solve_lp adds a lexicographic refinement on top, so its optimal points are
-canonical.  Exact breakpoint analysis of objectives moving along a segment
-sits on top of both.
+appear only when a point or a ray is read off.  Phase one starts from the
+slack basis: only the rows without a usable slack (equalities, and
+inequalities with a negative right-hand side) take an artificial, and the
+phase-one simplex runs only when some artificial starts above zero.  The
+private core _solve runs the two phases and returns the status, the optimal
+value and certified unbounded directions; the pipeline's callers
+(feasibility, argmin faces, breakpoint checks, the efficiency and face tests)
+read no more than that.  solve_lp adds a lexicographic refinement on top, so
+its optimal points are canonical.  Exact breakpoint analysis of objectives
+moving along a segment sits on top of both.
 """
 
 from __future__ import annotations
@@ -178,9 +181,11 @@ def _standard_form(P: HRep) -> tuple:
     Variables are x+ (dim), x- (dim), then one slack per inequality.  Each
     row [a | b] is scaled to integers once by the lcm of its denominators,
     and the int row is written straight out: the x- part is the negated x+
-    part and the slack entry is the scale.  Rows with a negative right-hand
-    side are negated so b >= 0 for phase one.  Returns (rows, scales,
-    nvars), right-hand side last in each row.
+    part and the slack entry is 1.  That is a positive scaling of the slack
+    column, which changes no sign, ratio or Bland choice, and slacks are
+    never read off.  Rows with a negative right-hand side are negated so
+    b >= 0 for phase one, which turns their slack entry into -1.  Returns
+    (rows, scales, nvars), right-hand side last in each row.
     """
     d = P.dim
     n_ineq = P.ineq_lhs.rows
@@ -190,10 +195,10 @@ def _standard_form(P: HRep) -> tuple:
 
     def add(coef_x: Sequence, slack: Optional[int], b):
         ints, scale = _integers(coef_x + (b,))
-        unit = scale
+        unit = 1
         if b < 0:
             ints = [-v for v in ints]
-            unit = -scale
+            unit = -1
         row = ints[:-1] + [-v for v in ints[:-1]] + [0] * (n_ineq + 1)
         if slack is not None:
             row[2 * d + slack] = unit
@@ -209,24 +214,43 @@ def _standard_form(P: HRep) -> tuple:
 
 
 def _phase_one(rows: list, scales: list, nvars: int) -> Optional[_Tableau]:
-    """Feasible tableau via artificial variables, or None if infeasible.
+    """Feasible tableau from the slack basis, or None if infeasible.
 
+    A row starts with the first column that is 1 in it and 0 in every other
+    row as its basic variable.  The slack of every inequality with b >= 0 is
+    such a column; an x column that only this row uses, with entry 1, comes
+    before it.  Every other row (the equalities and the negated
+    inequalities, as a rule) takes an artificial variable.
     Row i was scaled by d_i, so its artificial a_i' = d_i a_i gets a unit
     column and cost 1/d_i; the phase-one objective is the plain sum of the
-    artificials.
+    artificials.  The phase-one simplex runs only when some artificial
+    starts above zero; otherwise the start is already feasible, and the
+    artificials, all basic at zero, are driven out or their rows dropped.
     """
     m = len(rows)
     if m == 0:
         raise ValueError("the simplex needs at least one constraint row")
-    A = [row[:-1] + [1 if r == i else 0 for r in range(m)] + row[-1:] for i, row in enumerate(rows)]
-    T = _Tableau(A, [nvars + i for i in range(m)])
-    L = math.lcm(*scales)
-    T.set_objective([0] * nvars + [L // s for s in scales])
-    status, _ = _simplex(T)
-    if status != "optimal":
-        raise InternalInvariantError("phase one came back unbounded")
-    if any(row[-1] != 0 for row, col in zip(T.rows, T.basis) if col >= nvars):
-        return None
+    basis = [None] * m
+    for j in range(nvars):
+        hits = [r for r in range(m) if rows[r][j]]
+        if len(hits) == 1 and rows[hits[0]][j] == 1 and basis[hits[0]] is None:
+            basis[hits[0]] = j
+    arts = [r for r in range(m) if basis[r] is None]
+    for k, r in enumerate(arts):
+        basis[r] = nvars + k
+    A = [
+        row[:-1] + [int(basis[i] == nvars + k) for k in range(len(arts))] + row[-1:]
+        for i, row in enumerate(rows)
+    ]
+    T = _Tableau(A, basis)
+    if any(rows[r][-1] for r in arts):
+        L = math.lcm(*[scales[r] for r in arts])
+        T.set_objective([0] * nvars + [L // scales[r] for r in arts])
+        status, _ = _simplex(T)
+        if status != "optimal":
+            raise InternalInvariantError("phase one came back unbounded")
+        if any(row[-1] != 0 for row, col in zip(T.rows, T.basis) if col >= nvars):
+            return None
     # drive artificials out of the basis; drop redundant rows
     T.obj = None
     keep = []

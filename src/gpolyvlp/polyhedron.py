@@ -630,12 +630,19 @@ def _face_lattice(P: HRep, geom: VRep, max_faces: Optional[int]) -> list:
     counts every face whatever the caller does with them.
     """
     n_pts = len(geom.points)
-    gens = geom.points + geom.rays
+    # homogenized int generators (g, h): a point p is (L p, L) and a ray r
+    # is (L r, 0), so row (a, b) scaled to ints is tight on it iff a.g == b h
+    gens = []
+    for k, v in enumerate(geom.points + geom.rays):
+        ints, L = _integers(v.coords)
+        gens.append((ints, L if k < n_pts else 0))
     tight = []  # tight[i] bit k: row i is tight on gens[k]
-    for row, b in P.ineq_rows():
+    for row, rhs in P.ineq_rows():
+        ints, _ = _integers(row.coords + (rhs,))
+        a, b = ints[:-1], ints[-1]
         mask = 0
-        for k, g in enumerate(gens):
-            if row.dot(g) == (b if k < n_pts else 0):
+        for k, (g, h) in enumerate(gens):
+            if _dot(a, g) == b * h:
                 mask |= 1 << k
         tight.append(mask)
 

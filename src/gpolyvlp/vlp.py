@@ -181,21 +181,26 @@ def _max_slack(P: VLPProblem, u: Vector, weak: bool) -> Rational:
     cone normal n_j.  The strict program gives each normal its own slack,
     0 <= s_j <= 1; the weak program shares one slack t <= 1 between all
     normals.  The objective maximizes the total slack.
+
+    The program is posed in the shifted variables (x - u, s): D's rows get
+    the right-hand side b - a.u, which is >= 0 because u is in D and 0 on
+    the equalities, and the cone rows get 0.  So (0, 0) is feasible on the
+    slack basis and no phase-one simplex runs; the objective involves only
+    s, so the optimum is the same number.
     """
     n = P.feasible_set.dim
     k = 1 if weak else len(P.cone.normals)
     M = P.objective
-    Mu = M.matvec(u)
 
     def row(x_part: Vector, s_part: Vector) -> Vector:
         return Vector(x_part.coords + s_part.coords)
 
     zero_x, zero_s = Vector.zero(n), Vector.zero(k)
-    eqs = [(row(a, zero_s), b) for a, b in P.feasible_set.eq_rows()]
-    ineqs = [(row(a, zero_s), b) for a, b in P.feasible_set.ineq_rows()]
+    eqs = [(row(a, zero_s), b - a.dot(u)) for a, b in P.feasible_set.eq_rows()]
+    ineqs = [(row(a, zero_s), b - a.dot(u)) for a, b in P.feasible_set.ineq_rows()]
     for j, nrm in enumerate(P.cone.normals):
         slack = Vector.unit(k, 0 if weak else j)
-        ineqs.append((row(-M.tmatvec(nrm), slack), -nrm.dot(Mu)))
+        ineqs.append((row(-M.tmatvec(nrm), slack), rat(0)))
     for j in range(k):
         if not weak:
             ineqs.append((row(zero_x, -Vector.unit(k, j)), rat(0)))

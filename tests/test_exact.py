@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gpolyvlp.exact import (
     Matrix,
+    Rational,
     Vector,
     complement_projector,
     format_rational,
@@ -26,6 +27,19 @@ def test_rational_normalization():
     assert str(rat(6, 2)) == "3"
     with pytest.raises(ZeroDivisionError):
         rat(1, 0)
+
+
+def test_rat_returns_rationals_unchanged():
+    x = Rational(3, 4)
+    assert rat(x) is x
+    assert rat(x, 3) == Rational(1, 4)
+    for value, want in [(7, Rational(7)), (-2, Rational(-2)), ("3/4", x), ("-5", Rational(-5))]:
+        got = rat(value)
+        assert got == want and type(got) is Rational
+    assert rat(6, 8) == x and type(rat(6, 8)) is Rational
+    assert rat() == 0
+    with pytest.raises(ValueError):
+        rat("0.75")
 
 
 def test_parse_rational_wire_format():

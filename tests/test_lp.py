@@ -332,15 +332,49 @@ def encode_outcome(out):
     return f"{out.status.value}|{value}|{coords(out.point)}|{coords(out.descent_ray)}"
 
 
-def test_golden_outcomes():
-    outs = [solve_lp(P, c) for P, c in GOLDEN]
+def sha256_lines(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# The outcomes that the slack-basis start of phase one moved: 32 descent
+# rays of unbounded LPs (another certified ray, read off another final
+# basis) and the point of LP 134, a zero objective on a halfspace whose
+# optimal face has no lexicographically smallest point.
+MOVED = [
+    20, 53, 58, 105, 115, 125, 134, 137, 157, 170, 207, 211, 228, 255, 277, 304, 331,
+    341, 343, 377, 382, 422, 433, 445, 446, 452, 477, 494, 500, 521, 553, 559, 574,
+]
+
+
+@pytest.fixture(scope="module")
+def golden_outcomes():
+    return [solve_lp(P, c) for P, c in GOLDEN]
+
+
+def test_golden_outcomes(golden_outcomes):
+    outs = golden_outcomes
     assert Counter(o.status for o in outs) == {
         LPStatus.UNBOUNDED: 240,
         LPStatus.OPTIMAL: 197,
         LPStatus.INFEASIBLE: 163,
     }
-    digest = hashlib.sha256("\n".join(encode_outcome(o) for o in outs).encode()).hexdigest()
-    assert digest == "00fedce1487e275af46145f26bb5606b4f14d91bab0e343761f81e3237cee94d"
+    digest = sha256_lines(encode_outcome(o) for o in outs)
+    assert digest == "aab4b9a618611447999c9b18b445492127c728a9f0889f38f136188128949672"
+
+
+def test_golden_status_and_value(golden_outcomes):
+    digest = sha256_lines(f"{o.status.value}|{o.value}" for o in golden_outcomes)
+    assert digest == "782f231c39e1824537a5334dd8e7c09518053f3552575795068f78973002294a"
+
+
+def test_golden_unmoved_outcomes(golden_outcomes):
+    # every outcome outside MOVED is bit for bit the one the all-artificial
+    # start of phase one gave
+    moved = set(MOVED)
+    digest = sha256_lines(
+        encode_outcome(o) for i, o in enumerate(golden_outcomes) if i not in moved
+    )
+    assert digest == "7ca9c40ca91f4df22424c02355864e5e25aebbbbe6ba691f3892619bcad030d1"
 
 
 def test_value_only_core_matches_solve_lp():
@@ -434,3 +468,34 @@ class TestKernelCases:
         out = solve_lp(P, c)
         assert out == LPOutcome(LPStatus.OPTIMAL, rat(2), vec([2, 0]))
         assert oracle_status(P, c) == (LPStatus.OPTIMAL, rat(2))
+
+    def test_slack_start_makes_no_phase_one_pivot(self, monkeypatch):
+        # every inequality has b >= 0 and there is no equality: the slacks
+        # are a feasible basis, so phase one pivots nowhere
+        P = HRep.of(2, ineqs=[([1, 2], 4), ([rat(-1, 3), -1], 0), ([-1, 0], rat(5, 2))])
+        rows, scales, nvars = lp._standard_form(P)
+        pivots = record_pivot_elements(monkeypatch)
+        T = lp._phase_one(rows, scales, nvars)
+        assert pivots == []
+        assert T.basis == [4, 5, 6] and T.det == 1
+        c = vec([1, 1])
+        want = LPOutcome(LPStatus.OPTIMAL, rat(-5, 3), vec([rat(-5, 2), rat(5, 6)]))
+        assert solve_lp(P, c) == want
+        assert oracle_status(P, c) == (LPStatus.OPTIMAL, want.value)
+
+    def test_efficiency_test_runs_phase_two_only(self, monkeypatch):
+        # the slack program is posed at the point it tests, so it starts
+        # feasible and only the phase-two simplex runs
+        from gpolyvlp.instances import triangle_problem
+        from gpolyvlp.vlp import is_efficient
+
+        calls = []
+        simplex = lp._simplex
+
+        def counting(T, frozen=None):
+            calls.append(T)
+            return simplex(T, frozen)
+
+        monkeypatch.setattr(lp, "_simplex", counting)
+        assert is_efficient(triangle_problem(), vec([0, 1]))
+        assert len(calls) == 1
