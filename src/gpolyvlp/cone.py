@@ -24,7 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConeH:
     """K = {y in Q^dim : n.y <= 0 for every row n of normals}."""
 

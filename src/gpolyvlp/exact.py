@@ -9,6 +9,13 @@ magnitude faster.  The simplex in lp.py and the double description in
 polyhedron.py compute on Python ints instead: each row is scaled to integers
 once by _integers, and results are converted to this type only when they
 are read off.
+
+Code reads the integer parts of a scalar only through .numerator and
+.denominator, which both backends have.  The dot kernels (Vector.dot,
+Matrix.matvec, Matrix.tmatvec) use them to sum the products as ints over one
+common denominator and build one rational per result, which is the exact
+sum.  Vector and Matrix are frozen and slotted, so nothing can be cached on
+them.
 """
 
 from __future__ import annotations
@@ -83,7 +90,36 @@ def _integers(values: Sequence) -> tuple:
     return [int(v.numerator) * (L // q) for v, q in zip(values, dens)], L
 
 
-@dataclass(frozen=True)
+def _pairs(values: Sequence) -> list:
+    """The (numerator, denominator) pair of every value."""
+    return [(v.numerator, v.denominator) for v in values]
+
+
+def _sum_products(pairs: Sequence, values: Sequence):
+    """The sum of (n / d) * v over zip(pairs, values), pairs holding (n, d).
+
+    The products are summed as ints over one common denominator and one
+    rational is built at the end, so the result is the exact sum.  Only
+    .numerator and .denominator are read, which both scalar backends have.
+    """
+    num, den = 0, 1
+    for (xn, xd), y in zip(pairs, values):
+        if xn:
+            yn = y.numerator
+            if yn:
+                q = xd * y.denominator
+                p = xn * yn
+                if q == den:
+                    num += p
+                elif den % q == 0:
+                    num += p * (den // q)
+                else:
+                    num = num * q + p * den
+                    den *= q
+    return Rational(num, den)
+
+
+@dataclass(frozen=True, slots=True)
 class Vector:
     """Immutable rational vector.
 
@@ -137,10 +173,7 @@ class Vector:
 
     def dot(self, other: "Vector"):
         self._check_dim(other)
-        total = ZERO
-        for a, b in zip(self.coords, other.coords):
-            total += a * b
-        return total
+        return _sum_products(_pairs(self.coords), other.coords)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
@@ -173,7 +206,7 @@ def vec(values: Iterable) -> Vector:
     return Vector.of(values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matrix:
     """Immutable rational matrix stored as a tuple of row tuples."""
 
@@ -227,25 +260,17 @@ class Matrix:
     def matvec(self, x: Vector) -> Vector:
         if x.dim != self.cols:
             raise ValueError(f"dimension mismatch: {self.shape} @ {x.dim}")
-        out = []
-        for row in self.entries:
-            total = ZERO
-            for a, b in zip(row, x.coords):
-                total += a * b
-            out.append(total)
-        return Vector(tuple(out))
+        xs = _pairs(x.coords)
+        return Vector(tuple([_sum_products(xs, row) for row in self.entries]))
 
     def tmatvec(self, y: Vector) -> Vector:
         """Transpose action y -> A^T y without materializing the transpose."""
         if y.dim != self.rows:
             raise ValueError(f"dimension mismatch: {self.shape}^T @ {y.dim}")
-        out = [ZERO] * self.cols
-        for yi, row in zip(y.coords, self.entries):
-            if yi == 0:
-                continue
-            for j, a in enumerate(row):
-                out[j] += yi * a
-        return Vector(tuple(out))
+        if not self.entries:
+            return Vector.zero(self.cols)
+        ys = _pairs(y.coords)
+        return Vector(tuple([_sum_products(ys, col) for col in zip(*self.entries)]))
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:

@@ -2,19 +2,24 @@
 
 A two-phase primal simplex with Bland's rule: no floating point, termination
 guaranteed by the anti-cycling pivot choice.  The tableau is kept in Python
-ints: each row of the standard form is scaled to integers once, straight from
-the HRep, pivoting is integer-preserving over one common denominator, and the
-reduced costs ride along as one more row updated by every pivot.  Rationals
-appear only when a point or a ray is read off.  Phase one starts from the
-slack basis: only the rows without a usable slack (equalities, and
-inequalities with a negative right-hand side) take an artificial, and the
-phase-one simplex runs only when some artificial starts above zero.  The
-private core _solve runs the two phases and returns the status, the optimal
-value and certified unbounded directions; the pipeline's callers
-(feasibility, argmin faces, breakpoint checks, the efficiency and face tests)
-read no more than that.  solve_lp adds a lexicographic refinement on top, so
-its optimal points are canonical.  Exact breakpoint analysis of objectives
-moving along a segment sits on top of both.
+ints: each row is scaled to integers once, pivoting is integer-preserving
+over one common denominator, and the reduced costs ride along as one more
+row updated by every pivot.  Rationals appear only when a point, a ray or
+the optimal value is read off.  Phase one starts from the slack basis: only
+the rows without a usable slack (equalities, and inequalities with a
+negative right-hand side) take an artificial, and the phase-one simplex
+runs only when some artificial starts above zero.
+
+There is one simplex with two entries.  An HRep goes through _scaled_rows,
+which scales each row to (ints [a | b], scale); _solve_rows takes such rows
+directly, and the pipeline in vlp.py builds its LPs (slack programs, weight
+regions, argmin checks) that way, as ints with no HRep in between.  Both
+entries share the row writer, phase one and phase two.  The private core
+_solve runs the two phases on an HRep and returns the status, the optimal
+value and certified unbounded directions; _solve_rows does the same on int
+rows.  solve_lp adds a lexicographic refinement on top, so its optimal
+points are canonical.  Exact breakpoint analysis of objectives moving along
+a segment sits on top of both.
 """
 
 from __future__ import annotations
@@ -137,10 +142,11 @@ class _Tableau:
         self.det = p
         self.basis[row] = col
 
-    def solution(self) -> list:
-        z = [ZERO] * self.ncols
+    def values(self) -> list:
+        """Every variable at the basic solution, times det."""
+        z = [0] * self.ncols
         for row, col in zip(self.rows, self.basis):
-            z[col] = Rational(row[-1], self.det)
+            z[col] = row[-1]
         return z
 
 
@@ -175,42 +181,56 @@ def _simplex(T: _Tableau, frozen: Optional[set] = None) -> tuple:
         T.pivot(leave, enter)
 
 
-def _standard_form(P: HRep) -> tuple:
-    """Integer equality standard form of an HRep.
+def _scaled_rows(P: HRep) -> tuple:
+    """The rows of an HRep scaled to integers: (eqs, ineqs), each a list of
+    (ints, scale) with ints the row [a | b] times scale, the lcm of its
+    denominators."""
+    eqs = [_integers(a + (b,)) for a, b in zip(P.eq_lhs.entries, P.eq_rhs.coords)]
+    ineqs = [_integers(a + (b,)) for a, b in zip(P.ineq_lhs.entries, P.ineq_rhs.coords)]
+    return eqs, ineqs
+
+
+def _write_rows(dim: int, eqs: Sequence, ineqs: Sequence) -> tuple:
+    """Integer equality standard form of the rows a.x = b (eqs) and
+    a.x <= b (ineqs), each given as (ints [a | b], scale).
 
     Variables are x+ (dim), x- (dim), then one slack per inequality.  Each
-    row [a | b] is scaled to integers once by the lcm of its denominators,
-    and the int row is written straight out: the x- part is the negated x+
-    part and the slack entry is 1.  That is a positive scaling of the slack
-    column, which changes no sign, ratio or Bland choice, and slacks are
-    never read off.  Rows with a negative right-hand side are negated so
-    b >= 0 for phase one, which turns their slack entry into -1.  Returns
+    int row is written straight out: the x- part is the negated x+ part and
+    the slack entry is 1.  That is a positive scaling of the slack column,
+    which changes no sign, ratio or Bland choice, and slacks are never read
+    off.  Rows with a negative right-hand side are negated so b >= 0 for
+    phase one, which turns their slack entry into -1.  scale is the row's
+    factor over its rational row, which phase one needs.  Returns
     (rows, scales, nvars), right-hand side last in each row.
     """
-    d = P.dim
-    n_ineq = P.ineq_lhs.rows
-    nvars = 2 * d + n_ineq
+    n_ineq = len(ineqs)
+    nvars = 2 * dim + n_ineq
     rows = []
     scales = []
 
-    def add(coef_x: Sequence, slack: Optional[int], b):
-        ints, scale = _integers(coef_x + (b,))
+    def add(ints: list, scale: int, slack: Optional[int]):
+        a, b = ints[:dim], ints[dim]
         unit = 1
         if b < 0:
-            ints = [-v for v in ints]
+            a, b = [-v for v in a], -b
             unit = -1
-        row = ints[:-1] + [-v for v in ints[:-1]] + [0] * (n_ineq + 1)
+        row = a + [-v for v in a] + [0] * n_ineq + [b]
         if slack is not None:
-            row[2 * d + slack] = unit
-        row[nvars] = ints[-1]
+            row[2 * dim + slack] = unit
         rows.append(row)
         scales.append(scale)
 
-    for i in range(P.eq_lhs.rows):
-        add(P.eq_lhs.row(i).coords, None, P.eq_rhs[i])
-    for i in range(n_ineq):
-        add(P.ineq_lhs.row(i).coords, i, P.ineq_rhs[i])
+    for ints, scale in eqs:
+        add(ints, scale, None)
+    for i, (ints, scale) in enumerate(ineqs):
+        add(ints, scale, i)
     return rows, scales, nvars
+
+
+def _standard_form(P: HRep) -> tuple:
+    """Integer equality standard form of an HRep: _write_rows of its scaled
+    rows."""
+    return _write_rows(P.dim, *_scaled_rows(P))
 
 
 def _phase_one(rows: list, scales: list, nvars: int) -> Optional[_Tableau]:
@@ -271,8 +291,8 @@ def _phase_one(rows: list, scales: list, nvars: int) -> Optional[_Tableau]:
 
 
 def _extract_point(T: _Tableau, dim: int) -> Vector:
-    z = T.solution()
-    return Vector(tuple([z[j] - z[dim + j] for j in range(dim)]))
+    z = T.values()
+    return Vector(tuple([Rational(z[j] - z[dim + j], T.det) for j in range(dim)]))
 
 
 def _ray_from_column(T: _Tableau, col: int, dim: int) -> Vector:
@@ -295,26 +315,34 @@ def _optimize(P: HRep, c: Vector) -> tuple:
     """
     if c.dim != P.dim:
         raise ValueError("objective dimension differs from ambient dimension")
-    d = P.dim
-    if P.eq_lhs.rows == 0 and P.ineq_lhs.rows == 0:
+    return _optimize_rows(P.dim, *_scaled_rows(P), c)
+
+
+def _optimize_rows(dim: int, eqs: Sequence, ineqs: Sequence, c: Vector) -> tuple:
+    """_optimize over integer rows (ints [a | b], scale), as _scaled_rows
+    gives them."""
+    if not eqs and not ineqs:
         # whole space: bounded only for the zero objective
         if c.is_zero():
             return LPOutcome(LPStatus.OPTIMAL, ZERO), None
         ray = (-c).normalized_direction()
         return LPOutcome(LPStatus.UNBOUNDED, descent_ray=ray), None
-    rows, scales, nvars = _standard_form(P)
+    rows, scales, nvars = _write_rows(dim, eqs, ineqs)
     T = _phase_one(rows, scales, nvars)
     if T is None:
         return LPOutcome(LPStatus.INFEASIBLE), None
-    cx, _ = _integers(c.coords)
-    T.set_objective(cx + [-v for v in cx] + [0] * (nvars - 2 * d))
+    cx, L = _integers(c.coords)
+    T.set_objective(cx + [-v for v in cx] + [0] * (nvars - 2 * dim))
     status, col = _simplex(T)
     if status == "unbounded":
-        ray = _ray_from_column(T, col, d).normalized_direction()
+        ray = _ray_from_column(T, col, dim).normalized_direction()
         if c.dot(ray) >= 0:
             raise InternalInvariantError("unbounded ray does not descend")
         return LPOutcome(LPStatus.UNBOUNDED, descent_ray=ray), None
-    return LPOutcome(LPStatus.OPTIMAL, c.dot(_extract_point(T, d))), T
+    # c at the basic point, (cx / L).(z+ - z-) / det, with one division
+    z = T.values()
+    value = Rational(sum([v * (z[j] - z[dim + j]) for j, v in enumerate(cx) if v]), L * T.det)
+    return LPOutcome(LPStatus.OPTIMAL, value), T
 
 
 def _solve(P: HRep, c: Vector) -> LPOutcome:
@@ -322,6 +350,15 @@ def _solve(P: HRep, c: Vector) -> LPOutcome:
     descent ray only: solve_lp without the lexicographic refinement, so the
     outcome has no point.  Status, value and ray are solve_lp's."""
     return _optimize(P, c)[0]
+
+
+def _solve_rows(dim: int, eqs: Sequence, ineqs: Sequence, c: Vector) -> LPOutcome:
+    """_solve over integer rows: eqs are the rows a.x = b and ineqs the rows
+    a.x <= b, each (ints [a | b], scale) with scale the row's positive factor
+    over its rational row.  The pipeline builds its programs this way, with
+    no HRep; rows that _scaled_rows gives pivot exactly as their HRep does.
+    """
+    return _optimize_rows(dim, eqs, ineqs, c)[0]
 
 
 def solve_lp(P: HRep, c: Vector) -> LPOutcome:
@@ -394,11 +431,12 @@ def parametric_breakpoints(c0: Vector, c1: Vector, P: HRep) -> list:
     """
     if c0.dim != P.dim or c1.dim != P.dim:
         raise ValueError("objective dimension differs from ambient dimension")
-    return _breakpoints(c0, c1, P, h_to_v(P))
+    return _breakpoints(c0, c1, h_to_v(P), _scaled_rows(P))
 
 
-def _breakpoints(c0: Vector, c1: Vector, P: HRep, geom: VRep) -> list:
-    """parametric_breakpoints over P, given geom = h_to_v(P)."""
+def _breakpoints(c0: Vector, c1: Vector, geom: VRep, rows: tuple) -> list:
+    """parametric_breakpoints over a polyhedron P, given geom = h_to_v(P)
+    and rows = _scaled_rows(P)."""
     if geom.is_empty:
         raise UnsolvableSegmentError("unsolvable on segment")
     delta = c1 - c0
@@ -457,6 +495,6 @@ def _breakpoints(c0: Vector, c1: Vector, P: HRep, geom: VRep) -> list:
     breakpoints.append(rat(1))
 
     for t in breakpoints:
-        if _solve(P, cost(t)).status != LPStatus.OPTIMAL:
+        if _solve_rows(geom.dim, *rows, cost(t)).status != LPStatus.OPTIMAL:
             raise UnsolvableSegmentError("unsolvable on segment")
     return breakpoints

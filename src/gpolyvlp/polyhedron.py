@@ -78,7 +78,7 @@ def _json_dim(obj: dict) -> int:
     return dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HRep:
     """Halfspace representation: eq_lhs x = eq_rhs, ineq_lhs x <= ineq_rhs."""
 
@@ -174,7 +174,7 @@ def _as_list(value, what: str) -> list:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VRep:
     """Generator representation: conv(points) + cone(rays) + span(lineality).
 
@@ -242,7 +242,7 @@ class VRep:
         return VRep(dim, tuple(grp("points")), tuple(grp("rays")), tuple(grp("lineality")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     """A nonempty face of an HRep, tagged by its maximal active inequality set."""
 
@@ -620,11 +620,13 @@ def faces(P: HRep, max_faces: Optional[int] = None) -> list:
     geom = h_to_v(P)
     if geom.is_empty:
         raise EmptyPolyhedronError("empty polyhedron")
-    return _face_lattice(P, geom, max_faces)
+    return [_face(geom, active, G) for active, G in _face_lattice(P, geom, max_faces)]
 
 
 def _face_lattice(P: HRep, geom: VRep, max_faces: Optional[int]) -> list:
-    """The faces of P, sorted by tag, read off geom = h_to_v(P), nonempty.
+    """The faces of P, read off geom = h_to_v(P), nonempty, as (tag,
+    generator mask) pairs sorted by tag.  Bit k of the mask stands for
+    geom.points[k], and bit len(geom.points) + k for geom.rays[k].
 
     The whole lattice is built before anything is returned, so max_faces
     counts every face whatever the caller does with them.
@@ -672,9 +674,12 @@ def _face_lattice(P: HRep, geom: VRep, max_faces: Optional[int]) -> list:
                     nxt.append(canon)
         frontier = nxt
 
-    def geometry(G: int) -> VRep:
-        pts = tuple(p for k, p in enumerate(geom.points) if G >> k & 1)
-        rays = tuple(r for k, r in enumerate(geom.rays) if G >> (n_pts + k) & 1)
-        return VRep(P.dim, pts, rays, geom.lineality)
+    return sorted(found.items())
 
-    return [Face(active, geometry(found[active])) for active in sorted(found)]
+
+def _face(geom: VRep, active: tuple, G: int) -> Face:
+    """The face with tag active and generator mask G (see _face_lattice)."""
+    n_pts = len(geom.points)
+    pts = tuple(p for k, p in enumerate(geom.points) if G >> k & 1)
+    rays = tuple(r for k, r in enumerate(geom.rays) if G >> (n_pts + k) & 1)
+    return Face(active, VRep(geom.dim, pts, rays, geom.lineality))

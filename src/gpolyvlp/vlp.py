@@ -18,13 +18,20 @@ argmin over D certifies u by itself, so scalarize_witness, weak_witness and
 connect run no efficiency test of their own; only an empty weight region
 runs the primal slack program of is_efficient / is_weakly_efficient, to
 confirm that u is dominated.  No LP here reads an optimal point, so all of
-them run through the value-only lp._solve.
+them run through the value-only lp._solve_rows.
+
+Every LP is written as int rows straight from the problem's integer view
+(VLPProblem._integer_view, built on first use): D's scaled rows, S M and
+S (-M^T n_j) over the cone normals.  Membership in D is tested on the same
+ints.  Each int row carries its factor over the rational row it stands for,
+so the simplex sees the program the rational formula describes.
 
 A weight that scalarizes a face scalarizes every face of it, so a face that
 contains a failing face fails too.  The set routines read the face lattice
 off the one DD of D, test faces smallest first, and skip every face that
-contains a failing one; the rows of M g in weight space are built once per
-set call for the generators g of D.
+contains a failing one; the weight-space images of the generators of D are
+computed once per set call, as int vectors over one common denominator,
+and a face picks its generators by index from its lattice mask.
 """
 
 from __future__ import annotations
@@ -35,13 +42,15 @@ from functools import cached_property
 from typing import Optional
 
 from .cone import ConeDecomposition, ConeH, decompose
-from .exact import Matrix, Rational, Vector, complement_projector, rat
-from .lp import LPStatus, NoArgminError, _breakpoints, _solve, argmin_face
+from .exact import ONE, ZERO, Matrix, Rational, Vector, _integers, complement_projector, rat
+from .lp import LPStatus, NoArgminError, _breakpoints, _scaled_rows, _solve_rows, argmin_face
 from .polyhedron import (
     Face,
     HRep,
     InternalInvariantError,
     VRep,
+    _dot,
+    _face,
     _face_lattice,
     active_set,
     contains,
@@ -127,12 +136,49 @@ class VLPProblem:
         return map_polyhedron(self.projector.matmul(self.objective), self.feasible_vrep)
 
     @cached_property
+    def _integer_view(self) -> "_IntegerView":
+        M = self.objective
+        weak = [(-M.tmatvec(n)).coords for n in self.cone.normals]
+        return _IntegerView(
+            _scaled_rows(self.feasible_set), _int_rows(M.entries), _int_rows(weak)
+        )
+
+    @cached_property
     def cone_interior_empty(self) -> bool:
         return not self.cone.has_nonempty_interior()
 
     def project_to_y1(self, y: Vector) -> Vector:
         """The unique component of y lying in Y1 along the lineality of K."""
         return self.projector.matvec(y)
+
+
+def _int_rows(rows) -> tuple:
+    """(ints, S): the rational rows times S, the lcm of all their
+    denominators, as lists of ints."""
+    flat, S = _integers([x for row in rows for x in row])
+    width = len(rows[0]) if rows else 0
+    return [flat[i : i + width] for i in range(0, len(flat), width)], S
+
+
+# _IntegerView and _WeightSpace are plain slotted classes: a dataclass
+# generates its methods with exec when the module is imported.
+class _IntegerView:
+    """The data of a problem as integer rows, for the LPs built from them.
+
+    rows:       D's (eqs, ineqs) as lp._scaled_rows gives them, each row
+                (ints [a | b], scale).
+    image:      (S M as int rows, S).  The strict weight-space row of v is
+                M v, in y-space.
+    weak_image: (S (-M^T n_j) over the cone normals n_j as int rows, S).
+                The weak weight-space row of v is (g_j . M v)_j over the
+                dual generators g_j = -n_j, in lambda-space; the rows are
+                also the x part of the cone rows of the slack programs.
+    """
+
+    __slots__ = ("rows", "image", "weak_image")
+
+    def __init__(self, rows: tuple, image: tuple, weak_image: tuple):
+        self.rows, self.image, self.weak_image = rows, image, weak_image
 
 
 @dataclass(frozen=True)
@@ -170,7 +216,12 @@ class PathCertificate:
 def _require_feasible(P: VLPProblem, u: Vector) -> None:
     if u.dim != P.feasible_set.dim:
         raise InfeasiblePointError("infeasible point")
-    if not contains(P.feasible_set, u):
+    eqs, ineqs = P._integer_view.rows
+    U, L = _integers(u.coords)
+    # row (a | b) holds at u = U / L iff a.U = b L (<= for an inequality)
+    if any(_dot(a, U) != a[-1] * L for a, _ in eqs) or any(
+        _dot(a, U) > a[-1] * L for a, _ in ineqs
+    ):
         raise InfeasiblePointError("infeasible point")
 
 
@@ -186,27 +237,35 @@ def _max_slack(P: VLPProblem, u: Vector, weak: bool) -> Rational:
     the right-hand side b - a.u, which is >= 0 because u is in D and 0 on
     the equalities, and the cone rows get 0.  So (0, 0) is feasible on the
     slack basis and no phase-one simplex runs; the objective involves only
-    s, so the optimum is the same number.
+    s, so the optimum is the same number.  The rows are written as ints
+    from P's integer view: with u = U / L_u, D's int row (a | b) of scale
+    d becomes (L_u a, 0 | L_u b - a.U) of scale d L_u, and a cone row is
+    (S (-M^T n_j), S e_j | 0) of scale S.
     """
+    view = P._integer_view
     n = P.feasible_set.dim
     k = 1 if weak else len(P.cone.normals)
-    M = P.objective
+    U, L = _integers(u.coords)
+    pad = [0] * k
 
-    def row(x_part: Vector, s_part: Vector) -> Vector:
-        return Vector(x_part.coords + s_part.coords)
+    def shifted(rows: list) -> list:
+        return [
+            ([L * v for v in a[:n]] + pad + [L * a[n] - _dot(a, U)], scale * L)
+            for a, scale in rows
+        ]
 
-    zero_x, zero_s = Vector.zero(n), Vector.zero(k)
-    eqs = [(row(a, zero_s), b - a.dot(u)) for a, b in P.feasible_set.eq_rows()]
-    ineqs = [(row(a, zero_s), b - a.dot(u)) for a, b in P.feasible_set.ineq_rows()]
-    for j, nrm in enumerate(P.cone.normals):
-        slack = Vector.unit(k, 0 if weak else j)
-        ineqs.append((row(-M.tmatvec(nrm), slack), rat(0)))
+    eqs, ineqs = map(shifted, view.rows)
+    cone_rows, S = view.weak_image
+    for j, a in enumerate(cone_rows):
+        s = [0] * k
+        s[0 if weak else j] = S
+        ineqs.append((a + s + [0], S))
     for j in range(k):
         if not weak:
-            ineqs.append((row(zero_x, -Vector.unit(k, j)), rat(0)))
-        ineqs.append((row(zero_x, Vector.unit(k, j)), rat(1)))
-    c = row(zero_x, Vector.of([-1] * k))
-    out = _solve(HRep.of(n + k, eqs, ineqs), c)
+            ineqs.append(([0] * (n + j) + [-1] + [0] * (k - j), 1))
+        ineqs.append(([0] * (n + j) + [1] + [0] * (k - j - 1) + [1], 1))
+    c = Vector((ZERO,) * n + (-ONE,) * k)
+    out = _solve_rows(n + k, eqs, ineqs, c)
     if out.status is not LPStatus.OPTIMAL:
         raise InternalInvariantError("slack maximization failed to solve")
     return out.value
@@ -242,59 +301,79 @@ def is_weakly_efficient(P: VLPProblem, u: Vector) -> bool:
     return _max_slack(P, u, weak=True) == 0
 
 
-def _image(P: VLPProblem, v: Vector, weak: bool) -> Vector:
-    """The weight-space row of M v: M v itself for strict weights, which live
-    in y-space, and (g_j . M v)_j over the dual generators g_j for weak
-    weights, which live in lambda-space.  Linear in v."""
-    z = P.objective.matvec(v)
-    if not weak:
-        return z
-    return Vector.of([g.dot(z) for g in P.decomposition.dual_generators])
-
-
-def _generator_images(P: VLPProblem, weak: bool) -> dict:
-    """The weight-space row of every generator of D, keyed by generator."""
-    return {v: _image(P, v, weak) for v in P.feasible_vrep.generators()}
-
-
-def _weight_region(P: VLPProblem, F: VRep, weak: bool, images: dict) -> HRep:
-    """The admissible dual weights that put all of F in the argmin over D.
+class _WeightSpace:
+    """The weights of one set call or one witness, ready to write the weight
+    region of a face as int rows.
 
     Strict weights y* in ri(K*) live in y-space: y*.w = 0 on Y0 and
     y*.r >= 1 on the extreme rays of K1.  Weak weights y* = sum lambda_j g_j
     over the dual generators live in lambda-space: lambda >= 0, sum = 1.
-    The argmin rows, written through <y*, z>: y* is constant on M F and no
-    generator of D beats F's first point.  images holds the row of every
-    generator of D (see _generator_images); a point of F outside them is
-    mapped here.  Rows are differences of images, exactly the rows of the
-    differences, because the map is linear.
+    eqs and ineqs are these admissibility rows, each (ints [a | b], scale).
+    images holds the int weight-space row of M v (see _IntegerView) for D's
+    points, then D's rays, then the extra vectors of _weight_space, keyed by
+    that index, all over the one common denominator den.
     """
-    dec = P.decomposition
+
+    __slots__ = ("dim", "eqs", "ineqs", "images", "den", "n_points", "n_rays")
+
+    def __init__(self, dim, eqs, ineqs, images, den, n_points, n_rays):
+        self.dim, self.eqs, self.ineqs = dim, eqs, ineqs
+        self.images, self.den = images, den
+        self.n_points, self.n_rays = n_points, n_rays
+
+
+def _weight_space(P: VLPProblem, weak: bool, extra: tuple) -> _WeightSpace:
+    """The weight space of P with the images of D's points and rays and of
+    the vectors in extra, computed together over one common denominator."""
     geom = P.feasible_vrep
-
-    def image(v: Vector) -> Vector:
-        got = images.get(v)
-        return got if got is not None else _image(P, v, weak)
-
+    n = geom.dim
     if weak:
-        dim = len(dec.dual_generators)
-        eqs = [(Vector((rat(1),) * dim), rat(1))]
-        ineqs = [(-Vector.unit(dim, i), rat(0)) for i in range(dim)]
+        dim = len(P.cone.normals)
+        eqs = [([1] * (dim + 1), 1)]
+        ineqs = [([-int(i == j) for j in range(dim)] + [0], 1) for i in range(dim)]
+        rows, S = P._integer_view.weak_image
     else:
+        dec = P.decomposition
         dim = P.cone.dim
-        eqs = [(w, rat(0)) for w in dec.y0_basis]
-        ineqs = [(-r, rat(-1)) for r in dec.k1_rays]
+        eqs = [_integers(w.coords + (ZERO,)) for w in dec.y0_basis]
+        ineqs = []
+        for r in dec.k1_rays:
+            ints, scale = _integers(r.coords + (ONE,))
+            ineqs.append(([-v for v in ints], scale))
+        rows, S = P._integer_view.image
+    vectors = geom.points + geom.rays + extra
+    flat, L = _integers([x for v in vectors for x in v.coords])
+    images = [[_dot(a, flat[i : i + n]) for a in rows] for i in range(0, len(flat), n)]
+    return _WeightSpace(dim, eqs, ineqs, images, S * L, len(geom.points), len(geom.rays))
 
-    base = image(F.points[0])
-    for g in F.points[1:]:
-        eqs.append((image(g) - base, rat(0)))
-    for v in F.rays + F.lineality:
-        eqs.append((image(v), rat(0)))
-    for r in geom.rays:
-        ineqs.append((-images[r], rat(0)))
-    for v in geom.points:
-        ineqs.append((base - images[v], rat(0)))
-    return HRep.of(dim, eqs, ineqs)
+
+def _weight_region(W: _WeightSpace, points: list, dirs: list) -> tuple:
+    """The admissible dual weights that put all of a face F in the argmin
+    over D, as (dim, eqs, ineqs) in int rows for lp._solve_rows.
+
+    F is generated by W.images[points] (a nonempty list) and
+    W.images[dirs], its rays and lineality.  The argmin rows are written
+    through <y*, z>: y* is constant on M F and no generator of D beats F's
+    first point.  They are differences of images, exactly the rows of the
+    differences, because the map is linear; each is W.den times its rational
+    row, which is its scale.
+    """
+    img, den = W.images, W.den
+    base = img[points[0]]
+    eqs = W.eqs + [([x - y for x, y in zip(img[g], base)] + [0], den) for g in points[1:]]
+    eqs += [(img[v] + [0], den) for v in dirs]
+    p = W.n_points
+    ineqs = W.ineqs + [([-x for x in img[r]] + [0], den) for r in range(p, p + W.n_rays)]
+    ineqs += [([x - y for x, y in zip(base, img[v])] + [0], den) for v in range(p)]
+    return W.dim, eqs, ineqs
+
+
+def _face_region(P: VLPProblem, F: VRep, weak: bool) -> tuple:
+    """_weight_region of the face F of D, given by its generators."""
+    W = _weight_space(P, weak, F.points + F.rays + F.lineality)
+    first = W.n_points + W.n_rays
+    mid = first + len(F.points)
+    return _weight_region(W, range(first, mid), range(mid, len(W.images)))
 
 
 def _relative_interior_point(V: VRep) -> Vector:
@@ -317,7 +396,9 @@ def _point_weight(P: VLPProblem, u: Vector, weak: bool) -> Vector:
     cross-checked by the primal slack program before NotEfficientError is
     raised: a zero slack there contradicts it."""
     F = VRep(P.feasible_set.dim, (u,), (), P.feasible_vrep.lineality)
-    region = h_to_v(_weight_region(P, F, weak, _generator_images(P, weak)))
+    dim, eqs, ineqs = _face_region(P, F, weak)
+    rows = [[(a[:-1], a[-1]) for a, _ in block] for block in (eqs, ineqs)]
+    region = h_to_v(HRep.of(dim, *rows))
     if region.is_empty:
         if _max_slack(P, u, weak) == 0:
             raise InternalInvariantError("no dual weight for a (weakly) efficient point")
@@ -327,7 +408,7 @@ def _point_weight(P: VLPProblem, u: Vector, weak: bool) -> Vector:
 
 def _verify_argmin(P: VLPProblem, ystar: Vector, u: Vector, label: str) -> None:
     c = P.objective.tmatvec(ystar)
-    out = _solve(P.feasible_set, c)
+    out = _solve_rows(P.feasible_set.dim, *P._integer_view.rows, c)
     if out.status is not LPStatus.OPTIMAL or c.dot(u) != out.value:
         raise InternalInvariantError(
             "%s does not scalarize its point to an argmin of D" % label
@@ -396,9 +477,11 @@ def _whole_set_face(P: VLPProblem) -> Face:
     return Face(active_set(P.feasible_set, geom), geom)
 
 
-def _scalarizable(P: VLPProblem, F: VRep, weak: bool, images: dict) -> bool:
-    region = _weight_region(P, F, weak, images)
-    return _solve(region, Vector.zero(region.dim)).status is LPStatus.OPTIMAL
+def _scalarizable(region: tuple) -> bool:
+    """Whether the weight region (dim, eqs, ineqs) of _weight_region holds
+    a weight."""
+    dim, eqs, ineqs = region
+    return _solve_rows(dim, eqs, ineqs, Vector.zero(dim)).status is LPStatus.OPTIMAL
 
 
 def face_scalarizable(P: VLPProblem, face: Face, weak: bool) -> bool:
@@ -408,7 +491,7 @@ def face_scalarizable(P: VLPProblem, face: Face, weak: bool) -> bool:
     combination of the dual generators.  One feasibility LP over the weight
     region.  A weight that passes a face passes every face of it, so a face
     that contains a failing face fails too; the set routines rely on this."""
-    return _scalarizable(P, face.geometry, weak, _generator_images(P, weak))
+    return _scalarizable(_face_region(P, face.geometry, weak))
 
 
 def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -> tuple:
@@ -419,23 +502,30 @@ def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -
     whole before any test, so max_faces counts every face.  Faces are tested
     smallest first (largest tag first; a proper subface has a strictly
     larger tag), and a face whose tag lies inside the tag of a failed face
-    contains that face, so it fails untested.
+    contains that face, so it fails untested.  A face's generators are the
+    bits of its lattice mask, which index the images of one weight space.
     """
-    lattice = _face_lattice(P.feasible_set, P.feasible_vrep, max_faces)
-    images = _generator_images(P, weak)
-    tags = [sum(1 << i for i in f.active_ineq) for f in lattice]
+    geom = P.feasible_vrep
+    lattice = _face_lattice(P.feasible_set, geom, max_faces)
+    W = _weight_space(P, weak, geom.lineality)
+    n_pts, n_gens = W.n_points, W.n_points + W.n_rays
+    lineality = list(range(n_gens, len(W.images)))
+    tags = [sum(1 << i for i in active) for active, _ in lattice]
     failed = []
     passed = set()
-    for k in sorted(range(len(lattice)), key=lambda k: -len(lattice[k].active_ineq)):
+    for k in sorted(range(len(lattice)), key=lambda k: -len(lattice[k][0])):
         if any(tags[k] & ~bad == 0 for bad in failed):
             continue
-        if _scalarizable(P, lattice[k].geometry, weak, images):
+        G = lattice[k][1]
+        points = [i for i in range(n_pts) if G >> i & 1]
+        dirs = [i for i in range(n_pts, n_gens) if G >> i & 1] + lineality
+        if _scalarizable(_weight_region(W, points, dirs)):
             passed.add(tags[k])
         else:
             failed.append(tags[k])
     return tuple(
-        f
-        for f, tag in zip(lattice, tags)
+        _face(geom, active, G)
+        for (active, G), tag in zip(lattice, tags)
         if tag in passed and not any(g != tag and g & ~tag == 0 for g in passed)
     )
 
@@ -515,7 +605,7 @@ def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCert
     M = P.objective
     c0, c1 = M.tmatvec(xi0), M.tmatvec(xi1)
     try:
-        bps = _breakpoints(c0, c1, P.feasible_set, P.feasible_vrep)
+        bps = _breakpoints(c0, c1, P.feasible_vrep, P._integer_view.rows)
     except ValueError as exc:
         raise InternalInvariantError(
             "interpolated scalarizations became unsolvable"
@@ -552,7 +642,7 @@ def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCert
 
     for i, w in enumerate(weights):
         c = M.tmatvec(w)
-        out = _solve(P.feasible_set, c)
+        out = _solve_rows(P.feasible_set.dim, *P._integer_view.rows, c)
         if (
             out.status is not LPStatus.OPTIMAL
             or c.dot(points[i]) != out.value

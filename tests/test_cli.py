@@ -117,8 +117,12 @@ class TestSolve:
         assert "face" in err
 
     def test_bad_face_cap_is_a_usage_error(self, triangle_file, capsys, monkeypatch):
-        # int() accepts all of these but "many", and "0" is not positive
-        for cap in ["many", " 12 ", "1_0", "+3", "12\n", "\u0661\u0662", "\uff11\uff12", "0"]:
+        # int() accepts all of these but "many" and the 5,000 digits, which
+        # pass the digit check and exceed int()'s digit limit; "0" is not
+        # positive
+        for cap in [
+            "many", " 12 ", "1_0", "+3", "12\n", "\u0661\u0662", "\uff11\uff12", "0", "9" * 5000
+        ]:
             monkeypatch.setenv("GPOLY_MAX_FACES", cap)
             code, _, err = run(capsys, "solve", "--problem", triangle_file)
             assert code == 2, cap
@@ -179,6 +183,25 @@ class TestProblemParsing:
         code, _, err = run(capsys, "solve", "--problem", str(path))
         assert code == 2 and "invalid JSON" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            # json.load cannot convert an integer literal past Python's
+            # digit limit and raises a plain ValueError
+            b'{"version": "1", "M": [[' + b"9" * 5000 + b"]]}",
+            # bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError
+            b'{"version": "\xff"}',
+        ],
+        ids=["oversized-integer", "not-utf8"],
+    )
+    def test_unloadable_file_is_an_input_error(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "solve", "--problem", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "invalid JSON" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("section", ["D", "K"])
     def test_boolean_dim_is_rejected(self, tmp_path, capsys, section):
         # bool is an int in Python, so true would otherwise pass as dim 1
@@ -214,6 +237,24 @@ class TestTest:
         obj = json.loads(out)
         assert obj["efficient"] is False and "witness" not in obj
 
+    def test_efficient_point_runs_no_slack_program(self, triangle_file, capsys, monkeypatch):
+        # the witness certifies efficiency by itself; only a dominated point
+        # runs the slack program, to confirm that no witness exists
+        calls = []
+        real = vlp._max_slack
+
+        def counting(P, u, weak):
+            calls.append(u)
+            return real(P, u, weak)
+
+        monkeypatch.setattr(vlp, "_max_slack", counting)
+        code, out, _ = run(capsys, "test", "--problem", triangle_file, "--point", "0,1")
+        assert code == 0 and json.loads(out)["witness"] == ["3", "2"]
+        assert calls == []
+        code, out, _ = run(capsys, "test", "--problem", triangle_file, "--point", "1,1")
+        assert code == 0 and json.loads(out) == {"efficient": False}
+        assert len(calls) == 1
+
     def test_weak_kind(self, square_file, capsys):
         code, out, _ = run(
             capsys, "test", "--problem", square_file, "--point", "1,1", "--kind", "weak"
@@ -243,7 +284,7 @@ class TestTest:
         def broken(P, u):
             raise InternalInvariantError("forced invariant failure")
 
-        monkeypatch.setattr(cli, "is_efficient", broken)
+        monkeypatch.setattr(cli, "scalarize_witness", broken)
         code, out, err = run(
             capsys, "test", "--problem", triangle_file, "--point", "0,1"
         )
@@ -256,7 +297,7 @@ class TestTest:
         def broken(P, u):
             raise ValueError("dependent vectors passed as a basis")
 
-        monkeypatch.setattr(cli, "is_efficient", broken)
+        monkeypatch.setattr(cli, "scalarize_witness", broken)
         code, out, err = run(
             capsys, "test", "--problem", triangle_file, "--point", "0,1"
         )

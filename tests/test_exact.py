@@ -1,5 +1,7 @@
 """Exact arithmetic and linear-algebra kernel tests."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -162,3 +164,53 @@ def test_complement_projector():
     assert complement_projector([], 2) == Matrix.identity(2)
     # projector is idempotent
     assert P2.matmul(P2) == P2
+
+
+def _termwise(xs, ys):
+    total = Rational(0)
+    for x, y in zip(xs, ys):
+        total += x * y
+    return total
+
+
+def _draw(rng):
+    """A rational with a small, a huge prime, or a large-numerator value;
+    zeros are frequent."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Rational(0)
+    if kind == 1:
+        return Rational(rng.randint(-10**20, 10**20), 2**61 - 1)
+    if kind == 2:
+        return Rational(10**12, 7) * rng.choice((-1, 1))
+    return Rational(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+def test_common_denominator_kernels_match_termwise_sums():
+    rng = random.Random(4231)
+    for _ in range(400):
+        rows, cols = rng.randint(0, 4), rng.randint(1, 5)
+        A = Matrix(tuple(tuple(_draw(rng) for _ in range(cols)) for _ in range(rows)), cols)
+        x = Vector(tuple(_draw(rng) for _ in range(cols)))
+        y = Vector(tuple(_draw(rng) for _ in range(rows)))
+        got = [x.dot(r) for r in A.row_vectors()] + list(A.matvec(x)) + list(A.tmatvec(y))
+        want = (
+            [_termwise(x, r) for r in A.entries] * 2
+            + [_termwise(y, [r[j] for r in A.entries]) for j in range(cols)]
+        )
+        assert got == want
+        assert all(type(v) is Rational for v in got)
+    empty = Matrix((), 3)
+    assert empty.matvec(vec([1, "1/2", 0])) == Vector(())
+    assert empty.tmatvec(Vector(())) == vec([0, 0, 0])
+
+
+def test_value_types_are_slotted():
+    # no per-instance dict: nothing can be cached on an input object
+    from gpolyvlp.cone import ConeH
+    from gpolyvlp.polyhedron import Face, HRep, h_to_v
+
+    H = HRep.of(1, ineqs=[([1], 1), ([-1], 0)])
+    V = h_to_v(H)
+    for obj in (vec([1]), mat([[1]]), H, V, Face((), V), ConeH.of(1, [[-1]])):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__

@@ -17,3 +17,25 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and found == []
+
+
+def test_scalars_are_read_through_the_backend_neutral_api():
+    # gmpy2's mpq has .numerator and .denominator but neither
+    # fractions.Fraction's private _numerator/_denominator, so code that
+    # reads those, or imports fractions outside the backend choice in
+    # exact.py, works only on the fallback backend
+    private = []
+    imports = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_numerator", "_denominator"):
+                private.append(f"{path.name}:{node.lineno}")
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            if any(name.split(".")[0] == "fractions" for name in names):
+                imports.append(path.name)
+    assert private == []
+    assert imports == ["exact.py"]

@@ -545,13 +545,113 @@ def test_orthant_cube_skips_faces_containing_a_failure(routine, tests, tags, mon
     # strict: the 16 vertices; every edge holds a failing vertex.  Weak: the
     # 65 faces that miss the vertex (1,1,1,1), and that vertex itself
     calls = []
-    real = vlp._solve
+    real = vlp._solve_rows
 
-    def counting(H, c):
-        calls.append(H)
-        return real(H, c)
+    def counting(dim, eqs, ineqs, c):
+        calls.append(dim)
+        return real(dim, eqs, ineqs, c)
 
-    monkeypatch.setattr(vlp, "_solve", counting)
+    monkeypatch.setattr(vlp, "_solve_rows", counting)
     E = routine(orthant_cube(4))
     assert len(calls) == tests
     assert [f.active_ineq for f in E.faces] == tags
+
+
+# ---------------------------------------------------------------------------
+# the integer rows of the pipeline LPs against their rational formulas
+
+
+def reference_weight_region(P, F, weak):
+    """The weight region of the face F as rational (row, rhs) pairs, written
+    the way the rational formula reads: (dim, eqs, ineqs)."""
+    dec = P.decomposition
+    geom = P.feasible_vrep
+
+    def image(v):
+        z = P.objective.matvec(v)
+        return Vector.of([g.dot(z) for g in dec.dual_generators]) if weak else z
+
+    if weak:
+        dim = len(dec.dual_generators)
+        eqs = [(Vector((rat(1),) * dim), rat(1))]
+        ineqs = [(-Vector.unit(dim, i), rat(0)) for i in range(dim)]
+    else:
+        dim = P.cone.dim
+        eqs = [(w, rat(0)) for w in dec.y0_basis]
+        ineqs = [(-r, rat(-1)) for r in dec.k1_rays]
+    base = image(F.points[0])
+    eqs += [(image(g) - base, rat(0)) for g in F.points[1:]]
+    eqs += [(image(v), rat(0)) for v in F.rays + F.lineality]
+    ineqs += [(-image(r), rat(0)) for r in geom.rays]
+    ineqs += [(base - image(v), rat(0)) for v in geom.points]
+    return dim, eqs, ineqs
+
+
+def assert_rows_scale(got, want):
+    # each int row is its scale times the rational row, and the scale is
+    # positive, so every row keeps its sign, ratios and solution set
+    dim, eqs, ineqs = got
+    assert dim == want[0]
+    for rows, ref in ((eqs, want[1]), (ineqs, want[2])):
+        assert len(rows) == len(ref)
+        for (ints, scale), (a, b) in zip(rows, ref):
+            assert scale > 0
+            assert ints == [scale * x for x in a.coords + (b,)]
+
+
+def test_int_weight_regions_scale_the_rational_rows():
+    checked = 0
+    for P in SET_CORPUS:
+        geom = P.feasible_vrep
+        if geom.is_empty:
+            continue
+        n_pts, n_gens = len(geom.points), len(geom.points) + len(geom.rays)
+        lattice = polyhedron._face_lattice(P.feasible_set, geom, None)
+        for weak in (False, True):
+            W = vlp._weight_space(P, weak, geom.lineality)
+            for active, G in lattice:
+                F = polyhedron._face(geom, active, G).geometry
+                want = reference_weight_region(P, F, weak)
+                assert_rows_scale(vlp._face_region(P, F, weak), want)
+                # the set routines' route: generators keyed by mask bit
+                points = [i for i in range(n_pts) if G >> i & 1]
+                dirs = [i for i in range(n_pts, len(W.images)) if i >= n_gens or G >> i & 1]
+                got = vlp._weight_region(W, points, dirs)
+                assert_rows_scale(got, want)
+                checked += 1
+    assert checked == 2322
+
+
+def reference_max_slack(P, u, weak):
+    """The slack program of the efficiency tests as an HRep in the unshifted
+    variables (x, s): x in D, <n_j, M u - M x> <= -s_j."""
+    n = P.feasible_set.dim
+    k = 1 if weak else len(P.cone.normals)
+    M = P.objective
+    Mu = M.matvec(u)
+
+    def row(x, s):
+        return Vector(x.coords + s.coords)
+
+    zero_x, zero_s = Vector.zero(n), Vector.zero(k)
+    eqs = [(row(a, zero_s), b) for a, b in P.feasible_set.eq_rows()]
+    ineqs = [(row(a, zero_s), b) for a, b in P.feasible_set.ineq_rows()]
+    for j, nrm in enumerate(P.cone.normals):
+        ineqs.append((row(-M.tmatvec(nrm), Vector.unit(k, 0 if weak else j)), -nrm.dot(Mu)))
+    for j in range(k):
+        if not weak:
+            ineqs.append((row(zero_x, -Vector.unit(k, j)), rat(0)))
+        ineqs.append((row(zero_x, Vector.unit(k, j)), rat(1)))
+    out = lp._solve(HRep.of(n + k, eqs, ineqs), row(zero_x, Vector.of([-1] * k)))
+    assert out.status is LPStatus.OPTIMAL
+    return out.value
+
+
+def test_int_slack_program_matches_the_hrep_program():
+    checked = 0
+    for P in SET_CORPUS:
+        for u in P.feasible_vrep.points:
+            for weak in (False, True):
+                assert vlp._max_slack(P, u, weak) == reference_max_slack(P, u, weak)
+                checked += 1
+    assert checked == 856
