@@ -20,9 +20,10 @@ runs the primal slack program of is_efficient / is_weakly_efficient, to
 confirm that u is dominated.  No LP here reads an optimal point, so all of
 them run through the value-only lp._solve_rows.
 
-Every LP is written as int rows straight from the problem's integer view
-(VLPProblem._integer_view, built on first use): D's scaled rows, S M and
-S (-M^T n_j) over the cone normals.  Membership in D is tested on the same
+Every LP is written as int rows straight from the problem's int data, each
+part a cached property built on first use by the LPs that read it: D's
+scaled rows (_d_rows), S M (_image_rows) and S (-M^T n_j) over the cone
+normals (_weak_image_rows).  Membership in D is tested on the same
 ints.  Each int row carries its factor over the rational row it stands for,
 so the simplex sees the program the rational formula describes.
 
@@ -136,12 +137,25 @@ class VLPProblem:
         return map_polyhedron(self.projector.matmul(self.objective), self.feasible_vrep)
 
     @cached_property
-    def _integer_view(self) -> "_IntegerView":
+    def _d_rows(self) -> tuple:
+        """D's (eqs, ineqs) as lp._scaled_rows gives them, each row
+        (ints [a | b], scale)."""
+        return _scaled_rows(self.feasible_set)
+
+    @cached_property
+    def _image_rows(self) -> tuple:
+        """(S M as int rows, S).  The strict weight-space row of v is M v, in
+        y-space."""
+        return _int_rows(self.objective.entries)
+
+    @cached_property
+    def _weak_image_rows(self) -> tuple:
+        """(S (-M^T n_j) over the cone normals n_j as int rows, S).  The weak
+        weight-space row of v is (g_j . M v)_j over the dual generators
+        g_j = -n_j, in lambda-space; the rows are also the x part of the cone
+        rows of the slack programs."""
         M = self.objective
-        weak = [(-M.tmatvec(n)).coords for n in self.cone.normals]
-        return _IntegerView(
-            _scaled_rows(self.feasible_set), _int_rows(M.entries), _int_rows(weak)
-        )
+        return _int_rows([(-M.tmatvec(n)).coords for n in self.cone.normals])
 
     @cached_property
     def cone_interior_empty(self) -> bool:
@@ -154,31 +168,10 @@ class VLPProblem:
 
 def _int_rows(rows) -> tuple:
     """(ints, S): the rational rows times S, the lcm of all their
-    denominators, as lists of ints."""
+    denominators, as lists of ints.  No rows give ([], 1)."""
     flat, S = _integers([x for row in rows for x in row])
-    width = len(rows[0]) if rows else 0
-    return [flat[i : i + width] for i in range(0, len(flat), width)], S
-
-
-# _IntegerView and _WeightSpace are plain slotted classes: a dataclass
-# generates its methods with exec when the module is imported.
-class _IntegerView:
-    """The data of a problem as integer rows, for the LPs built from them.
-
-    rows:       D's (eqs, ineqs) as lp._scaled_rows gives them, each row
-                (ints [a | b], scale).
-    image:      (S M as int rows, S).  The strict weight-space row of v is
-                M v, in y-space.
-    weak_image: (S (-M^T n_j) over the cone normals n_j as int rows, S).
-                The weak weight-space row of v is (g_j . M v)_j over the
-                dual generators g_j = -n_j, in lambda-space; the rows are
-                also the x part of the cone rows of the slack programs.
-    """
-
-    __slots__ = ("rows", "image", "weak_image")
-
-    def __init__(self, rows: tuple, image: tuple, weak_image: tuple):
-        self.rows, self.image, self.weak_image = rows, image, weak_image
+    it = iter(flat)
+    return [[next(it) for _ in row] for row in rows], S
 
 
 @dataclass(frozen=True)
@@ -216,7 +209,7 @@ class PathCertificate:
 def _require_feasible(P: VLPProblem, u: Vector) -> None:
     if u.dim != P.feasible_set.dim:
         raise InfeasiblePointError("infeasible point")
-    eqs, ineqs = P._integer_view.rows
+    eqs, ineqs = P._d_rows
     U, L = _integers(u.coords)
     # row (a | b) holds at u = U / L iff a.U = b L (<= for an inequality)
     if any(_dot(a, U) != a[-1] * L for a, _ in eqs) or any(
@@ -238,11 +231,10 @@ def _max_slack(P: VLPProblem, u: Vector, weak: bool) -> Rational:
     the equalities, and the cone rows get 0.  So (0, 0) is feasible on the
     slack basis and no phase-one simplex runs; the objective involves only
     s, so the optimum is the same number.  The rows are written as ints
-    from P's integer view: with u = U / L_u, D's int row (a | b) of scale
+    from P's int data: with u = U / L_u, D's int row (a | b) of scale
     d becomes (L_u a, 0 | L_u b - a.U) of scale d L_u, and a cone row is
     (S (-M^T n_j), S e_j | 0) of scale S.
     """
-    view = P._integer_view
     n = P.feasible_set.dim
     k = 1 if weak else len(P.cone.normals)
     U, L = _integers(u.coords)
@@ -254,8 +246,8 @@ def _max_slack(P: VLPProblem, u: Vector, weak: bool) -> Rational:
             for a, scale in rows
         ]
 
-    eqs, ineqs = map(shifted, view.rows)
-    cone_rows, S = view.weak_image
+    eqs, ineqs = map(shifted, P._d_rows)
+    cone_rows, S = P._weak_image_rows
     for j, a in enumerate(cone_rows):
         s = [0] * k
         s[0 if weak else j] = S
@@ -301,6 +293,8 @@ def is_weakly_efficient(P: VLPProblem, u: Vector) -> bool:
     return _max_slack(P, u, weak=True) == 0
 
 
+# _WeightSpace is a plain slotted class: a dataclass generates its methods
+# with exec when the module is imported.
 class _WeightSpace:
     """The weights of one set call or one witness, ready to write the weight
     region of a face as int rows.
@@ -309,9 +303,10 @@ class _WeightSpace:
     y*.r >= 1 on the extreme rays of K1.  Weak weights y* = sum lambda_j g_j
     over the dual generators live in lambda-space: lambda >= 0, sum = 1.
     eqs and ineqs are these admissibility rows, each (ints [a | b], scale).
-    images holds the int weight-space row of M v (see _IntegerView) for D's
-    points, then D's rays, then the extra vectors of _weight_space, keyed by
-    that index, all over the one common denominator den.
+    images holds the int weight-space row of M v (see VLPProblem._image_rows
+    and _weak_image_rows) for D's points, then D's rays, then the extra
+    vectors of _weight_space, keyed by that index, all over the one common
+    denominator den.
     """
 
     __slots__ = ("dim", "eqs", "ineqs", "images", "den", "n_points", "n_rays")
@@ -331,7 +326,7 @@ def _weight_space(P: VLPProblem, weak: bool, extra: tuple) -> _WeightSpace:
         dim = len(P.cone.normals)
         eqs = [([1] * (dim + 1), 1)]
         ineqs = [([-int(i == j) for j in range(dim)] + [0], 1) for i in range(dim)]
-        rows, S = P._integer_view.weak_image
+        rows, S = P._weak_image_rows
     else:
         dec = P.decomposition
         dim = P.cone.dim
@@ -340,7 +335,7 @@ def _weight_space(P: VLPProblem, weak: bool, extra: tuple) -> _WeightSpace:
         for r in dec.k1_rays:
             ints, scale = _integers(r.coords + (ONE,))
             ineqs.append(([-v for v in ints], scale))
-        rows, S = P._integer_view.image
+        rows, S = P._image_rows
     vectors = geom.points + geom.rays + extra
     flat, L = _integers([x for v in vectors for x in v.coords])
     images = [[_dot(a, flat[i : i + n]) for a in rows] for i in range(0, len(flat), n)]
@@ -408,7 +403,7 @@ def _point_weight(P: VLPProblem, u: Vector, weak: bool) -> Vector:
 
 def _verify_argmin(P: VLPProblem, ystar: Vector, u: Vector, label: str) -> None:
     c = P.objective.tmatvec(ystar)
-    out = _solve_rows(P.feasible_set.dim, *P._integer_view.rows, c)
+    out = _solve_rows(P.feasible_set.dim, *P._d_rows, c)
     if out.status is not LPStatus.OPTIMAL or c.dot(u) != out.value:
         raise InternalInvariantError(
             "%s does not scalarize its point to an argmin of D" % label
@@ -605,7 +600,7 @@ def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCert
     M = P.objective
     c0, c1 = M.tmatvec(xi0), M.tmatvec(xi1)
     try:
-        bps = _breakpoints(c0, c1, P.feasible_vrep, P._integer_view.rows)
+        bps = _breakpoints(c0, c1, P.feasible_vrep, P._d_rows)
     except ValueError as exc:
         raise InternalInvariantError(
             "interpolated scalarizations became unsolvable"
@@ -642,7 +637,7 @@ def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCert
 
     for i, w in enumerate(weights):
         c = M.tmatvec(w)
-        out = _solve_rows(P.feasible_set.dim, *P._integer_view.rows, c)
+        out = _solve_rows(P.feasible_set.dim, *P._d_rows, c)
         if (
             out.status is not LPStatus.OPTIMAL
             or c.dot(points[i]) != out.value

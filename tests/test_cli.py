@@ -42,6 +42,14 @@ SQUARE_CONSTANT = {
 }
 
 
+# The interpreter's limit on the digits int() converts: absent before Python
+# 3.10.7, and switched off when it reads 0.
+needs_digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="int() has no digit limit",
+)
+
+
 @pytest.fixture
 def triangle_file(tmp_path):
     path = tmp_path / "triangle.json"
@@ -117,16 +125,22 @@ class TestSolve:
         assert "face" in err
 
     def test_bad_face_cap_is_a_usage_error(self, triangle_file, capsys, monkeypatch):
-        # int() accepts all of these but "many" and the 5,000 digits, which
-        # pass the digit check and exceed int()'s digit limit; "0" is not
-        # positive
-        for cap in [
-            "many", " 12 ", "1_0", "+3", "12\n", "\u0661\u0662", "\uff11\uff12", "0", "9" * 5000
-        ]:
+        # int() accepts all of these but "many", and "0" is not positive
+        for cap in ["many", " 12 ", "1_0", "+3", "12\n", "\u0661\u0662", "\uff11\uff12", "0"]:
             monkeypatch.setenv("GPOLY_MAX_FACES", cap)
             code, _, err = run(capsys, "solve", "--problem", triangle_file)
             assert code == 2, cap
             assert "GPOLY_MAX_FACES" in err
+
+    @needs_digit_limit
+    def test_face_cap_past_the_digit_limit_is_a_usage_error(
+        self, triangle_file, capsys, monkeypatch
+    ):
+        # ASCII digits pass the digit check, and int() refuses them
+        monkeypatch.setenv("GPOLY_MAX_FACES", "9" * (sys.get_int_max_str_digits() + 1))
+        code, _, err = run(capsys, "solve", "--problem", triangle_file)
+        assert code == 2
+        assert "GPOLY_MAX_FACES" in err
 
 
 class TestProblemParsing:
@@ -188,15 +202,20 @@ class TestProblemParsing:
         [
             # json.load cannot convert an integer literal past Python's
             # digit limit and raises a plain ValueError
-            b'{"version": "1", "M": [[' + b"9" * 5000 + b"]]}",
+            pytest.param(
+                lambda: b'{"version": "1", "M": [['
+                + b"9" * (sys.get_int_max_str_digits() + 1)
+                + b"]]}",
+                marks=needs_digit_limit,
+                id="oversized-integer",
+            ),
             # bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError
-            b'{"version": "\xff"}',
+            pytest.param(lambda: b'{"version": "\xff"}', id="not-utf8"),
         ],
-        ids=["oversized-integer", "not-utf8"],
     )
     def test_unloadable_file_is_an_input_error(self, tmp_path, capsys, content):
         path = tmp_path / "bad.json"
-        path.write_bytes(content)
+        path.write_bytes(content())
         code, out, err = run(capsys, "solve", "--problem", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "invalid JSON" in err
@@ -260,6 +279,21 @@ class TestTest:
             capsys, "test", "--problem", square_file, "--point", "1,1", "--kind", "weak"
         )
         assert code == 0 and json.loads(out) == {"weak": True}
+
+    def test_cone_without_normals(self, tmp_path, capsys):
+        # K is the whole space: every point is efficient with the zero
+        # witness, and none is weakly efficient
+        obj = copy.deepcopy(TRIANGLE)
+        del obj["K"]["normals"]
+        path = tmp_path / "whole.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "test", "--problem", str(path), "--point", "0,1")
+        assert code == 0
+        assert json.loads(out) == {"efficient": True, "witness": ["0", "0"]}
+        code, out, _ = run(
+            capsys, "test", "--problem", str(path), "--point", "0,1", "--kind", "weak"
+        )
+        assert code == 0 and json.loads(out) == {"weak": False}
 
     def test_point_outside_feasible_set(self, triangle_file, capsys):
         code, out, err = run(

@@ -101,6 +101,26 @@ class TestMembership:
             assert is_efficient(subspace_problem, u)
             assert is_weakly_efficient(subspace_problem, u)
 
+    def test_cone_without_normals_is_the_whole_space(self):
+        # K = R^2 is a subspace with nonempty interior: every point is
+        # efficient with the zero witness, and none is weakly efficient
+        square = HRep.of(2, ineqs=[((-1, 0), 0), ((0, -1), 0), ((1, 0), 1), ((0, 1), 1)])
+        P = VLPProblem(Matrix.identity(2), square, ConeH.of(2, []))
+        u, v = V(1, 0), V(0, 1)
+        assert is_efficient(P, u)
+        assert not is_weakly_efficient(P, u)
+        assert scalarize_witness(P, u) == Vector.zero(2)
+        with pytest.raises(NotEfficientError, match="not weakly efficient"):
+            weak_witness(P, u)
+        cert = connect(P, u, v)
+        assert cert.points == (u, V(0, 0), v)
+        assert cert.weights == (Vector.zero(2), Vector.zero(2))
+        assert cert.breakpoints == (rat(0), rat(1))
+        with pytest.raises(NotEfficientError, match="endpoint not efficient"):
+            connect(P, u, v, weak=True)
+        with pytest.raises(InfeasiblePointError):
+            is_efficient(P, V(2, 0))
+
     def test_halfspace_cone_orders_by_sum(self):
         square = HRep.of(2, ineqs=[((-1, 0), 0), ((0, -1), 0), ((1, 0), 1), ((0, 1), 1)])
         P = VLPProblem(Matrix.identity(2), square, ConeH.of(2, [(-1, -1)]))
