@@ -8,17 +8,24 @@ row updated by every pivot.  Rationals appear only when a point, a ray or
 the optimal value is read off.  Phase one starts from the slack basis: only
 the rows without a usable slack (equalities, and inequalities with a
 negative right-hand side) take an artificial, and the phase-one simplex
-runs only when some artificial starts above zero.
+runs only when some artificial starts above zero.  Its starting basis is
+read off one transpose of the rows.
 
-There is one simplex with two entries.  An HRep goes through _scaled_rows,
-which scales each row to (ints [a | b], scale); _solve_rows takes such rows
+There is one simplex with two entries.  An HRep goes through
+polyhedron._scaled_rows, which scales each row to (ints [a | b], scale), the
+row format the double description's int entry takes too; _solve_rows takes
+such rows
 directly, and the pipeline in vlp.py builds its LPs (slack programs, weight
 regions, argmin checks) that way, as ints with no HRep in between.  Both
 entries share the row writer, phase one and phase two.  The private core
 _solve runs the two phases on an HRep and returns the status, the optimal
 value and certified unbounded directions; _solve_rows does the same on int
-rows.  solve_lp adds a lexicographic refinement on top, so its optimal
-points are canonical.  Exact breakpoint analysis of objectives moving along
+rows.  A free variable is split as x+ - x-; _solve_rows can also take
+trailing sign-constrained variables, which get one column each and need no
+-x <= 0 rows (the slack programs pass their slacks this way).  The HRep
+entry has only free variables, so its tableau is the split one.  solve_lp
+adds a lexicographic refinement on top, so its optimal points are
+canonical.  Exact breakpoint analysis of objectives moving along
 a segment sits on top of both.
 """
 
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exact import Rational, Vector, ZERO, _integers, rat
-from .polyhedron import HRep, InternalInvariantError, VRep, h_to_v
+from .polyhedron import HRep, InternalInvariantError, VRep, _scaled_rows, h_to_v
 
 __all__ = [
     "LPStatus",
@@ -181,30 +188,26 @@ def _simplex(T: _Tableau, frozen: Optional[set] = None) -> tuple:
         T.pivot(leave, enter)
 
 
-def _scaled_rows(P: HRep) -> tuple:
-    """The rows of an HRep scaled to integers: (eqs, ineqs), each a list of
-    (ints, scale) with ints the row [a | b] times scale, the lcm of its
-    denominators."""
-    eqs = [_integers(a + (b,)) for a, b in zip(P.eq_lhs.entries, P.eq_rhs.coords)]
-    ineqs = [_integers(a + (b,)) for a, b in zip(P.ineq_lhs.entries, P.ineq_rhs.coords)]
-    return eqs, ineqs
-
-
-def _write_rows(dim: int, eqs: Sequence, ineqs: Sequence) -> tuple:
+def _write_rows(dim: int, eqs: Sequence, ineqs: Sequence, nonneg: int = 0) -> tuple:
     """Integer equality standard form of the rows a.x = b (eqs) and
     a.x <= b (ineqs), each given as (ints [a | b], scale).
 
-    Variables are x+ (dim), x- (dim), then one slack per inequality.  Each
-    int row is written straight out: the x- part is the negated x+ part and
-    the slack entry is 1.  That is a positive scaling of the slack column,
-    which changes no sign, ratio or Bland choice, and slacks are never read
-    off.  Rows with a negative right-hand side are negated so b >= 0 for
-    phase one, which turns their slack entry into -1.  scale is the row's
-    factor over its rational row, which phase one needs.  Returns
-    (rows, scales, nvars), right-hand side last in each row.
+    The last nonneg of the dim variables are sign-constrained, x >= 0.
+    Variables are x+ (dim), x- (the dim - nonneg free ones), then one slack
+    per inequality: a sign-constrained variable is its own column, with no
+    x- copy.  Each int row is written straight out: the x- part is the
+    negated free part of x+ and the slack entry is 1.  That is a positive
+    scaling of the slack column, which changes no sign, ratio or Bland
+    choice, and slacks are never read off.  Rows with a negative right-hand
+    side are negated so b >= 0 for phase one, which turns their slack entry
+    into -1.  scale is the row's factor over its rational row, which phase
+    one needs.  Returns (rows, scales, nvars), right-hand side last in each
+    row.
     """
+    free = dim - nonneg
     n_ineq = len(ineqs)
-    nvars = 2 * dim + n_ineq
+    first_slack = dim + free
+    nvars = first_slack + n_ineq
     rows = []
     scales = []
 
@@ -214,9 +217,9 @@ def _write_rows(dim: int, eqs: Sequence, ineqs: Sequence) -> tuple:
         if b < 0:
             a, b = [-v for v in a], -b
             unit = -1
-        row = a + [-v for v in a] + [0] * n_ineq + [b]
+        row = a + [-v for v in a[:free]] + [0] * n_ineq + [b]
         if slack is not None:
-            row[2 * dim + slack] = unit
+            row[first_slack + slack] = unit
         rows.append(row)
         scales.append(scale)
 
@@ -234,16 +237,19 @@ def _standard_form(P: HRep) -> tuple:
 
 
 def _phase_one(rows: list, scales: list, nvars: int) -> Optional[_Tableau]:
-    """Feasible tableau from the slack basis, or None if infeasible.
+    """Feasible tableau from the slack basis, or None if infeasible.  The
+    tableau takes over rows.
 
     A row starts with the first column that is 1 in it and 0 in every other
     row as its basic variable.  The slack of every inequality with b >= 0 is
     such a column; an x column that only this row uses, with entry 1, comes
-    before it.  Every other row (the equalities and the negated
-    inequalities, as a rule) takes an artificial variable.
-    Row i was scaled by d_i, so its artificial a_i' = d_i a_i gets a unit
-    column and cost 1/d_i; the phase-one objective is the plain sum of the
-    artificials.  The phase-one simplex runs only when some artificial
+    before it.  The columns are read off one transpose of the rows, so
+    counting a column's zeros and finding its 1 run in C.  Every other row
+    (the equalities and the negated inequalities, as a rule) takes an
+    artificial variable; when none does, the rows are the tableau as they
+    are.  Row i was scaled by d_i, so its artificial a_i' = d_i a_i gets a
+    unit column and cost 1/d_i; the phase-one objective is the plain sum of
+    the artificials.  The phase-one simplex runs only when some artificial
     starts above zero; otherwise the start is already feasible, and the
     artificials, all basic at zero, are driven out or their rows dropped.
     """
@@ -251,11 +257,15 @@ def _phase_one(rows: list, scales: list, nvars: int) -> Optional[_Tableau]:
     if m == 0:
         raise ValueError("the simplex needs at least one constraint row")
     basis = [None] * m
-    for j in range(nvars):
-        hits = [r for r in range(m) if rows[r][j]]
-        if len(hits) == 1 and rows[hits[0]][j] == 1 and basis[hits[0]] is None:
-            basis[hits[0]] = j
+    others = m - 1
+    for j, col in zip(range(nvars), zip(*rows)):
+        if col.count(0) == others and col.count(1) == 1:
+            r = col.index(1)
+            if basis[r] is None:
+                basis[r] = j
     arts = [r for r in range(m) if basis[r] is None]
+    if not arts:
+        return _Tableau(rows, basis)
     for k, r in enumerate(arts):
         basis[r] = nvars + k
     A = [
@@ -291,18 +301,23 @@ def _phase_one(rows: list, scales: list, nvars: int) -> Optional[_Tableau]:
 
 
 def _extract_point(T: _Tableau, dim: int) -> Vector:
-    z = T.values()
-    return Vector(tuple([Rational(z[j] - z[dim + j], T.det) for j in range(dim)]))
+    return Vector(tuple([Rational(v, T.det) for v in _split(T.values(), dim, dim)]))
 
 
-def _ray_from_column(T: _Tableau, col: int, dim: int) -> Vector:
+def _split(z: list, dim: int, free: int) -> list:
+    """x = x+ - x- from the standard-form variables z, whose last dim - free
+    x variables have no x- column."""
+    return [z[j] - z[dim + j] for j in range(free)] + z[free:dim]
+
+
+def _ray_from_column(T: _Tableau, col: int, dim: int, free: int) -> Vector:
     """Recession direction of the standard-form feasible set when column col
     can increase forever: z_col = 1, basic variables move by -A_col."""
     delta = [0] * T.ncols
     delta[col] = T.det
     for row, basic in zip(T.rows, T.basis):
         delta[basic] = -row[col]
-    return Vector(tuple([Rational(delta[j] - delta[dim + j], T.det) for j in range(dim)]))
+    return Vector(tuple([Rational(v, T.det) for v in _split(delta, dim, free)]))
 
 
 def _optimize(P: HRep, c: Vector) -> tuple:
@@ -318,30 +333,34 @@ def _optimize(P: HRep, c: Vector) -> tuple:
     return _optimize_rows(P.dim, *_scaled_rows(P), c)
 
 
-def _optimize_rows(dim: int, eqs: Sequence, ineqs: Sequence, c: Vector) -> tuple:
+def _optimize_rows(
+    dim: int, eqs: Sequence, ineqs: Sequence, c: Vector, nonneg: int = 0
+) -> tuple:
     """_optimize over integer rows (ints [a | b], scale), as _scaled_rows
-    gives them."""
-    if not eqs and not ineqs:
+    gives them, with the last nonneg variables sign-constrained (see
+    _write_rows); those need at least one row."""
+    if not eqs and not ineqs and not nonneg:
         # whole space: bounded only for the zero objective
         if c.is_zero():
             return LPOutcome(LPStatus.OPTIMAL, ZERO), None
         ray = (-c).normalized_direction()
         return LPOutcome(LPStatus.UNBOUNDED, descent_ray=ray), None
-    rows, scales, nvars = _write_rows(dim, eqs, ineqs)
+    rows, scales, nvars = _write_rows(dim, eqs, ineqs, nonneg)
     T = _phase_one(rows, scales, nvars)
     if T is None:
         return LPOutcome(LPStatus.INFEASIBLE), None
+    free = dim - nonneg
     cx, L = _integers(c.coords)
-    T.set_objective(cx + [-v for v in cx] + [0] * (nvars - 2 * dim))
+    T.set_objective(cx + [-v for v in cx[:free]] + [0] * (nvars - dim - free))
     status, col = _simplex(T)
     if status == "unbounded":
-        ray = _ray_from_column(T, col, dim).normalized_direction()
+        ray = _ray_from_column(T, col, dim, free).normalized_direction()
         if c.dot(ray) >= 0:
             raise InternalInvariantError("unbounded ray does not descend")
         return LPOutcome(LPStatus.UNBOUNDED, descent_ray=ray), None
-    # c at the basic point, (cx / L).(z+ - z-) / det, with one division
-    z = T.values()
-    value = Rational(sum([v * (z[j] - z[dim + j]) for j, v in enumerate(cx) if v]), L * T.det)
+    # c at the basic point, (cx / L).x / det, with one division
+    x = _split(T.values(), dim, free)
+    value = Rational(sum([v * w for v, w in zip(cx, x) if v]), L * T.det)
     return LPOutcome(LPStatus.OPTIMAL, value), T
 
 
@@ -352,13 +371,17 @@ def _solve(P: HRep, c: Vector) -> LPOutcome:
     return _optimize(P, c)[0]
 
 
-def _solve_rows(dim: int, eqs: Sequence, ineqs: Sequence, c: Vector) -> LPOutcome:
+def _solve_rows(
+    dim: int, eqs: Sequence, ineqs: Sequence, c: Vector, nonneg: int = 0
+) -> LPOutcome:
     """_solve over integer rows: eqs are the rows a.x = b and ineqs the rows
     a.x <= b, each (ints [a | b], scale) with scale the row's positive factor
-    over its rational row.  The pipeline builds its programs this way, with
-    no HRep; rows that _scaled_rows gives pivot exactly as their HRep does.
+    over its rational row.  The last nonneg variables are sign-constrained,
+    each one column with no x- copy, so a caller writes no -x_j <= 0 rows
+    for them.  The pipeline builds its programs this way, with no HRep; rows
+    that _scaled_rows gives, with nonneg 0, pivot exactly as their HRep does.
     """
-    return _optimize_rows(dim, eqs, ineqs, c)[0]
+    return _optimize_rows(dim, eqs, ineqs, c, nonneg)[0]
 
 
 def solve_lp(P: HRep, c: Vector) -> LPOutcome:

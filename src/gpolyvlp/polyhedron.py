@@ -1,13 +1,17 @@
 """Polyhedral convex sets in halfspace and generator form, with exact conversions.
 
-The workhorse is an incremental double description method that computes on
-Python ints.  It maintains a lineality basis next to the extreme-ray list, so
-sets with nontrivial lineality (and cones that are whole subspaces) need no
-special casing anywhere above this module.  Rows are scaled to primitive
-integer vectors once; rays are primitive integer representatives modulo the
-lineality space, kept reduced against an integer echelon basis of it, and
-they are converted to rationals and projected orthogonally to the lineality
-space once, on output.
+The workhorse is an incremental double description method whose core, _dd,
+computes on Python ints.  It maintains a lineality basis next to the
+extreme-ray list, so sets with nontrivial lineality (and cones that are
+whole subspaces) need no special casing anywhere above this module.  Rows
+are scaled to primitive integer vectors once; rays are primitive integer
+representatives modulo the lineality space, kept reduced against an integer
+echelon basis of it.  The core has two entries: dd_cone for rational rows,
+and h_to_v, which scales an HRep's rows to ints, or takes int rows [a | b]
+straight from the pipeline (_h_to_v_rows).  The output stays in ints until
+the result is built: rays are projected orthogonally to the lineality space
+by integer steps, and each coordinate becomes one rational when a point is
+divided by its homogenizing coordinate or a ray by its leading entry.
 
 Faces and DD adjacency are both decided by incidence, which rows are tight
 on which generators: the DD carries each ray's zero set as a bitmask, and
@@ -17,7 +21,7 @@ the face lattice is read off the incidence of one DD of the polyhedron.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -25,12 +29,9 @@ from .exact import (
     Matrix,
     Rational,
     Vector,
-    ZERO,
-    ONE,
     _integers,
     complement_projector,
     format_rational,
-    kernel_basis,
     parse_rational,
     rank,
     rat,
@@ -257,14 +258,37 @@ class Face:
 def dd_cone(dim: int, eq_rows: Sequence[Vector], ineq_rows: Sequence[Vector]):
     """Generators of the cone {z : e.z = 0 for all e, a.z <= 0 for all a}.
 
-    Returns (lineality_basis, extreme_rays), the rays canonical modulo the
-    lineality span: orthogonal to it, scaled to a +-1 leading coordinate,
-    deduplicated and sorted.
+    Returns (lineality_basis, extreme_rays): the basis in reduced row echelon
+    form, the rays canonical modulo the lineality span: orthogonal to it,
+    scaled to a +-1 leading coordinate, deduplicated and sorted.  The rows
+    are scaled to ints once and the method runs on _dd, the integer core it
+    shares with h_to_v.
+    """
+    for r in list(eq_rows) + list(ineq_rows):
+        if r.dim != dim:
+            raise ValueError("constraint row dimension mismatch")
+    lin, rays = _dd(
+        dim,
+        [_integers(e.coords)[0] for e in eq_rows],
+        [_integers(a.coords)[0] for a in ineq_rows],
+    )
+    out_rays = [_direction(r) for r in _project(rays, lin)]
+    out_rays.sort(key=lambda r: r.coords)
+    return _rref_basis(lin), out_rays
 
-    The method computes on Python ints.  Every row is scaled once to a
-    primitive integer vector, which changes no sign.  The lineality space L
-    is held as primitive integer vectors, each with a pivot column where it
-    is positive and every other basis vector is zero; rays are primitive
+
+def _dd(dim: int, eq_rows: Sequence, ineq_rows: Sequence) -> tuple:
+    """The integer core of the double description: generators of the cone
+    {z : e.z = 0, a.z <= 0} for int rows e in eq_rows and a in ineq_rows.
+
+    Returns (lineality, rays) as lists of primitive int vectors: a basis of
+    the lineality space L, and one representative of every extreme ray
+    class modulo L, neither projected nor scaled.
+
+    Every row is divided once by the gcd of its entries, which changes no
+    sign.  L is held as primitive integer vectors, each with a pivot column
+    where it is positive and every other basis vector is zero; it starts as
+    the kernel of the equalities, worked out in ints.  Rays are primitive
     integer representatives modulo L that are zero on every pivot column.
     Each class r + L has exactly one such representative, so rays dedupe on
     it, and every processed row vanishes on L, so it gives the same signs
@@ -276,21 +300,16 @@ def dd_cone(dim: int, eq_rows: Sequence[Vector], ineq_rows: Sequence[Vector]):
     (-a.r0) v + (a.v) r0 on the row's hyperplane.  r0 is zero on the other
     pivot columns, so the results are already reduced modulo the new L.
     Otherwise the classic step combines adjacent rays p and n across the
-    hyperplane as (a.p) n - (a.n) p.  Rays are converted to rationals and
-    projected orthogonally to L once, at the end.
+    hyperplane as (a.p) n - (a.n) p.
 
     Each ray carries its zero set as a bitmask (bit i: ineq_rows[i] is tight
     on it).  Every processed row is <= 0 on every ray, so the combination of
     rays p and n is tight exactly on zeros[p] & zeros[n] plus the new row.
     Adjacency is the algebraic rank condition on that common zero set.
     """
-    for r in list(eq_rows) + list(ineq_rows):
-        if r.dim != dim:
-            raise ValueError("constraint row dimension mismatch")
-    eqs = [_primitive(_integers(e.coords)[0]) for e in eq_rows]
-    ineqs = [_primitive(_integers(a.coords)[0]) for a in ineq_rows]
-    kernel = kernel_basis(Matrix.from_rows(list(eq_rows), cols=dim))
-    L = _echelon_int([_integers(l.coords)[0] for l in kernel])
+    eqs = [_primitive(e) for e in eq_rows]
+    ineqs = [_primitive(a) for a in ineq_rows]
+    L = _echelon_int(_kernel_int(eqs, dim))
     rays: dict = {}  # ray -> zero set over the rows inserted so far
 
     for i, a in enumerate(ineqs):
@@ -358,15 +377,7 @@ def dd_cone(dim: int, eq_rows: Sequence[Vector], ineq_rows: Sequence[Vector]):
         _dot(a, l) for a in ineqs for l in lin
     ):
         raise InternalInvariantError("generator violates an inequality row")
-
-    basis = rref(Matrix.of(lin, cols=dim)).row_vectors() if lin else []
-    proj = complement_projector(basis, dim) if basis else None
-    out_rays = []
-    for r in rays:
-        v = Vector(tuple([Rational(x) for x in r]))
-        out_rays.append(_normalized(proj.matvec(v) if proj else v))
-    out_rays.sort(key=lambda r: r.coords)
-    return basis, out_rays
+    return lin, list(rays)
 
 
 def _dot(a, b) -> int:
@@ -406,13 +417,65 @@ def _echelon_int(rows) -> list:
     return out
 
 
-def _normalized(r: Vector) -> Vector:
-    """r scaled to a +-1 leading coordinate."""
-    i = r.first_nonzero()
-    if i is None:
+def _kernel_int(rows: list, dim: int) -> list:
+    """A basis of the null space of the int rows, as int vectors: one per
+    free column f of their reduced echelon form, x_f = D and x_c =
+    -D e[f] / e[c] on the pivot column c of each echelon row e, with D the
+    lcm of the pivot entries."""
+    echelon = _echelon_int(rows)
+    pivots = {c for c, _ in echelon}
+    D = lcm(*[e[c] for c, e in echelon])
+    basis = []
+    for f in range(dim):
+        if f in pivots:
+            continue
+        v = [0] * dim
+        v[f] = D
+        for c, e in echelon:
+            v[c] = -e[f] * (D // e[c])
+        basis.append(v)
+    return basis
+
+
+def _project(vectors: list, lin: list) -> list:
+    """The int vectors projected orthogonally to span(lin), each as a
+    primitive positive multiple of its projection.
+
+    lin is made orthogonal first, by the same integer step v -> (q.q) v -
+    (v.q) q against each earlier vector q, which is the rejection from q
+    times q.q > 0; against an orthogonal basis the rejections in turn are
+    the projection."""
+    basis = []
+    for l in lin:
+        q = _reject(l, basis)
+        basis.append((q, _dot(q, q)))
+    return [_reject(v, basis) for v in vectors]
+
+
+def _reject(v, basis: list):
+    for q, qq in basis:
+        dv = _dot(v, q)
+        if dv:
+            v = _primitive([qq * x - dv * y for x, y in zip(v, q)])
+    return v
+
+
+def _direction(r) -> Vector:
+    """The int vector r as a rational vector with a +-1 leading coordinate."""
+    lead = next((abs(x) for x in r if x), None)
+    if lead is None:
         raise InternalInvariantError("zero vector produced as an extreme ray")
-    lead = r.coords[i]
-    return r if lead == 1 or lead == -1 else r.scale(1 / abs(lead))
+    if lead == 1:
+        return Vector(tuple([Rational(x) for x in r]))
+    return Vector(tuple([Rational(x, lead) for x in r]))
+
+
+def _rref_basis(lin: list) -> list:
+    """The reduced row echelon basis of span(lin), as rational vectors: the
+    integer echelon rows in pivot order, each divided by its pivot entry."""
+    return [
+        Vector(tuple([Rational(x, e[c]) for x in e])) for c, e in sorted(_echelon_int(lin))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +484,6 @@ def _normalized(r: Vector) -> Vector:
 
 def _lift(v: Vector, last) -> Vector:
     return Vector(v.coords + (rat(last),))
-
-
-def _drop_last(v: Vector) -> Vector:
-    return Vector(v.coords[:-1])
 
 
 def assemble_vrep(dim: int, points: list, rays: list, lineality: list) -> VRep:
@@ -455,30 +514,48 @@ def assemble_vrep(dim: int, points: list, rays: list, lineality: list) -> VRep:
 
 def h_to_v(P: HRep) -> VRep:
     """Generator form of an HRep via double description on the homogenization."""
-    d = P.dim
-    eq_lift = [_lift(row, -b) for row, b in P.eq_rows()]
-    t_row = Vector((ZERO,) * d + (-ONE,))
-    ineq_lift = [t_row] + [_lift(row, -b) for row, b in P.ineq_rows()]
-    lin, rays = dd_cone(d + 1, eq_lift, ineq_lift)
+    return _h_to_v_rows(P.dim, *_scaled_rows(P))
+
+
+def _scaled_rows(P: HRep) -> tuple:
+    """The rows of an HRep scaled to integers: (eqs, ineqs), each a list of
+    (ints, scale) with ints the row [a | b] times scale, the lcm of its
+    denominators."""
+    eqs = [_integers(a + (b,)) for a, b in zip(P.eq_lhs.entries, P.eq_rhs.coords)]
+    ineqs = [_integers(a + (b,)) for a, b in zip(P.ineq_lhs.entries, P.ineq_rhs.coords)]
+    return eqs, ineqs
+
+
+def _h_to_v_rows(d: int, eqs: Sequence, ineqs: Sequence) -> VRep:
+    """h_to_v of {x : a.x = b for eqs, a.x <= b for ineqs}, given as int
+    rows (ints [a | b], scale) as _scaled_rows and the pipeline write them;
+    the scale plays no part.
+
+    The cone of the homogenization, rows [a | -b] and -t <= 0, goes through
+    the integer core _dd, and its output stays in ints until the VRep is
+    built: rays are projected orthogonally to the lineality in ints, a ray
+    r with t = r[-1] > 0 is the point r[:-1] / t, one with t = 0 is a ray
+    scaled to a +-1 leading coordinate, and the lineality basis is the
+    reduced echelon form of the integer one.
+    """
+    eq_lift = [e[:d] + [-e[d]] for e, _ in eqs]
+    ineq_lift = [[0] * d + [-1]] + [a[:d] + [-a[d]] for a, _ in ineqs]
+    lin, rays = _dd(d + 1, eq_lift, ineq_lift)
+    if not any(r[-1] > 0 for r in rays):
+        return VRep.empty(d)
+    if any(l[-1] for l in lin):
+        raise InternalInvariantError("homogenization lineality leaked a nonzero last coordinate")
     points, free_rays = [], []
-    for r in rays:
-        t = r.coords[-1]
+    for r in _project(rays, lin):
+        t = r[-1]
         if t > 0:
-            points.append(_drop_last(r).scale(1 / t))
+            points.append(Vector(tuple([Rational(x, t) for x in r[:-1]])))
         else:
             # t < 0 is impossible: the homogenization row forbids it
-            free_rays.append(_drop_last(r))
-    if not points:
-        return VRep.empty(d)
-    lineality = []
-    for l in lin:
-        if l.coords[-1] != 0:
-            raise InternalInvariantError(
-                "homogenization lineality leaked a nonzero last coordinate"
-            )
-        lineality.append(_drop_last(l))
-    # dd_cone's rays are already canonical and sorted, its basis in rref
+            free_rays.append(_direction(r[:-1]))
     points.sort(key=lambda p: p.coords)
+    free_rays.sort(key=lambda r: r.coords)
+    lineality = [Vector(l.coords[:-1]) for l in _rref_basis(lin)]
     return VRep(d, tuple(points), tuple(free_rays), tuple(lineality))
 
 

@@ -20,8 +20,18 @@ runs the primal slack program of is_efficient / is_weakly_efficient, to
 confirm that u is dominated.  No LP here reads an optimal point, so all of
 them run through the value-only lp._solve_rows.
 
-Every LP is written as int rows straight from the problem's int data, each
-part a cached property built on first use by the LPs that read it: D's
+The certificates of a point u are posed on the tangent cone
+T_D(u) = cone(D - u), cut out by D's equalities and the inequalities tight
+at u; the rows slack at u play no part.  D is convex, so a direction d of
+T_D(u) has u + e d in D for small e > 0.  The slack programs ask whether
+some d has -M d in K \\ l(K) (strict) or in int K (weak), sets closed under
+positive scaling, which holds exactly when some x in D dominates u.  The
+argmin re-check of a weight c asks whether c.d >= 0 on T_D(u), which holds
+exactly when u minimizes c.x over D.
+
+Every LP, and the DD of every witness's weight region, is written as int
+rows straight from the problem's int data, each part a cached property
+built on first use by the programs that read it: D's
 scaled rows (_d_rows), S M (_image_rows) and S (-M^T n_j) over the cone
 normals (_weak_image_rows).  Membership in D is tested on the same
 ints.  Each int row carries its factor over the rational row it stands for,
@@ -44,7 +54,7 @@ from typing import Optional
 
 from .cone import ConeDecomposition, ConeH, decompose
 from .exact import ONE, ZERO, Matrix, Rational, Vector, _integers, complement_projector, rat
-from .lp import LPStatus, NoArgminError, _breakpoints, _scaled_rows, _solve_rows, argmin_face
+from .lp import LPStatus, _breakpoints, _solve_rows
 from .polyhedron import (
     Face,
     HRep,
@@ -53,8 +63,9 @@ from .polyhedron import (
     _dot,
     _face,
     _face_lattice,
+    _h_to_v_rows,
+    _scaled_rows,
     active_set,
-    contains,
     h_to_v,
     map_polyhedron,
 )
@@ -138,7 +149,7 @@ class VLPProblem:
 
     @cached_property
     def _d_rows(self) -> tuple:
-        """D's (eqs, ineqs) as lp._scaled_rows gives them, each row
+        """D's (eqs, ineqs) as polyhedron._scaled_rows gives them, each row
         (ints [a | b], scale)."""
         return _scaled_rows(self.feasible_set)
 
@@ -218,46 +229,56 @@ def _require_feasible(P: VLPProblem, u: Vector) -> None:
         raise InfeasiblePointError("infeasible point")
 
 
+def _tangent_rows(P: VLPProblem, u: Vector, pad: int) -> tuple:
+    """The rows of D that cut out its tangent cone at u, T_D(u) = cone(D - u):
+    every equality and the inequalities tight at u, with their right-hand
+    sides 0.  Each is D's int row (a | b) of scale d written as (a, 0 | 0)
+    of scale d, with pad zero columns before the right-hand side; the rows
+    that are slack at u are dropped.  u must lie in D."""
+    n = P.feasible_set.dim
+    eqs, ineqs = P._d_rows
+    U, L = _integers(u.coords)
+    zeros = [0] * (pad + 1)
+    return (
+        [(a[:n] + zeros, scale) for a, scale in eqs],
+        [(a[:n] + zeros, scale) for a, scale in ineqs if _dot(a, U) == a[n] * L],
+    )
+
+
 def _max_slack(P: VLPProblem, u: Vector, weak: bool) -> Rational:
-    """Optimum of the slack program behind the efficiency tests.
+    """Optimum of the slack program behind the efficiency tests, posed on
+    the tangent cone T_D(u); only whether it is zero means anything.
 
-    Variables are (x, s) with x in D and <n_j, M u - M x> <= -s_j for every
+    Variables are (d, s) with d in T_D(u) and <n_j, -M d> <= -s_j for every
     cone normal n_j.  The strict program gives each normal its own slack,
-    0 <= s_j <= 1; the weak program shares one slack t <= 1 between all
-    normals.  The objective maximizes the total slack.
+    0 <= s_j <= 1; the weak program shares one slack 0 <= t <= 1 between
+    all normals.  The objective maximizes the total slack.
 
-    The program is posed in the shifted variables (x - u, s): D's rows get
-    the right-hand side b - a.u, which is >= 0 because u is in D and 0 on
-    the equalities, and the cone rows get 0.  So (0, 0) is feasible on the
-    slack basis and no phase-one simplex runs; the objective involves only
-    s, so the optimum is the same number.  The rows are written as ints
-    from P's int data: with u = U / L_u, D's int row (a | b) of scale
-    d becomes (L_u a, 0 | L_u b - a.U) of scale d L_u, and a cone row is
-    (S (-M^T n_j), S e_j | 0) of scale S.
+    This is the program over x in D in the shifted variables d = x - u,
+    with D's rows that are slack at u dropped.  D is convex, so every d in
+    T_D(u) has u + e d in D for some e > 0, and both K \\ l(K) and int K are
+    closed under positive scaling: a dominating x exists exactly when a
+    dominating direction d does, and the optimum is zero exactly when the
+    optimum over D is.  The value itself differs in general.
+
+    T_D(u) is a cone, so (0, 0) is feasible on the slack basis and no
+    phase-one simplex runs.  The slacks are sign-constrained columns of the
+    simplex, so the program has no -s_j <= 0 rows.  The rows are written as
+    ints from P's int data: D's rows as _tangent_rows gives them, and a cone
+    row as (S (-M^T n_j), S e_j | 0) of scale S.
     """
     n = P.feasible_set.dim
     k = 1 if weak else len(P.cone.normals)
-    U, L = _integers(u.coords)
-    pad = [0] * k
-
-    def shifted(rows: list) -> list:
-        return [
-            ([L * v for v in a[:n]] + pad + [L * a[n] - _dot(a, U)], scale * L)
-            for a, scale in rows
-        ]
-
-    eqs, ineqs = map(shifted, P._d_rows)
+    eqs, ineqs = _tangent_rows(P, u, k)
     cone_rows, S = P._weak_image_rows
     for j, a in enumerate(cone_rows):
         s = [0] * k
         s[0 if weak else j] = S
         ineqs.append((a + s + [0], S))
     for j in range(k):
-        if not weak:
-            ineqs.append(([0] * (n + j) + [-1] + [0] * (k - j), 1))
         ineqs.append(([0] * (n + j) + [1] + [0] * (k - j - 1) + [1], 1))
     c = Vector((ZERO,) * n + (-ONE,) * k)
-    out = _solve_rows(n + k, eqs, ineqs, c)
+    out = _solve_rows(n + k, eqs, ineqs, c, k)
     if out.status is not LPStatus.OPTIMAL:
         raise InternalInvariantError("slack maximization failed to solve")
     return out.value
@@ -266,10 +287,13 @@ def _max_slack(P: VLPProblem, u: Vector, weak: bool) -> Rational:
 def is_efficient(P: VLPProblem, u: Vector) -> bool:
     """Exact efficiency test.
 
-    Maximizes the total slack sum s_j subject to x in D, 0 <= s_j <= 1 and
-    <n_j, M u - M x> <= -s_j for every cone normal n_j.  The point u is
-    efficient exactly when the optimum is zero: any positive slack exhibits a
-    feasible x with M u - M x in K but outside the lineality space of K.
+    Maximizes the total slack sum s_j subject to d in the tangent cone
+    T_D(u) = cone(D - u), 0 <= s_j <= 1 and <n_j, -M d> <= -s_j for every
+    cone normal n_j.  The point u is efficient exactly when the optimum is
+    zero: any positive slack exhibits a direction d, and with it a feasible
+    x = u + e d, such that M u - M x lies in K but outside the lineality
+    space of K.  K minus its lineality space is closed under positive
+    scaling, so looking along T_D(u) finds every such x (see _max_slack).
     Raises InfeasiblePointError when u is not in D.
     """
     _require_feasible(P, u)
@@ -282,10 +306,12 @@ def is_efficient(P: VLPProblem, u: Vector) -> bool:
 def is_weakly_efficient(P: VLPProblem, u: Vector) -> bool:
     """Exact weak efficiency test.
 
-    Maximizes a single slack t with x in D, t <= 1 and
-    <n_j, M u - M x> <= -t for every normal.  A positive optimum exhibits x
-    with M u - M x interior to K.  When K has empty interior every feasible
-    point is weakly efficient and the test short-circuits to True.
+    Maximizes a single slack 0 <= t <= 1 with d in the tangent cone
+    T_D(u) = cone(D - u) and <n_j, -M d> <= -t for every normal.  A positive
+    optimum exhibits a direction d, and with it a feasible x = u + e d, such
+    that M u - M x is interior to K, which is closed under positive scaling
+    (see _max_slack).  When K has empty interior every feasible point is
+    weakly efficient and the test short-circuits to True.
     """
     _require_feasible(P, u)
     if P.cone_interior_empty:
@@ -391,9 +417,7 @@ def _point_weight(P: VLPProblem, u: Vector, weak: bool) -> Vector:
     cross-checked by the primal slack program before NotEfficientError is
     raised: a zero slack there contradicts it."""
     F = VRep(P.feasible_set.dim, (u,), (), P.feasible_vrep.lineality)
-    dim, eqs, ineqs = _face_region(P, F, weak)
-    rows = [[(a[:-1], a[-1]) for a, _ in block] for block in (eqs, ineqs)]
-    region = h_to_v(HRep.of(dim, *rows))
+    region = _h_to_v_rows(*_face_region(P, F, weak))
     if region.is_empty:
         if _max_slack(P, u, weak) == 0:
             raise InternalInvariantError("no dual weight for a (weakly) efficient point")
@@ -402,9 +426,13 @@ def _point_weight(P: VLPProblem, u: Vector, weak: bool) -> Vector:
 
 
 def _verify_argmin(P: VLPProblem, ystar: Vector, u: Vector, label: str) -> None:
+    """Re-verify by an exact LP that u, a point of D, minimizes c.x over D
+    for c = M^T ystar.  D is convex, so that holds exactly when c.d >= 0 on
+    the tangent cone T_D(u): min c.d over T_D(u) is then OPTIMAL with value
+    0, and otherwise it is unbounded below."""
     c = P.objective.tmatvec(ystar)
-    out = _solve_rows(P.feasible_set.dim, *P._d_rows, c)
-    if out.status is not LPStatus.OPTIMAL or c.dot(u) != out.value:
+    out = _solve_rows(P.feasible_set.dim, *_tangent_rows(P, u, 0), c)
+    if out.status is not LPStatus.OPTIMAL or out.value != 0:
         raise InternalInvariantError(
             "%s does not scalarize its point to an argmin of D" % label
         )
@@ -570,6 +598,13 @@ def weakly_efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> Effi
     return EfficientSet(P, kind, _maximal_scalarizable(P, weak=True, max_faces=max_faces), sub, eint)
 
 
+def _min_over_d(P: VLPProblem, c: Vector) -> Optional[Rational]:
+    """The minimum of c.x over D, from D's int rows, or None when there is
+    none."""
+    out = _solve_rows(P.feasible_set.dim, *P._d_rows, c)
+    return out.value if out.status is LPStatus.OPTIMAL else None
+
+
 def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCertificate:
     """A piecewise-linear path from u to v inside the (weakly) efficient set.
 
@@ -612,15 +647,16 @@ def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCert
     chain = [u]
     for j in range(len(bps) - 1):
         mid = (bps[j] + bps[j + 1]) / 2
-        try:
-            face = argmin_face(P.feasible_set, c0 + (c1 - c0).scale(mid))
-        except NoArgminError as exc:
+        c = c0 + (c1 - c0).scale(mid)
+        value = _min_over_d(P, c)
+        if value is None:
             raise InternalInvariantError(
                 "interpolated scalarization has no argmin inside the segment"
-            ) from exc
+            )
         # the argmin face is a face of D, so its lexicographically smallest
-        # point is the first point of D's generator form that it contains
-        first = next((p for p in P.feasible_vrep.points if contains(face, p)), None)
+        # point is the first point of D's generator form that it contains;
+        # every such point satisfies D's rows, so c.p == value decides it
+        first = next((p for p in P.feasible_vrep.points if c.dot(p) == value), None)
         if first is None:
             raise InternalInvariantError("argmin face holds no point of D")
         chain.append(first)
@@ -637,11 +673,7 @@ def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCert
 
     for i, w in enumerate(weights):
         c = M.tmatvec(w)
-        out = _solve_rows(P.feasible_set.dim, *P._d_rows, c)
-        if (
-            out.status is not LPStatus.OPTIMAL
-            or c.dot(points[i]) != out.value
-            or c.dot(points[i + 1]) != out.value
-        ):
+        value = _min_over_d(P, c)
+        if value is None or c.dot(points[i]) != value or c.dot(points[i + 1]) != value:
             raise InternalInvariantError("path segment left its argmin face")
     return PathCertificate(tuple(points), tuple(weights), tuple(bps))

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from gpolyvlp import cli, vlp
 from gpolyvlp.cli import main
-from gpolyvlp.lp import NoArgminError
 from gpolyvlp.polyhedron import InternalInvariantError
 from gpolyvlp.exact import format_rational, parse_rational
 
@@ -402,10 +401,8 @@ class TestConnect:
         assert obj["points"][0] == ["0", "0"] and obj["points"][-1] == ["1", "1"]
 
     def test_missing_midpoint_argmin_exits_3(self, triangle_file, capsys, monkeypatch):
-        def broken(P, c):
-            raise NoArgminError("no argmin")
-
-        monkeypatch.setattr(vlp, "argmin_face", broken)
+        # the midpoint LP over D finds no minimum
+        monkeypatch.setattr(vlp, "_min_over_d", lambda P, c: None)
         code, out, err = run(
             capsys,
             "connect",

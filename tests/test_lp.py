@@ -499,3 +499,74 @@ class TestKernelCases:
         monkeypatch.setattr(lp, "_simplex", counting)
         assert is_efficient(triangle_problem(), vec([0, 1]))
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# sign-constrained columns
+
+
+def reference_write_rows(dim, eqs, ineqs):
+    """The row writer with every variable free: x+, x-, then one slack per
+    inequality, the rows with b < 0 negated."""
+    n_ineq = len(ineqs)
+    rows, scales = [], []
+    for i, (ints, scale) in enumerate(list(eqs) + list(ineqs)):
+        a, b, unit = ints[:dim], ints[dim], 1
+        if b < 0:
+            a, b, unit = [-v for v in a], -b, -1
+        row = a + [-v for v in a] + [0] * n_ineq + [b]
+        if i >= len(eqs):
+            row[2 * dim + i - len(eqs)] = unit
+        rows.append(row)
+        scales.append(scale)
+    return rows, scales, 2 * dim + n_ineq
+
+
+def test_write_rows_without_sign_constraints_keeps_the_free_layout():
+    for P, _ in GOLDEN:
+        rows = lp._scaled_rows(P)
+        assert lp._write_rows(P.dim, *rows, 0) == reference_write_rows(P.dim, *rows)
+        assert lp._standard_form(P) == reference_write_rows(P.dim, *rows)
+
+
+def sign_constrained_corpus(count=400, seed=5150):
+    """Seeded int-row programs: n free variables then k >= 1
+    sign-constrained ones, rows (ints [a | b], scale)."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n, k = rng.randint(0, 3), rng.randint(1, 3)
+        dim = n + k
+
+        def row():
+            return [rng.randint(-3, 3) for _ in range(dim + 1)], rng.choice((1, 2, 3))
+
+        eqs = [row() for _ in range(rng.choice((0, 0, 1, 2)))]
+        ineqs = [row() for _ in range(rng.randint(1, dim + 2))]
+        c = Vector.of([rng.randint(-3, 3) for _ in range(dim)])
+        cases.append((n, k, eqs, ineqs, c))
+    return cases
+
+
+def test_sign_constrained_columns_match_explicit_sign_rows():
+    statuses = Counter()
+    for n, k, eqs, ineqs, c in sign_constrained_corpus():
+        dim = n + k
+        signs = [([0] * (n + j) + [-1] + [0] * (k - j - 1) + [0], 1) for j in range(k)]
+        got = lp._solve_rows(dim, eqs, ineqs, c, k)
+        want = lp._solve_rows(dim, eqs, ineqs + signs, c)
+        assert (got.status, got.value) == (want.status, want.value)
+        if got.status is LPStatus.UNBOUNDED:
+            # the descent ray read off the narrower tableau is a recession
+            # direction of the program with the sign rows written out
+            ray = got.descent_ray
+            assert c.dot(ray) < 0
+            for rows, holds in ((eqs, lambda v: v == 0), (ineqs + signs, lambda v: v <= 0)):
+                for ints, _ in rows:
+                    assert holds(sum(a * x for a, x in zip(ints[:dim], ray.coords)))
+        statuses[got.status] += 1
+    assert statuses == {
+        LPStatus.UNBOUNDED: 158,
+        LPStatus.INFEASIBLE: 147,
+        LPStatus.OPTIMAL: 95,
+    }

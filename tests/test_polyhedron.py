@@ -512,27 +512,35 @@ def test_large_row_scalings_keep_conversions():
 
 def test_one_projection_per_double_description(monkeypatch):
     # rays are reduced modulo an integer echelon basis of the lineality space
-    # during the method and projected orthogonally to it once, on output
-    projections = []
-    real_projector = polyhedron.complement_projector
-    real_dd = polyhedron.dd_cone
-    monkeypatch.setattr(
-        polyhedron,
-        "complement_projector",
-        lambda basis, dim: projections.append(dim) or real_projector(basis, dim),
-    )
-    with_lineality = []
+    # during the method and projected orthogonally to it once, on output, in
+    # ints; the rational projector never runs in a conversion
+    events = []
+    real_project, real_dd = polyhedron._project, polyhedron._dd
 
-    def counted(dim, eq_rows, ineq_rows):
-        projections.clear()
+    def project(vectors, lin):
+        events.append(("project", bool(lin)))
+        return real_project(vectors, lin)
+
+    def dd(dim, eq_rows, ineq_rows):
         lin, rays = real_dd(dim, eq_rows, ineq_rows)
-        assert len(projections) <= (1 if lin else 0)
-        with_lineality.append(bool(lin))
+        events.append(("dd", bool(lin)))
         return lin, rays
 
-    monkeypatch.setattr(polyhedron, "dd_cone", counted)
+    monkeypatch.setattr(
+        polyhedron, "complement_projector", lambda basis, dim: events.append(("rational", dim))
+    )
+    monkeypatch.setattr(polyhedron, "_project", project)
+    monkeypatch.setattr(polyhedron, "_dd", dd)
+    with_lineality = []
     for P in DD_GOLDEN:
+        events.clear()
         V = h_to_v(P)
         if not V.is_empty:
             v_to_h(V)
+        starts = [k for k, (name, _) in enumerate(events) if name == "dd"] + [len(events)]
+        assert starts[0] == 0
+        for k, end in zip(starts, starts[1:]):
+            lin = events[k][1]
+            assert events[k + 1 : end] in ([], [("project", lin)])
+            with_lineality.append(lin)
     assert sum(with_lineality) > 100 and not all(with_lineality)

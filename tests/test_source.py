@@ -39,3 +39,18 @@ def test_scalars_are_read_through_the_backend_neutral_api():
                 imports.append(path.name)
     assert private == []
     assert imports == ["exact.py"]
+
+
+def test_pipeline_builds_no_rational_hreps():
+    # every LP and every weight region of vlp.py is written as int rows
+    # from the problem's int data: no HRep.of, and no argmin_face, which
+    # builds one
+    tree = ast.parse((PACKAGE_DIR / "vlp.py").read_text(encoding="utf-8"))
+    calls = [
+        f"vlp.py:{node.lineno} {name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for name in [ast.unparse(node.func)]
+        if name == "HRep.of" or name.split(".")[-1] == "argmin_face"
+    ]
+    assert calls == []

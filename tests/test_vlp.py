@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from gpolyvlp.instances import (
     triangle_problem,
 )
 from gpolyvlp.lp import LPStatus, argmin_face, solve_lp
-from gpolyvlp.polyhedron import FaceLimitError, HRep, faces, h_to_v, vrep_contains
+from gpolyvlp.polyhedron import FaceLimitError, HRep, VRep, faces, h_to_v, vrep_contains
 from gpolyvlp.vlp import (
     InfeasiblePointError,
     InternalInvariantError,
@@ -268,6 +269,41 @@ def test_empty_weight_region_with_zero_slack_is_an_invariant_failure(witness, mo
     monkeypatch.setattr(vlp, "_max_slack", lambda P, u, weak: rat(0))
     with pytest.raises(InternalInvariantError, match="no dual weight"):
         witness(P, V(1, 1))
+
+
+def unbounded_quadrant():
+    """min_K -x over the quadrant x >= 0, K the first quadrant: every weight
+    in ri(K*) is unbounded below on D."""
+    D = HRep.of(2, ineqs=[([-1, 0], 0), ([0, -1], 0)])
+    return VLPProblem(Matrix.of([[-1, 0], [0, -1]]), D, first_quadrant())
+
+
+# (problem, u, weight in ri(K*) that does not put u in the argmin over D)
+ARGMIN_MISSES = {
+    "argmin-elsewhere": (triangle_problem, V(0, 1), V(1, 3)),
+    "unbounded-below": (unbounded_quadrant, V(0, 0), V(1, 1)),
+    "edge-point": (triangle_problem, V("1/2", "1/2"), V(1, 3)),
+    "interior-point": (triangle_problem, V("2/3", "2/3"), V(1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGMIN_MISSES))
+def test_argmin_recheck_rejects_a_weight_that_misses_u(case, monkeypatch):
+    make, u, ystar = ARGMIN_MISSES[case]
+    P = make()
+    with pytest.raises(InternalInvariantError, match="label does not scalarize"):
+        vlp._verify_argmin(P, ystar, u, "label")
+    monkeypatch.setattr(vlp, "_point_weight", lambda P, u, weak: ystar)
+    with pytest.raises(InternalInvariantError, match="witness does not scalarize"):
+        scalarize_witness(P, u)
+
+
+def test_argmin_recheck_accepts_a_weight_that_scalarizes_u():
+    P = triangle_problem()
+    for u in (V(0, 1), V("1/2", "1/2"), V(1, 0)):
+        vlp._verify_argmin(P, V(1, 1), u, "witness")
+    vlp._verify_argmin(P, V(1, 3), V(1, 0), "witness")
+    vlp._verify_argmin(P, V(0, 0), V("2/3", "2/3"), "witness")
 
 
 def test_connect_converts_the_feasible_set_once(monkeypatch):
@@ -642,25 +678,29 @@ def test_int_weight_regions_scale_the_rational_rows():
     assert checked == 2322
 
 
-def reference_max_slack(P, u, weak):
-    """The slack program of the efficiency tests as an HRep in the unshifted
-    variables (x, s): x in D, <n_j, M u - M x> <= -s_j."""
+def slack_program_value(P, u, weak, tangent):
+    """The slack program of the efficiency tests as a rational HRep in
+    (d, s), d = x - u: d in D - u, or in the tangent cone T_D(u) when
+    tangent (D's equalities and the inequalities tight at u, right-hand
+    sides 0), with <n_j, -M d> <= -s_j and 0 <= s_j <= 1."""
     n = P.feasible_set.dim
     k = 1 if weak else len(P.cone.normals)
     M = P.objective
-    Mu = M.matvec(u)
 
     def row(x, s):
         return Vector(x.coords + s.coords)
 
     zero_x, zero_s = Vector.zero(n), Vector.zero(k)
-    eqs = [(row(a, zero_s), b) for a, b in P.feasible_set.eq_rows()]
-    ineqs = [(row(a, zero_s), b) for a, b in P.feasible_set.ineq_rows()]
+    eqs = [(row(a, zero_s), rat(0)) for a, b in P.feasible_set.eq_rows()]
+    ineqs = [
+        (row(a, zero_s), b - a.dot(u))
+        for a, b in P.feasible_set.ineq_rows()
+        if not tangent or a.dot(u) == b
+    ]
     for j, nrm in enumerate(P.cone.normals):
-        ineqs.append((row(-M.tmatvec(nrm), Vector.unit(k, 0 if weak else j)), -nrm.dot(Mu)))
+        ineqs.append((row(-M.tmatvec(nrm), Vector.unit(k, 0 if weak else j)), rat(0)))
     for j in range(k):
-        if not weak:
-            ineqs.append((row(zero_x, -Vector.unit(k, j)), rat(0)))
+        ineqs.append((row(zero_x, -Vector.unit(k, j)), rat(0)))
         ineqs.append((row(zero_x, Vector.unit(k, j)), rat(1)))
     out = lp._solve(HRep.of(n + k, eqs, ineqs), row(zero_x, Vector.of([-1] * k)))
     assert out.status is LPStatus.OPTIMAL
@@ -668,10 +708,64 @@ def reference_max_slack(P, u, weak):
 
 
 def test_int_slack_program_matches_the_hrep_program():
+    # the int program is the tangent-cone program, value for value; the
+    # program over all of D is the oracle for the verdict, which reads only
+    # whether the value is zero
     checked = 0
     for P in SET_CORPUS:
         for u in P.feasible_vrep.points:
             for weak in (False, True):
-                assert vlp._max_slack(P, u, weak) == reference_max_slack(P, u, weak)
+                got = vlp._max_slack(P, u, weak)
+                assert got == slack_program_value(P, u, weak, tangent=True)
+                assert (got == 0) == (slack_program_value(P, u, weak, tangent=False) == 0)
                 checked += 1
     assert checked == 856
+
+
+def test_tangent_slack_program_agrees_with_d_off_the_vertices():
+    # a relative interior point of every face of D; 733 of the 1161 faces
+    # are more than a vertex, so their point is no vertex of D
+    checked = interior = 0
+    for P in SET_CORPUS:
+        geom = P.feasible_vrep
+        if geom.is_empty:
+            continue
+        for active, G in polyhedron._face_lattice(P.feasible_set, geom, None):
+            F = polyhedron._face(geom, active, G).geometry
+            u = vlp._relative_interior_point(F)
+            interior += u not in geom.points
+            for weak in (False, True):
+                got = vlp._max_slack(P, u, weak)
+                assert (got == 0) == (slack_program_value(P, u, weak, tangent=False) == 0)
+                checked += 1
+    assert (checked, interior) == (2322, 733)
+
+
+def test_int_dd_entry_matches_h_to_v_on_witness_regions():
+    # the witness regions go to the double description as int rows; the
+    # rational route through HRep.of gives the same generator form, and so
+    # does D itself
+    regions, shapes = 0, Counter()
+    for P in SET_CORPUS:
+        geom = P.feasible_vrep
+        D = P.feasible_set
+        assert polyhedron._h_to_v_rows(D.dim, *P._d_rows) == geom
+        shapes["D with lineality"] += bool(geom.lineality)
+        for u in geom.points:
+            F = VRep(D.dim, (u,), (), geom.lineality)
+            for weak in (False, True):
+                region = vlp._face_region(P, F, weak)
+                dim, eqs, ineqs = region
+                want = h_to_v(
+                    HRep.of(
+                        dim,
+                        [(a[:-1], a[-1]) for a, _ in eqs],
+                        [(a[:-1], a[-1]) for a, _ in ineqs],
+                    )
+                )
+                assert polyhedron._h_to_v_rows(*region) == want
+                shapes["region with lineality"] += bool(want.lineality)
+                shapes["empty region"] += want.is_empty
+                regions += 1
+    assert regions == 856
+    assert shapes == {"D with lineality": 43, "region with lineality": 38, "empty region": 329}
