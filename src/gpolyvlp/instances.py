@@ -26,6 +26,7 @@ __all__ = [
     "random_cone",
     "random_feasible_hrep",
     "random_problem",
+    "random_cut_box",
 ]
 
 
@@ -138,3 +139,34 @@ def random_problem(
     D = random_feasible_hrep(rng, n, config.max_ineqs, config.max_eqs, config.coeff_bound)
     K = random_cone(rng, q, config.max_normals, 2, allow_subspace)
     return VLPProblem(M, D, K)
+
+
+def random_cut_box(rng: random.Random) -> VLPProblem:
+    """A problem whose solution sets often have several maximal faces.
+
+    D is the unit cube in R^3, or the slab that leaves its last coordinate
+    free, cut by 0-2 random rows slackened by 0 or 1/2 around the center of
+    the cube, which therefore stays feasible.  M is an integer q x 3 matrix
+    with q = 2..3, and K is the orthant with normals -e_i or a random cone
+    with two or three normals that is not a subspace.  A cone with one
+    normal is left out: its weights are the multiples of one vector, whose
+    argmin is a single face.
+    """
+    n = 3
+    center = Vector.of([rat(1, 2)] * n)
+    ineqs = []
+    for i in range(n - rng.randint(0, 1)):
+        e = Vector.unit(n, i)
+        ineqs += [(-e, 0), (e, 1)]
+    for _ in range(rng.randint(0, 2)):
+        a = _nonzero_vector(rng, n, 2)
+        ineqs.append((a, a.dot(center) + rat(rng.randint(0, 1), 2)))
+    q = rng.randint(2, 3)
+    M = Matrix.of([[rng.randint(-2, 2) for _ in range(n)] for _ in range(q)], cols=n)
+    if rng.randint(0, 1):
+        K = ConeH(q, tuple(-Vector.unit(q, i) for i in range(q)))
+    else:
+        K = random_cone(rng, q, allow_subspace=False)
+        while len(K.normals) < 2:
+            K = random_cone(rng, q, allow_subspace=False)
+    return VLPProblem(M, HRep.of(n, ineqs=ineqs), K)

@@ -37,12 +37,15 @@ normals (_weak_image_rows).  Membership in D is tested on the same
 ints.  Each int row carries its factor over the rational row it stands for,
 so the simplex sees the program the rational formula describes.
 
-A weight that scalarizes a face scalarizes every face of it, so a face that
-contains a failing face fails too.  The set routines read the face lattice
-off the one DD of D, test faces smallest first, and skip every face that
-contains a failing one; the weight-space images of the generators of D are
-computed once per set call, as int vectors over one common denominator,
-and a face picks its generators by index from its lattice mask.
+The set routines solve no LP per face.  By geometric duality (Heyde &
+Loehne, SIAM J. Optim. 2008), taken here over the ri(K*) weights of a
+non-pointed K, the argmin faces of all admissible weights at once are read
+off one DD of the lifted weight polyhedron W of pairs (y, t) with y
+admissible and t <= y.M x on D: each point of W is tight on exactly the
+generators of its argmin face.  The maximal tight masks are the maximal
+faces of the set, looked up in the face lattice read off the one DD of D.
+The weight-space images of D's generators are computed once per set call,
+as int vectors over one common denominator.
 """
 
 from __future__ import annotations
@@ -500,57 +503,73 @@ def _whole_set_face(P: VLPProblem) -> Face:
     return Face(active_set(P.feasible_set, geom), geom)
 
 
-def _scalarizable(region: tuple) -> bool:
-    """Whether the weight region (dim, eqs, ineqs) of _weight_region holds
-    a weight."""
-    dim, eqs, ineqs = region
-    return _solve_rows(dim, eqs, ineqs, Vector.zero(dim)).status is LPStatus.OPTIMAL
-
-
 def face_scalarizable(P: VLPProblem, face: Face, weak: bool) -> bool:
     """Whether some admissible dual weight scalarizes the whole face into the
     argmin over D.  Strict efficiency draws weights from the relative
     interior of K*; weak efficiency from K* \\ {0} via a normalized conic
     combination of the dual generators.  One feasibility LP over the weight
-    region.  A weight that passes a face passes every face of it, so a face
-    that contains a failing face fails too; the set routines rely on this."""
-    return _scalarizable(_face_region(P, face.geometry, weak))
+    region of the face.  The set routines do not call it: it serves the
+    independent oracles of crosscheck, above all the all-faces oracle
+    solution_set_via_all_faces, which runs it on every face."""
+    dim, eqs, ineqs = _face_region(P, face.geometry, weak)
+    return _solve_rows(dim, eqs, ineqs, Vector.zero(dim)).status is LPStatus.OPTIMAL
 
 
 def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -> tuple:
-    """The maximal faces of a nonempty D that pass the face test, in faces()
-    order.
+    """The maximal faces of a nonempty D that some admissible weight puts in
+    the argmin over D, in faces() order, from one DD of the lifted weight
+    polyhedron of geometric duality (Heyde & Loehne, SIAM J. Optim. 2008)
 
-    The lattice is read off P.feasible_vrep, with no second DD, and built
-    whole before any test, so max_faces counts every face.  Faces are tested
-    smallest first (largest tag first; a proper subface has a strictly
-    larger tag), and a face whose tag lies inside the tag of a failed face
-    contains that face, so it fails untested.  A face's generators are the
-    bits of its lattice mask, which index the images of one weight space.
+        W = {(y, t) : y admissible, t <= y.M p for every point p of D,
+             y.M r >= 0 for every ray r of D, y.M l = 0 on lin(D)}.
+
+    A point (y, t) of W's VRep has t = min y.M x over D, so the point rows
+    tight on it are the points of its argmin face and the tight ray rows
+    are that face's rays: its tight mask is the face's lattice mask.  Every
+    argmin face of a weight is scalarizable.  For a maximal scalarizable
+    face F, the points of W tight on all of F form a nonempty face of W; a
+    minimal face inside it is a VRep point (W's lineality is tight on every
+    row), whose argmin face contains F and so is F.  So the maximal tight
+    masks are exactly the maximal faces.
+
+    The lattice is read off P.feasible_vrep and built whole before W, so
+    max_faces counts every face.  A tight mask that is no lattice face, or a
+    returned face whose weight the cone rejects, raises
+    InternalInvariantError.
     """
     geom = P.feasible_vrep
     lattice = _face_lattice(P.feasible_set, geom, max_faces)
     W = _weight_space(P, weak, geom.lineality)
-    n_pts, n_gens = W.n_points, W.n_points + W.n_rays
-    lineality = list(range(n_gens, len(W.images)))
-    tags = [sum(1 << i for i in active) for active, _ in lattice]
-    failed = []
-    passed = set()
-    for k in sorted(range(len(lattice)), key=lambda k: -len(lattice[k][0])):
-        if any(tags[k] & ~bad == 0 for bad in failed):
+    img, den, dim = W.images, W.den, W.dim
+    points, rays = range(W.n_points), range(W.n_points, W.n_points + W.n_rays)
+    # the lifted polyhedron's rows in (y, t): an admissibility row [a | b]
+    # of the weight space gets a 0 for t
+    eqs = [(a[:dim] + [0, a[dim]], s) for a, s in W.eqs]
+    eqs += [(img[l] + [0, 0], den) for l in range(rays.stop, len(img))]
+    ineqs = [(a[:dim] + [0, a[dim]], s) for a, s in W.ineqs]
+    ineqs += [([-x for x in img[p]] + [den, 0], den) for p in points]
+    ineqs += [([-x for x in img[r]] + [0, 0], den) for r in rays]
+    weights = {}  # tight mask -> the first W point with it
+    for v in _h_to_v_rows(dim + 1, eqs, ineqs).points:
+        *Y, T = _integers(v.coords)[0]
+        mask = sum(1 << p for p in points if _dot(img[p], Y) == T * den)
+        mask += sum(1 << r for r in rays if not _dot(img[r], Y))
+        weights.setdefault(mask, v)
+    index = {G: k for k, (_, G) in enumerate(lattice)}
+    if any(m not in index for m in weights):
+        raise InternalInvariantError("a weight's argmin face is missing from the face lattice")
+    dec = P.decomposition
+    found = []
+    for m, v in weights.items():
+        if any(o != m and o & m == m for o in weights):
             continue
-        G = lattice[k][1]
-        points = [i for i in range(n_pts) if G >> i & 1]
-        dirs = [i for i in range(n_pts, n_gens) if G >> i & 1] + lineality
-        if _scalarizable(_weight_region(W, points, dirs)):
-            passed.add(tags[k])
-        else:
-            failed.append(tags[k])
-    return tuple(
-        _face(geom, active, G)
-        for (active, G), tag in zip(lattice, tags)
-        if tag in passed and not any(g != tag and g & ~tag == 0 for g in passed)
-    )
+        y = Vector(v.coords[:dim])
+        if weak:  # y* = sum lambda_j g_j over the dual generators
+            y = Matrix.from_rows(dec.dual_generators, P.cone.dim).tmatvec(y)
+        if y.is_zero() if weak else not dec.ri_dual_contains(y):
+            raise InternalInvariantError("a set weight left the admissible dual weights")
+        found.append(index[m])
+    return tuple(_face(geom, *lattice[k]) for k in sorted(found))
 
 
 def efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> EfficientSet:
@@ -558,10 +577,11 @@ def efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> EfficientSe
 
     A face belongs to the efficient set exactly when some weight in the
     relative interior of K* scalarizes all of it into the argmin over D; the
-    union of such faces is the whole efficient set.  Faces are tested
-    smallest first, and a face containing a failing face is skipped, since
-    it fails too; the answer is the same as testing every face.  max_faces
-    caps the face lattice, which is enumerated whole (FaceLimitError).
+    union of such faces is the whole efficient set.  The maximal ones are
+    read off one DD of the lifted weight polyhedron (geometric duality,
+    Heyde & Loehne 2008; see _maximal_scalarizable), with no LP per face;
+    the answer is the same as testing every face.  max_faces caps the face
+    lattice, which is enumerated whole (FaceLimitError).
     When K is a subspace the efficient set is all of D, returned as the
     single improper face.  An infeasible D yields no faces.
     """
@@ -579,10 +599,11 @@ def weakly_efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> Effi
     """The weakly efficient set of P as a tuple of maximal faces of D.
 
     Weights come from K* \\ {0}, normalized as convex combinations of the
-    dual generators; faces are tested as in efficient_set, smallest first
-    and never a superset of a failing face.  When the interior of K is empty
-    every feasible point is weakly efficient and all of D is returned as the
-    single improper face.
+    dual generators, and the maximal faces are read off one DD of the
+    lifted weight polyhedron as in efficient_set (geometric duality, Heyde
+    & Loehne 2008).  When the interior of K is empty every feasible point
+    is weakly efficient and all of D is returned as the single improper
+    face.
     """
     sub = P.decomposition.is_subspace
     eint = P.cone_interior_empty

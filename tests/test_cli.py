@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import copy
+import dataclasses
 import io
 import json
 import subprocess
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from gpolyvlp import cli, vlp
 from gpolyvlp.cli import main
+from gpolyvlp.cone import ConeDecomposition
 from gpolyvlp.polyhedron import InternalInvariantError
 from gpolyvlp.exact import format_rational, parse_rational
 
@@ -122,6 +124,43 @@ class TestSolve:
         code, out, err = run(capsys, "solve", "--problem", triangle_file)
         assert code == 4 and out == ""
         assert "face" in err
+
+    @pytest.mark.parametrize("kind", ["efficient", "weak"])
+    def test_argmin_face_missing_from_the_lattice_exits_3(
+        self, kind, triangle_file, capsys, monkeypatch
+    ):
+        # both sets of the triangle are its edge with tag (0,); without that
+        # face in the lattice, the tight mask of its weight matches nothing
+        real = vlp._face_lattice
+
+        def dropped(P, geom, max_faces):
+            return [f for f in real(P, geom, max_faces) if f[0] != (0,)]
+
+        monkeypatch.setattr(vlp, "_face_lattice", dropped)
+        code, out, err = run(capsys, "solve", "--problem", triangle_file, "--kind", kind)
+        assert code == 3 and out == ""
+        assert err == "error: a weight's argmin face is missing from the face lattice\n"
+
+    @pytest.mark.parametrize("kind", ["efficient", "weak"])
+    def test_set_weight_rejected_by_the_cone_exits_3(
+        self, kind, triangle_file, capsys, monkeypatch
+    ):
+        # strict weights are re-checked by ri_dual_contains, weak ones by
+        # sum lambda_j g_j != 0 over the dual generators
+        if kind == "efficient":
+            monkeypatch.setattr(ConeDecomposition, "ri_dual_contains", lambda dec, y: False)
+        else:
+            real = vlp.decompose
+
+            def zero_generators(K):
+                dec = real(K)
+                zeros = tuple(g.scale(0) for g in dec.dual_generators)
+                return dataclasses.replace(dec, dual_generators=zeros)
+
+            monkeypatch.setattr(vlp, "decompose", zero_generators)
+        code, out, err = run(capsys, "solve", "--problem", triangle_file, "--kind", kind)
+        assert code == 3 and out == ""
+        assert err == "error: a set weight left the admissible dual weights\n"
 
     def test_bad_face_cap_is_a_usage_error(self, triangle_file, capsys, monkeypatch):
         # int() accepts all of these but "many", and "0" is not positive

@@ -24,6 +24,7 @@ from gpolyvlp.exact import Matrix, Vector, format_rational, rat, vec
 from gpolyvlp.instances import (
     InstanceConfig,
     first_quadrant,
+    random_cut_box,
     random_problem,
     square_constant_row_problem,
     triangle_problem,
@@ -573,44 +574,83 @@ def test_pruned_sets_match_all_faces_oracle():
     assert capped == 168
 
 
-def test_set_routines_run_one_dd_per_call(monkeypatch):
-    calls = []
-    real = polyhedron.h_to_v
+def count_set_work(monkeypatch):
+    """Count, per name, the DDs of D (h_to_v), the face lattices, the DDs of
+    the weight polyhedron W (vlp._h_to_v_rows) and the LPs (vlp._solve_rows)
+    that the set routines run."""
+    counts = Counter()
 
-    def counting(P):
-        calls.append(P)
-        return real(P)
+    def counting(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(polyhedron, "h_to_v", counting)
-    monkeypatch.setattr(vlp, "h_to_v", counting)
+        return wrapper
+
+    monkeypatch.setattr(polyhedron, "h_to_v", counting("D", polyhedron.h_to_v))
+    monkeypatch.setattr(vlp, "h_to_v", counting("D", vlp.h_to_v))
+    monkeypatch.setattr(vlp, "_face_lattice", counting("lattice", vlp._face_lattice))
+    monkeypatch.setattr(vlp, "_h_to_v_rows", counting("W", vlp._h_to_v_rows))
+    monkeypatch.setattr(vlp, "_solve_rows", counting("LP", vlp._solve_rows))
+    return counts
+
+
+def test_set_routines_run_one_dd_of_d_and_at_most_one_of_w(monkeypatch):
+    # a call that reaches the face lattice reads its answer off one DD of W;
+    # the early returns (empty D, subspace K, empty-interior K for weak sets,
+    # no normals) run none.  No set call runs an LP.
+    counts = count_set_work(monkeypatch)
+    reached = 0
     for P in SET_CORPUS[:50] + [orthant_cube(4)]:
         for routine in (efficient_set, weakly_efficient_set):
-            calls.clear()
+            counts.clear()
             routine(VLPProblem(P.objective, P.feasible_set, P.cone))
-            assert len(calls) == 1
+            assert counts["D"] == 1 and counts["LP"] == 0
+            assert counts["W"] == counts["lattice"] <= 1
+            reached += counts["W"]
+    assert reached == 67
 
 
 @pytest.mark.parametrize(
-    "routine, tests, tags",
+    "routine, tags",
     [
-        (efficient_set, 16, [(0, 1, 2, 3)]),
-        (weakly_efficient_set, 66, [(0,), (1,), (2,), (3,)]),
+        (efficient_set, [(0, 1, 2, 3)]),
+        (weakly_efficient_set, [(0,), (1,), (2,), (3,)]),
     ],
 )
-def test_orthant_cube_skips_faces_containing_a_failure(routine, tests, tags, monkeypatch):
-    # strict: the 16 vertices; every edge holds a failing vertex.  Weak: the
-    # 65 faces that miss the vertex (1,1,1,1), and that vertex itself
-    calls = []
-    real = vlp._solve_rows
-
-    def counting(dim, eqs, ineqs, c):
-        calls.append(dim)
-        return real(dim, eqs, ineqs, c)
-
-    monkeypatch.setattr(vlp, "_solve_rows", counting)
+def test_orthant_cube_sets_read_one_dd_of_w(routine, tags, monkeypatch):
+    # 81 faces, and no LP for any of them
+    counts = count_set_work(monkeypatch)
     E = routine(orthant_cube(4))
-    assert len(calls) == tests
+    assert counts == {"D": 1, "lattice": 1, "W": 1}
     assert [f.active_ineq for f in E.faces] == tags
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_large_orthant_cubes_are_pinned(n):
+    # 729 and 2,187 faces: the strict set is the origin vertex, the weak set
+    # the n facets through it
+    P = orthant_cube(n)
+    (origin,) = efficient_set(P).faces
+    assert origin.active_ineq == tuple(range(n))
+    assert origin.geometry.points == (Vector.zero(n),) and not origin.geometry.rays
+    assert [f.active_ineq for f in weakly_efficient_set(P).faces] == [(i,) for i in range(n)]
+
+
+def test_cut_box_sets_match_all_faces_oracle():
+    # at least a quarter of these calls must return more than one face, so
+    # the comparison cannot drift back to one-face answers
+    rng = random.Random(2017)
+    calls = multi = 0
+    for _ in range(30):
+        P = random_cut_box(rng)
+        assert not P.feasible_vrep.is_empty and not P.decomposition.is_subspace
+        for routine, weak in ((efficient_set, False), (weakly_efficient_set, True)):
+            E = routine(P)
+            assert E == solution_set_via_all_faces(P, weak)
+            calls += 1
+            multi += len(E.faces) > 1
+    assert 4 * multi >= calls
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +709,7 @@ def test_int_weight_regions_scale_the_rational_rows():
                 F = polyhedron._face(geom, active, G).geometry
                 want = reference_weight_region(P, F, weak)
                 assert_rows_scale(vlp._face_region(P, F, weak), want)
-                # the set routines' route: generators keyed by mask bit
+                # the same region with generators keyed by lattice mask bit
                 points = [i for i in range(n_pts) if G >> i & 1]
                 dirs = [i for i in range(n_pts, len(W.images)) if i >= n_gens or G >> i & 1]
                 got = vlp._weight_region(W, points, dirs)
