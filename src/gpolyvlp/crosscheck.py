@@ -149,7 +149,8 @@ def solution_set_via_all_faces(
     """
     kind = SetKind.WEAKLY_EFFICIENT if weak else SetKind.EFFICIENT
     sub = P.decomposition.is_subspace
-    eint = P.cone_interior_empty
+    # by the LP, so this oracle shares no interior test with the set routines
+    eint = not P.cone.has_nonempty_interior()
     if P.feasible_vrep.is_empty or (weak and not P.decomposition.dual_generators):
         return EfficientSet(P, kind, (), sub, eint)
     passing = [

@@ -538,9 +538,7 @@ def _h_to_v_rows(d: int, eqs: Sequence, ineqs: Sequence) -> VRep:
     scaled to a +-1 leading coordinate, and the lineality basis is the
     reduced echelon form of the integer one.
     """
-    eq_lift = [e[:d] + [-e[d]] for e, _ in eqs]
-    ineq_lift = [[0] * d + [-1]] + [a[:d] + [-a[d]] for a, _ in ineqs]
-    lin, rays = _dd(d + 1, eq_lift, ineq_lift)
+    lin, rays = _homogenized_dd(d, eqs, ineqs)
     if not any(r[-1] > 0 for r in rays):
         return VRep.empty(d)
     if any(l[-1] for l in lin):
@@ -557,6 +555,17 @@ def _h_to_v_rows(d: int, eqs: Sequence, ineqs: Sequence) -> VRep:
     free_rays.sort(key=lambda r: r.coords)
     lineality = [Vector(l.coords[:-1]) for l in _rref_basis(lin)]
     return VRep(d, tuple(points), tuple(free_rays), tuple(lineality))
+
+
+def _homogenized_dd(d: int, eqs: Sequence, ineqs: Sequence) -> tuple:
+    """_dd of the homogenization of {x : a.x = b for eqs, a.x <= b for
+    ineqs}, int rows as _h_to_v_rows takes them: the cone of (x, t) with
+    rows [a | -b] and -t <= 0.  Returns (lineality, rays) as _dd does; a
+    ray r with r[-1] > 0 stands for the point r[:-1] / r[-1] modulo the
+    lineality, one with r[-1] == 0 for a ray of the set."""
+    eq_lift = [e[:d] + [-e[d]] for e, _ in eqs]
+    ineq_lift = [[0] * d + [-1]] + [a[:d] + [-a[d]] for a, _ in ineqs]
+    return _dd(d + 1, eq_lift, ineq_lift)
 
 
 def v_to_h(V: VRep) -> HRep:
@@ -708,28 +717,13 @@ def _face_lattice(P: HRep, geom: VRep, max_faces: Optional[int]) -> list:
     The whole lattice is built before anything is returned, so max_faces
     counts every face whatever the caller does with them.
     """
-    n_pts = len(geom.points)
-    # homogenized int generators (g, h): a point p is (L p, L) and a ray r
-    # is (L r, 0), so row (a, b) scaled to ints is tight on it iff a.g == b h
-    gens = []
-    for k, v in enumerate(geom.points + geom.rays):
-        ints, L = _integers(v.coords)
-        gens.append((ints, L if k < n_pts else 0))
-    tight = []  # tight[i] bit k: row i is tight on gens[k]
-    for row, rhs in P.ineq_rows():
-        ints, _ = _integers(row.coords + (rhs,))
-        a, b = ints[:-1], ints[-1]
-        mask = 0
-        for k, (g, h) in enumerate(gens):
-            if _dot(a, g) == b * h:
-                mask |= 1 << k
-        tight.append(mask)
+    tight = _incidence(P, geom)
 
     def tag(G: int) -> tuple:
         return tuple(i for i, t in enumerate(tight) if t & G == G)
 
-    everything = (1 << len(gens)) - 1
-    point_bits = (1 << n_pts) - 1
+    everything = (1 << (len(geom.points) + len(geom.rays))) - 1
+    point_bits = (1 << len(geom.points)) - 1
     found = {tag(everything): everything}
     frontier = list(found)
     while frontier:
@@ -752,6 +746,33 @@ def _face_lattice(P: HRep, geom: VRep, max_faces: Optional[int]) -> list:
         frontier = nxt
 
     return sorted(found.items())
+
+
+def _incidence(P: HRep, geom: VRep) -> list:
+    """The row/generator incidence of P and geom = h_to_v(P): one mask per
+    inequality row of P, bit k set when the row is tight on geom.points[k]
+    and bit len(geom.points) + k when it is tight on geom.rays[k].
+
+    A face of P is a mask G that holds a point and equals the AND of the
+    masks of its tag, the rows whose mask contains G (all generators when
+    no row does)."""
+    n_pts = len(geom.points)
+    # homogenized int generators (g, h): a point p is (L p, L) and a ray r
+    # is (L r, 0), so row (a, b) scaled to ints is tight on it iff a.g == b h
+    gens = []
+    for k, v in enumerate(geom.points + geom.rays):
+        ints, L = _integers(v.coords)
+        gens.append((ints, L if k < n_pts else 0))
+    tight = []
+    for row, rhs in P.ineq_rows():
+        ints, _ = _integers(row.coords + (rhs,))
+        a, b = ints[:-1], ints[-1]
+        mask = 0
+        for k, (g, h) in enumerate(gens):
+            if _dot(a, g) == b * h:
+                mask |= 1 << k
+        tight.append(mask)
+    return tight
 
 
 def _face(geom: VRep, active: tuple, G: int) -> Face:

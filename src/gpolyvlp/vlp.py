@@ -43,9 +43,12 @@ non-pointed K, the argmin faces of all admissible weights at once are read
 off one DD of the lifted weight polyhedron W of pairs (y, t) with y
 admissible and t <= y.M x on D: each point of W is tight on exactly the
 generators of its argmin face.  The maximal tight masks are the maximal
-faces of the set, looked up in the face lattice read off the one DD of D.
-The weight-space images of D's generators are computed once per set call,
-as int vectors over one common denominator.
+faces of the set.  Each is tagged, and checked to be a face, from D's
+row/generator incidence, read once per problem off the one DD of D; no
+face lattice is walked unless a cap on it is asked for.  W's points stay
+the int rays of its homogenized cone, and the weight-space images of D's
+generators are computed once per set call, as int vectors over one common
+denominator.
 """
 
 from __future__ import annotations
@@ -64,11 +67,13 @@ from .polyhedron import (
     InternalInvariantError,
     VRep,
     _dot,
+    _echelon_int,
     _face,
     _face_lattice,
     _h_to_v_rows,
+    _homogenized_dd,
+    _incidence,
     _scaled_rows,
-    active_set,
     h_to_v,
     map_polyhedron,
 )
@@ -172,8 +177,24 @@ class VLPProblem:
         return _int_rows([(-M.tmatvec(n)).coords for n in self.cone.normals])
 
     @cached_property
+    def _tight_masks(self) -> list:
+        """polyhedron._incidence of D and feasible_vrep, one generator mask
+        per inequality row of D, shared by the strict and weak set calls."""
+        return _incidence(self.feasible_set, self.feasible_vrep)
+
+    @cached_property
     def cone_interior_empty(self) -> bool:
-        return not self.cone.has_nonempty_interior()
+        """Whether K has empty topological interior, read off the
+        decomposition.  K = Y0 + cone(k1 rays) with the rays in Y1, the
+        orthogonal complement of Y0, so the span of K is Y0 plus the span
+        of the rays and their dimensions add.  A convex cone has interior
+        points exactly when it spans R^q, so the interior is empty exactly
+        when len(y0_basis) + rank(k1 rays) < q; one integer echelon pass
+        gives the rank.  A cone with no normals has Y0 = R^q.
+        ConeH.has_nonempty_interior decides the same by an LP."""
+        dec = self.decomposition
+        rays = [_integers(r.coords)[0] for r in dec.k1_rays]
+        return len(dec.y0_basis) + len(_echelon_int(rays)) < self.cone.dim
 
     def project_to_y1(self, y: Vector) -> Vector:
         """The unique component of y lying in Y1 along the lineality of K."""
@@ -499,8 +520,11 @@ def weak_witness(P: VLPProblem, u: Vector) -> Vector:
 
 
 def _whole_set_face(P: VLPProblem) -> Face:
+    """D as its own improper face, tagged by the rows tight on every
+    generator of D."""
     geom = P.feasible_vrep
-    return Face(active_set(P.feasible_set, geom), geom)
+    everything = (1 << (len(geom.points) + len(geom.rays))) - 1
+    return Face(tuple(i for i, t in enumerate(P._tight_masks) if t == everything), geom)
 
 
 def face_scalarizable(P: VLPProblem, face: Face, weak: bool) -> bool:
@@ -525,20 +549,28 @@ def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -
 
     A point (y, t) of W's VRep has t = min y.M x over D, so the point rows
     tight on it are the points of its argmin face and the tight ray rows
-    are that face's rays: its tight mask is the face's lattice mask.  Every
-    argmin face of a weight is scalarizable.  For a maximal scalarizable
-    face F, the points of W tight on all of F form a nonempty face of W; a
-    minimal face inside it is a VRep point (W's lineality is tight on every
-    row), whose argmin face contains F and so is F.  So the maximal tight
-    masks are exactly the maximal faces.
+    are that face's rays: its tight mask is the face's generator mask.
+    Every argmin face of a weight is scalarizable.  For a maximal
+    scalarizable face F, the points of W tight on all of F form a nonempty
+    face of W; a minimal face inside it is a VRep point (W's lineality is
+    tight on every row), whose argmin face contains F and so is F.  So the
+    maximal tight masks are exactly the maximal faces.
 
-    The lattice is read off P.feasible_vrep and built whole before W, so
-    max_faces counts every face.  A tight mask that is no lattice face, or a
-    returned face whose weight the cone rejects, raises
-    InternalInvariantError.
+    W's points are the int rays (Y, T, h) with h > 0 of its homogenized
+    cone, straight from the DD; every row of W vanishes on W's lineality,
+    so they give the same tight masks as the projected points (Y, T) / h.
+    A mask's tag is the set of D's rows whose incidence mask contains it
+    (P._tight_masks), and sorting by tag is faces() order.  A mask that is
+    not the AND of its tag's masks (all generators for an empty tag), or
+    that holds no point, is no face of D; that, and a returned face whose
+    weight the cone rejects, raises InternalInvariantError.
+
+    The face lattice is walked only when max_faces is given, and then whole
+    and before W, as the count behind FaceLimitError.
     """
     geom = P.feasible_vrep
-    lattice = _face_lattice(P.feasible_set, geom, max_faces)
+    if max_faces is not None:
+        _face_lattice(P.feasible_set, geom, max_faces)
     W = _weight_space(P, weak, geom.lineality)
     img, den, dim = W.images, W.den, W.dim
     points, rays = range(W.n_points), range(W.n_points, W.n_points + W.n_rays)
@@ -549,27 +581,34 @@ def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -
     ineqs = [(a[:dim] + [0, a[dim]], s) for a, s in W.ineqs]
     ineqs += [([-x for x in img[p]] + [den, 0], den) for p in points]
     ineqs += [([-x for x in img[r]] + [0, 0], den) for r in rays]
-    weights = {}  # tight mask -> the first W point with it
-    for v in _h_to_v_rows(dim + 1, eqs, ineqs).points:
-        *Y, T = _integers(v.coords)[0]
+    weights = {}  # tight mask -> the first W point (Y, T, h) with it
+    for v in _homogenized_dd(dim + 1, eqs, ineqs)[1]:
+        if v[-1] <= 0:
+            continue  # a ray of W
+        Y, T = v[:dim], v[dim]
         mask = sum(1 << p for p in points if _dot(img[p], Y) == T * den)
         mask += sum(1 << r for r in rays if not _dot(img[r], Y))
         weights.setdefault(mask, v)
-    index = {G: k for k, (_, G) in enumerate(lattice)}
-    if any(m not in index for m in weights):
-        raise InternalInvariantError("a weight's argmin face is missing from the face lattice")
+    tight = P._tight_masks
+    everything = (1 << rays.stop) - 1
     dec = P.decomposition
     found = []
     for m, v in weights.items():
         if any(o != m and o & m == m for o in weights):
             continue
-        y = Vector(v.coords[:dim])
+        tag = tuple(i for i, t in enumerate(tight) if t & m == m)
+        closure = everything
+        for i in tag:
+            closure &= tight[i]
+        if closure != m or not m & ((1 << W.n_points) - 1):
+            raise InternalInvariantError("a weight's argmin face is missing from the face lattice")
+        y = Vector(tuple([Rational(x, v[-1]) for x in v[:dim]]))
         if weak:  # y* = sum lambda_j g_j over the dual generators
             y = Matrix.from_rows(dec.dual_generators, P.cone.dim).tmatvec(y)
         if y.is_zero() if weak else not dec.ri_dual_contains(y):
             raise InternalInvariantError("a set weight left the admissible dual weights")
-        found.append(index[m])
-    return tuple(_face(geom, *lattice[k]) for k in sorted(found))
+        found.append((tag, m))
+    return tuple(_face(geom, tag, m) for tag, m in sorted(found))
 
 
 def efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> EfficientSet:
@@ -580,8 +619,9 @@ def efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> EfficientSe
     union of such faces is the whole efficient set.  The maximal ones are
     read off one DD of the lifted weight polyhedron (geometric duality,
     Heyde & Loehne 2008; see _maximal_scalarizable), with no LP per face;
-    the answer is the same as testing every face.  max_faces caps the face
-    lattice, which is enumerated whole (FaceLimitError).
+    the answer is the same as testing every face.  max_faces caps the
+    number of faces of D (FaceLimitError): when it is given, the whole face
+    lattice is enumerated to count them, and otherwise no lattice is built.
     When K is a subspace the efficient set is all of D, returned as the
     single improper face.  An infeasible D yields no faces.
     """

@@ -129,14 +129,18 @@ class TestSolve:
     def test_argmin_face_missing_from_the_lattice_exits_3(
         self, kind, triangle_file, capsys, monkeypatch
     ):
-        # both sets of the triangle are its edge with tag (0,); without that
-        # face in the lattice, the tight mask of its weight matches nothing
-        real = vlp._face_lattice
+        # both sets of the triangle are its edge with tag (0,), the points
+        # (0, 1) and (1, 0), bits 0 and 1 of D's incidence.  With row 0 no
+        # longer tight on (0, 1), no row's mask contains the edge's mask, so
+        # the tight mask of its weight is no face of D
+        real = vlp._incidence
 
-        def dropped(P, geom, max_faces):
-            return [f for f in real(P, geom, max_faces) if f[0] != (0,)]
+        def corrupted(D, geom):
+            tight = real(D, geom)
+            tight[0] &= ~1
+            return tight
 
-        monkeypatch.setattr(vlp, "_face_lattice", dropped)
+        monkeypatch.setattr(vlp, "_incidence", corrupted)
         code, out, err = run(capsys, "solve", "--problem", triangle_file, "--kind", kind)
         assert code == 3 and out == ""
         assert err == "error: a weight's argmin face is missing from the face lattice\n"

@@ -54,3 +54,20 @@ def test_pipeline_builds_no_rational_hreps():
         if name == "HRep.of" or name.split(".")[-1] == "argmin_face"
     ]
     assert calls == []
+
+
+def _calls_named(source: str, name: str) -> list:
+    tree = ast.parse((PACKAGE_DIR / source).read_text(encoding="utf-8"))
+    return [
+        f"{source}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name
+    ]
+
+
+def test_interior_oracle_stays_independent_of_the_rank_test():
+    # the set routines decide an empty interior by the rank of the cone
+    # decomposition; the all-faces oracle keeps the phase-one LP, so the
+    # two routes share no interior test
+    assert _calls_named("vlp.py", "has_nonempty_interior") == []
+    assert _calls_named("crosscheck.py", "has_nonempty_interior") != []

@@ -576,8 +576,9 @@ def test_pruned_sets_match_all_faces_oracle():
 
 def count_set_work(monkeypatch):
     """Count, per name, the DDs of D (h_to_v), the face lattices, the DDs of
-    the weight polyhedron W (vlp._h_to_v_rows) and the LPs (vlp._solve_rows)
-    that the set routines run."""
+    the weight polyhedron W (vlp._homogenized_dd) and the LPs that the set
+    routines run.  LPs are counted at lp._optimize_rows, which every LP
+    runs, the phase-one test of ConeH.has_nonempty_interior included."""
     counts = Counter()
 
     def counting(name, real):
@@ -590,25 +591,28 @@ def count_set_work(monkeypatch):
     monkeypatch.setattr(polyhedron, "h_to_v", counting("D", polyhedron.h_to_v))
     monkeypatch.setattr(vlp, "h_to_v", counting("D", vlp.h_to_v))
     monkeypatch.setattr(vlp, "_face_lattice", counting("lattice", vlp._face_lattice))
-    monkeypatch.setattr(vlp, "_h_to_v_rows", counting("W", vlp._h_to_v_rows))
-    monkeypatch.setattr(vlp, "_solve_rows", counting("LP", vlp._solve_rows))
+    monkeypatch.setattr(vlp, "_homogenized_dd", counting("W", vlp._homogenized_dd))
+    monkeypatch.setattr(lp, "_optimize_rows", counting("LP", lp._optimize_rows))
     return counts
 
 
 def test_set_routines_run_one_dd_of_d_and_at_most_one_of_w(monkeypatch):
-    # a call that reaches the face lattice reads its answer off one DD of W;
-    # the early returns (empty D, subspace K, empty-interior K for weak sets,
-    # no normals) run none.  No set call runs an LP.
+    # a call that gets past the early returns (empty D, subspace K,
+    # empty-interior K for weak sets, no normals) reads its answer off one
+    # DD of W, and walks D's face lattice only to count it against a cap.
+    # No set call runs an LP, the interior test included.
     counts = count_set_work(monkeypatch)
     reached = 0
     for P in SET_CORPUS[:50] + [orthant_cube(4)]:
         for routine in (efficient_set, weakly_efficient_set):
-            counts.clear()
-            routine(VLPProblem(P.objective, P.feasible_set, P.cone))
-            assert counts["D"] == 1 and counts["LP"] == 0
-            assert counts["W"] == counts["lattice"] <= 1
-            reached += counts["W"]
-    assert reached == 67
+            for cap in (None, 4096):
+                counts.clear()
+                routine(VLPProblem(P.objective, P.feasible_set, P.cone), max_faces=cap)
+                assert counts["D"] == 1 and counts["LP"] == 0
+                assert counts["W"] <= 1
+                assert counts["lattice"] == (0 if cap is None else counts["W"])
+                reached += counts["W"]
+    assert reached == 2 * 67
 
 
 @pytest.mark.parametrize(
@@ -619,11 +623,15 @@ def test_set_routines_run_one_dd_of_d_and_at_most_one_of_w(monkeypatch):
     ],
 )
 def test_orthant_cube_sets_read_one_dd_of_w(routine, tags, monkeypatch):
-    # 81 faces, and no LP for any of them
+    # 81 faces, and no LP for any of them; the lattice is walked only for
+    # the capped call
     counts = count_set_work(monkeypatch)
     E = routine(orthant_cube(4))
-    assert counts == {"D": 1, "lattice": 1, "W": 1}
+    assert counts == {"D": 1, "W": 1}
     assert [f.active_ineq for f in E.faces] == tags
+    counts.clear()
+    assert routine(orthant_cube(4), max_faces=81) == E
+    assert counts == {"D": 1, "lattice": 1, "W": 1}
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -651,6 +659,75 @@ def test_cut_box_sets_match_all_faces_oracle():
             calls += 1
             multi += len(E.faces) > 1
     assert 4 * multi >= calls
+
+
+def test_capped_sets_equal_uncapped_sets():
+    # a cap that does not trip changes nothing; one face fewer trips it on
+    # every call that gets past the early returns, where D has a proper face
+    # (the lattice checks the cap as it adds faces below the improper one)
+    reached = 0
+    for P in SET_CORPUS + [orthant_cube(n) for n in range(2, 7)]:
+        count = 0 if P.feasible_vrep.is_empty else len(faces(P.feasible_set))
+        for routine, weak in ((efficient_set, False), (weakly_efficient_set, True)):
+            assert routine(P, max_faces=count) == routine(P)
+            if weak:
+                early = P.cone_interior_empty or not P.cone.normals
+            else:
+                early = P.decomposition.is_subspace
+            if count < 2 or early:
+                continue
+            assert _capped(routine, P, max_faces=count - 1) == "cap"
+            reached += 1
+    assert reached == 295
+
+
+def interior_empty_by_lp(P):
+    return not P.cone.has_nonempty_interior()
+
+
+def cone_problem(K):
+    return VLPProblem(Matrix.identity(K.dim), HRep.universe(K.dim), K)
+
+
+def test_interior_rank_test_matches_the_lp_test():
+    rng = random.Random(4711)
+    corpus = SET_CORPUS + [random_problem(rng) for _ in range(60)]
+    corpus += [random_cut_box(rng) for _ in range(30)]
+    for P in corpus:
+        assert P.cone_interior_empty == interior_empty_by_lp(P)
+    assert sum(P.cone_interior_empty for P in SET_CORPUS) == 95
+
+
+@pytest.mark.parametrize(
+    "q, normals, empty",
+    [
+        (3, [], False),  # no normals: all of R^3
+        (2, [(1, 0), (-1, 0), (0, 1), (0, -1)], True),  # K = {0}
+        (2, [(1, -1), (-1, 1)], True),  # the line y = x
+        (3, [(1, 2, -1)], False),  # a half-space
+        (3, [(-1, 0, 0), (0, -1, 0)], False),  # the orthant of R^2 times a line
+        (3, [(-1, 0, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], True),  # a 2-d wedge
+        (3, [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (1, 1, 0)], True),  # the ray of e_3
+    ],
+)
+def test_interior_rank_test_on_hand_cones(q, normals, empty):
+    P = cone_problem(ConeH.of(q, normals))
+    assert P.cone_interior_empty is empty
+    assert interior_empty_by_lp(P) is empty
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda q: st.lists(
+            st.lists(st.integers(min_value=-2, max_value=2), min_size=q, max_size=q).filter(any),
+            max_size=4,
+        ).map(lambda normals: ConeH.of(q, normals))
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_interior_rank_test_matches_the_lp_test_on_small_cones(K):
+    P = cone_problem(K)
+    assert P.cone_interior_empty == interior_empty_by_lp(P)
 
 
 # ---------------------------------------------------------------------------
