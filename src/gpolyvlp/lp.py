@@ -11,22 +11,21 @@ negative right-hand side) take an artificial, and the phase-one simplex
 runs only when some artificial starts above zero.  Its starting basis is
 read off one transpose of the rows.
 
-There is one simplex with two entries.  An HRep goes through
-polyhedron._scaled_rows, which scales each row to (ints [a | b], scale), the
-row format the double description's int entry takes too; _solve_rows takes
-such rows
-directly, and the pipeline in vlp.py builds its LPs (slack programs, weight
-regions, argmin checks) that way, as ints with no HRep in between.  Both
-entries share the row writer, phase one and phase two.  The private core
-_solve runs the two phases on an HRep and returns the status, the optimal
-value and certified unbounded directions; _solve_rows does the same on int
-rows.  A free variable is split as x+ - x-; _solve_rows can also take
-trailing sign-constrained variables, which get one column each and need no
--x <= 0 rows (the slack programs pass their slacks this way).  The HRep
-entry has only free variables, so its tableau is the split one.  solve_lp
-adds a lexicographic refinement on top, so its optimal points are
-canonical.  Exact breakpoint analysis of objectives moving along
-a segment sits on top of both.
+There is one simplex with two entries.  Its core, _optimize_rows, takes
+int rows (ints [a | b], scale), the row format polyhedron._scaled_rows
+gives and the double description's int entry takes too, and gives every
+variable one column: free variables come first and are pivoted in with
+either sign of their reduced cost, never to leave the basis again; trailing
+sign-constrained variables need no -x <= 0 rows.  _solve_rows is the
+pipeline's entry: vlp.py builds its LPs (slack programs, weight regions,
+argmin checks) as int rows with no HRep in between, and reads only the
+status and the optimal value, so no point and no ray is built for it.  The
+HRep entry, _solve and solve_lp, writes the split x = x+ - x- as data: rows
+[a | -a | b] over 2 dim sign-constrained variables with cost (c, -c), so
+its tableau is the split one, and reads a certified descent ray off the
+entering column of an unbounded program.  solve_lp adds a lexicographic
+refinement on top, so its optimal points are canonical.  Exact breakpoint
+analysis of objectives moving along a segment sits on top of both.
 """
 
 from __future__ import annotations
@@ -37,7 +36,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exact import Rational, Vector, ZERO, _integers, rat
-from .polyhedron import HRep, InternalInvariantError, VRep, _scaled_rows, h_to_v
+from .polyhedron import (
+    HRep,
+    InternalInvariantError,
+    VRep,
+    _direction,
+    _dot,
+    _scaled_rows,
+    h_to_v,
+)
 
 __all__ = [
     "LPStatus",
@@ -83,29 +90,36 @@ class UnsolvableSegmentError(ValueError):
 # ---------------------------------------------------------------------------
 # simplex core on equality-standard form
 #
-# The tableau works on  A z = b, z >= 0  with z the split variables
-# (x+, x-, slacks).  Each row of [A | b] is scaled by the lcm of its
-# denominators, so the data are integers, and pivoting is integer-preserving
-# (Edmonds; Bareiss): the stored rows are det * B^-1 [A | b] for the current
-# basis B and one positive common denominator det, which is |det B|.  Every
-# division in a pivot is exact.  The reduced costs are carried along as one
-# more integer row, a positive multiple of c - c_B B^-1 A, set up once per
-# objective and updated by every pivot.  Positive row and column scalings
-# change no sign and no ratio comparison, so the pivots are those of the
-# plain rational tableau; rationals appear only when a point or a ray is read
-# off.
+# The tableau works on  A z = b  with z the variables and one slack per
+# inequality; every slack and every sign-constrained variable is >= 0, and
+# the free variables, the leading columns, have no sign.  Each row of
+# [A | b] is scaled by the lcm of its denominators, so the data are
+# integers, and pivoting is integer-preserving (Edmonds; Bareiss): the
+# stored rows are det * B^-1 [A | b] for the current basis B and one
+# positive common denominator det, which is |det B|.  Every division in a
+# pivot is exact.  The reduced costs are carried along as one more integer
+# row, a positive multiple of c - c_B B^-1 A, set up once per objective and
+# updated by every pivot.  Positive row and column scalings change no sign
+# and no ratio comparison, so the pivots are those of the plain rational
+# tableau; rationals appear only when a value, a point or a ray is read off.
 
 
 class _Tableau:
-    def __init__(self, rows: list, basis: list):
+    def __init__(self, rows: list, basis: list, free: int):
         self.rows = rows  # integer rows, right-hand side last
         self.basis = basis
         self.ncols = len(rows[0]) - 1
+        self.free = free  # columns below free are free variables
+        self.flipped: set = set()  # free columns negated to enter (see _simplex)
         self.det = 1
         self.obj: Optional[list] = None  # reduced-cost row, rhs slot last
 
     def set_objective(self, cost: Sequence):
-        """Carry the reduced costs of the integer cost vector cost."""
+        """Carry the reduced costs of the integer cost vector cost, given
+        over the variables as written (a flipped column's cost is negated)."""
+        flipped = self.flipped
+        if flipped:
+            cost = [-v if j in flipped else v for j, v in enumerate(cost)]
         det = self.det
         obj = [det * v for v in cost] + [0]
         for row, col in zip(self.rows, self.basis):
@@ -113,6 +127,13 @@ class _Tableau:
             if f:
                 obj = [o - f * v for o, v in zip(obj, row)]
         self.obj = obj
+
+    def flip(self, col: int):
+        """Negate the nonbasic column col, so it stands for -x_col."""
+        for row in self.rows:
+            row[col] = -row[col]
+        self.obj[col] = -self.obj[col]
+        self.flipped ^= {col}
 
     def pivot(self, row: int, col: int):
         """Integer-preserving pivot on (row, col); the pivot row stays as it
@@ -154,7 +175,21 @@ class _Tableau:
         z = [0] * self.ncols
         for row, col in zip(self.rows, self.basis):
             z[col] = row[-1]
+        for j in self.flipped:
+            z[j] = -z[j]
         return z
+
+    def direction(self, col: int) -> list:
+        """The edge direction along which the nonbasic column col increases
+        from the basic solution, times det: the column moves by det, every
+        basic variable by minus its entry."""
+        delta = [0] * self.ncols
+        delta[col] = self.det
+        for row, basic in zip(self.rows, self.basis):
+            delta[basic] = -row[col]
+        for j in self.flipped:
+            delta[j] = -delta[j]
+        return delta
 
 
 def _simplex(T: _Tableau, frozen: Optional[set] = None) -> tuple:
@@ -162,20 +197,29 @@ def _simplex(T: _Tableau, frozen: Optional[set] = None) -> tuple:
 
     Bland's rule both for the entering column (lowest eligible index) and the
     leaving row (smallest basic variable index among the ratio ties), which
-    rules out cycling.  Columns in frozen are never entered.  Returns
-    ("optimal", None) or ("unbounded", entering_column_index).
+    rules out cycling.  A nonbasic free column is eligible with either sign
+    of its reduced cost: with a positive one it is flipped first, so that it
+    enters increasing.  The ratio test skips the rows of basic free
+    variables, so a free column never leaves once it has entered; the free
+    columns come first, so they enter first, each at most once, and
+    afterwards the simplex is Bland's on the sign-constrained columns.
+    Columns in frozen are never entered.  Returns ("optimal", None) or
+    ("unbounded", entering_column_index).
     """
     cols = [j for j in range(T.ncols) if frozen is None or j not in frozen]
     basis = T.basis
+    free = T.free
     while True:
         obj = T.obj
-        enter = next((j for j in cols if obj[j] < 0), None)
+        enter = next((j for j in cols if obj[j] < 0 or (j < free and obj[j])), None)
         if enter is None:
             return "optimal", None
+        if obj[enter] > 0:
+            T.flip(enter)
         leave = None
         for r, row in enumerate(T.rows):
             a = row[enter]
-            if a > 0:
+            if a > 0 and basis[r] >= free:
                 # b / a < best_b / best_a, by cross-multiplying positive a's
                 if leave is None:
                     leave, best_b, best_a = r, row[-1], a
@@ -188,26 +232,21 @@ def _simplex(T: _Tableau, frozen: Optional[set] = None) -> tuple:
         T.pivot(leave, enter)
 
 
-def _write_rows(dim: int, eqs: Sequence, ineqs: Sequence, nonneg: int = 0) -> tuple:
+def _write_rows(dim: int, eqs: Sequence, ineqs: Sequence) -> tuple:
     """Integer equality standard form of the rows a.x = b (eqs) and
     a.x <= b (ineqs), each given as (ints [a | b], scale).
 
-    The last nonneg of the dim variables are sign-constrained, x >= 0.
-    Variables are x+ (dim), x- (the dim - nonneg free ones), then one slack
-    per inequality: a sign-constrained variable is its own column, with no
-    x- copy.  Each int row is written straight out: the x- part is the
-    negated free part of x+ and the slack entry is 1.  That is a positive
-    scaling of the slack column, which changes no sign, ratio or Bland
-    choice, and slacks are never read off.  Rows with a negative right-hand
-    side are negated so b >= 0 for phase one, which turns their slack entry
-    into -1.  scale is the row's factor over its rational row, which phase
-    one needs.  Returns (rows, scales, nvars), right-hand side last in each
-    row.
+    Each of the dim variables is one column, whatever its sign constraint
+    (the tableau knows its free columns), then comes one slack per
+    inequality.  Each int row is written straight out, with slack entry 1.
+    That is a positive scaling of the slack column, which changes no sign,
+    ratio or Bland choice, and slacks are never read off.  Rows with a
+    negative right-hand side are negated so b >= 0 for phase one, which
+    turns their slack entry into -1.  scale is the row's factor over its
+    rational row, which phase one needs.  Returns (rows, scales, nvars),
+    right-hand side last in each row.
     """
-    free = dim - nonneg
     n_ineq = len(ineqs)
-    first_slack = dim + free
-    nvars = first_slack + n_ineq
     rows = []
     scales = []
 
@@ -217,9 +256,9 @@ def _write_rows(dim: int, eqs: Sequence, ineqs: Sequence, nonneg: int = 0) -> tu
         if b < 0:
             a, b = [-v for v in a], -b
             unit = -1
-        row = a + [-v for v in a[:free]] + [0] * n_ineq + [b]
+        row = a + [0] * n_ineq + [b]
         if slack is not None:
-            row[first_slack + slack] = unit
+            row[dim + slack] = unit
         rows.append(row)
         scales.append(scale)
 
@@ -227,18 +266,29 @@ def _write_rows(dim: int, eqs: Sequence, ineqs: Sequence, nonneg: int = 0) -> tu
         add(ints, scale, None)
     for i, (ints, scale) in enumerate(ineqs):
         add(ints, scale, i)
-    return rows, scales, nvars
+    return rows, scales, dim + n_ineq
+
+
+def _split_rows(P: HRep) -> tuple:
+    """The scaled rows of an HRep over x = x+ - x-: each row (ints [a | b],
+    scale) of _scaled_rows becomes ([a | -a | b], scale), over 2 dim
+    sign-constrained variables."""
+    d = P.dim
+    return tuple(
+        [(a[:d] + [-v for v in a[:d]] + a[d:], scale) for a, scale in rows]
+        for rows in _scaled_rows(P)
+    )
 
 
 def _standard_form(P: HRep) -> tuple:
-    """Integer equality standard form of an HRep: _write_rows of its scaled
-    rows."""
-    return _write_rows(P.dim, *_scaled_rows(P))
+    """Integer equality standard form of an HRep: _write_rows of its split
+    rows, columns x+, x-, then the slacks."""
+    return _write_rows(2 * P.dim, *_split_rows(P))
 
 
-def _phase_one(rows: list, scales: list, nvars: int) -> Optional[_Tableau]:
+def _phase_one(rows: list, scales: list, nvars: int, free: int = 0) -> Optional[_Tableau]:
     """Feasible tableau from the slack basis, or None if infeasible.  The
-    tableau takes over rows.
+    tableau takes over rows; its first free columns are free variables.
 
     A row starts with the first column that is 1 in it and 0 in every other
     row as its basic variable.  The slack of every inequality with b >= 0 is
@@ -265,14 +315,14 @@ def _phase_one(rows: list, scales: list, nvars: int) -> Optional[_Tableau]:
                 basis[r] = j
     arts = [r for r in range(m) if basis[r] is None]
     if not arts:
-        return _Tableau(rows, basis)
+        return _Tableau(rows, basis, free)
     for k, r in enumerate(arts):
         basis[r] = nvars + k
     A = [
         row[:-1] + [int(basis[i] == nvars + k) for k in range(len(arts))] + row[-1:]
         for i, row in enumerate(rows)
     ]
-    T = _Tableau(A, basis)
+    T = _Tableau(A, basis, free)
     if any(rows[r][-1] for r in arts):
         L = math.lcm(*[scales[r] for r in arts])
         T.set_objective([0] * nvars + [L // scales[r] for r in arts])
@@ -301,67 +351,70 @@ def _phase_one(rows: list, scales: list, nvars: int) -> Optional[_Tableau]:
 
 
 def _extract_point(T: _Tableau, dim: int) -> Vector:
-    return Vector(tuple([Rational(v, T.det) for v in _split(T.values(), dim, dim)]))
-
-
-def _split(z: list, dim: int, free: int) -> list:
-    """x = x+ - x- from the standard-form variables z, whose last dim - free
-    x variables have no x- column."""
-    return [z[j] - z[dim + j] for j in range(free)] + z[free:dim]
-
-
-def _ray_from_column(T: _Tableau, col: int, dim: int, free: int) -> Vector:
-    """Recession direction of the standard-form feasible set when column col
-    can increase forever: z_col = 1, basic variables move by -A_col."""
-    delta = [0] * T.ncols
-    delta[col] = T.det
-    for row, basic in zip(T.rows, T.basis):
-        delta[basic] = -row[col]
-    return Vector(tuple([Rational(v, T.det) for v in _split(delta, dim, free)]))
+    """x = x+ - x- at the basic solution of a split tableau."""
+    z = T.values()
+    return Vector(tuple([Rational(z[j] - z[dim + j], T.det) for j in range(dim)]))
 
 
 def _optimize(P: HRep, c: Vector) -> tuple:
     """Phase one and phase two of min c.x over an HRep: (outcome, tableau).
 
-    The outcome has no point; for OPTIMAL its value is c at the basic optimal
-    point, and for UNBOUNDED it carries the certified descent ray.  The
-    tableau is the optimal one, or None when there is none to refine (no
-    optimum, or P is the whole space).
+    The HRep is written as data over x = x+ - x-: rows [a | -a | b] over 2
+    dim sign-constrained variables, cost (c, -c) (see _split_rows).  The
+    outcome has no point; for OPTIMAL its value is c at the basic optimal
+    point, and for UNBOUNDED it carries the descent ray, read off the
+    entering column as x+ - x-.  The tableau is the optimal one, or None
+    when there is none to refine (no optimum, or P is the whole space).
     """
     if c.dim != P.dim:
         raise ValueError("objective dimension differs from ambient dimension")
-    return _optimize_rows(P.dim, *_scaled_rows(P), c)
+    d = P.dim
+    eqs, ineqs = _split_rows(P)
+    if not eqs and not ineqs:
+        # whole space: bounded only for the zero objective
+        if c.is_zero():
+            return LPOutcome(LPStatus.OPTIMAL, ZERO), None
+        return LPOutcome(LPStatus.UNBOUNDED, descent_ray=(-c).normalized_direction()), None
+    out, T, enter = _optimize_rows(2 * d, eqs, ineqs, Vector(c.coords + (-c).coords), 2 * d)
+    if out.status is LPStatus.UNBOUNDED:
+        delta = T.direction(enter)
+        ray = _direction([delta[j] - delta[d + j] for j in range(d)])
+        return LPOutcome(LPStatus.UNBOUNDED, descent_ray=ray), None
+    return out, T
 
 
 def _optimize_rows(
     dim: int, eqs: Sequence, ineqs: Sequence, c: Vector, nonneg: int = 0
 ) -> tuple:
-    """_optimize over integer rows (ints [a | b], scale), as _scaled_rows
-    gives them, with the last nonneg variables sign-constrained (see
-    _write_rows); those need at least one row."""
+    """Phase one and phase two of min c.x over integer rows (ints [a | b],
+    scale), as _scaled_rows gives them.  The first dim - nonneg variables
+    are free columns and the last nonneg are sign-constrained; those need at
+    least one row.
+
+    Returns (outcome, T, enter).  The outcome has the status and, for
+    OPTIMAL, the value of c at the basic optimal point; no point and no ray.
+    T is the final tableau, or None when there is none (infeasible, or no
+    rows at all: the whole space, bounded only for the zero objective).
+    For UNBOUNDED, enter is the column that can increase forever, and c
+    descends along T.direction(enter), as checked in ints.
+    """
     if not eqs and not ineqs and not nonneg:
-        # whole space: bounded only for the zero objective
         if c.is_zero():
-            return LPOutcome(LPStatus.OPTIMAL, ZERO), None
-        ray = (-c).normalized_direction()
-        return LPOutcome(LPStatus.UNBOUNDED, descent_ray=ray), None
-    rows, scales, nvars = _write_rows(dim, eqs, ineqs, nonneg)
-    T = _phase_one(rows, scales, nvars)
+            return LPOutcome(LPStatus.OPTIMAL, ZERO), None, None
+        return LPOutcome(LPStatus.UNBOUNDED), None, None
+    rows, scales, nvars = _write_rows(dim, eqs, ineqs)
+    T = _phase_one(rows, scales, nvars, dim - nonneg)
     if T is None:
-        return LPOutcome(LPStatus.INFEASIBLE), None
-    free = dim - nonneg
+        return LPOutcome(LPStatus.INFEASIBLE), None, None
     cx, L = _integers(c.coords)
-    T.set_objective(cx + [-v for v in cx[:free]] + [0] * (nvars - dim - free))
-    status, col = _simplex(T)
+    T.set_objective(cx + [0] * (nvars - dim))
+    status, enter = _simplex(T)
     if status == "unbounded":
-        ray = _ray_from_column(T, col, dim, free).normalized_direction()
-        if c.dot(ray) >= 0:
+        if _dot(cx, T.direction(enter)) >= 0:
             raise InternalInvariantError("unbounded ray does not descend")
-        return LPOutcome(LPStatus.UNBOUNDED, descent_ray=ray), None
+        return LPOutcome(LPStatus.UNBOUNDED), T, enter
     # c at the basic point, (cx / L).x / det, with one division
-    x = _split(T.values(), dim, free)
-    value = Rational(sum([v * w for v, w in zip(cx, x) if v]), L * T.det)
-    return LPOutcome(LPStatus.OPTIMAL, value), T
+    return LPOutcome(LPStatus.OPTIMAL, Rational(_dot(cx, T.values()), L * T.det)), T, None
 
 
 def _solve(P: HRep, c: Vector) -> LPOutcome:
@@ -374,12 +427,14 @@ def _solve(P: HRep, c: Vector) -> LPOutcome:
 def _solve_rows(
     dim: int, eqs: Sequence, ineqs: Sequence, c: Vector, nonneg: int = 0
 ) -> LPOutcome:
-    """_solve over integer rows: eqs are the rows a.x = b and ineqs the rows
-    a.x <= b, each (ints [a | b], scale) with scale the row's positive factor
-    over its rational row.  The last nonneg variables are sign-constrained,
-    each one column with no x- copy, so a caller writes no -x_j <= 0 rows
-    for them.  The pipeline builds its programs this way, with no HRep; rows
-    that _scaled_rows gives, with nonneg 0, pivot exactly as their HRep does.
+    """Status and optimal value of min c.x over integer rows: eqs are the
+    rows a.x = b and ineqs the rows a.x <= b, each (ints [a | b], scale)
+    with scale the row's positive factor over its rational row.  Every
+    variable is one simplex column: the first dim - nonneg are free, the
+    last nonneg sign-constrained, so a caller writes no -x_j <= 0 rows for
+    them.  The outcome has no point and no ray; an unbounded one has passed
+    the descent check in ints.  The pipeline builds its programs this way,
+    with no HRep.
     """
     return _optimize_rows(dim, eqs, ineqs, c, nonneg)[0]
 

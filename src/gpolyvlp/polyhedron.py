@@ -305,7 +305,8 @@ def _dd(dim: int, eq_rows: Sequence, ineq_rows: Sequence) -> tuple:
     Each ray carries its zero set as a bitmask (bit i: ineq_rows[i] is tight
     on it).  Every processed row is <= 0 on every ray, so the combination of
     rays p and n is tight exactly on zeros[p] & zeros[n] plus the new row.
-    Adjacency is the algebraic rank condition on that common zero set.
+    Adjacency is decided combinatorially on that common zero set (see
+    _adjacent): no rank is computed.
     """
     eqs = [_primitive(e) for e in eq_rows]
     ineqs = [_primitive(a) for a in ineq_rows]
@@ -349,19 +350,14 @@ def _dd(dim: int, eq_rows: Sequence, ineq_rows: Sequence) -> tuple:
             rays = {r: z | bit if v == 0 else z for (r, z), v in zip(old, vals)}
             continue
         neg = [k for k, v in enumerate(vals) if v < 0]
-        target = dim - len(L) - 2
-        rank_memo: dict = {}
+        zeros = [z for _, z in old]
         rays = {r: z | bit if v == 0 else z for (r, z), v in zip(old, vals) if v <= 0}
         combos = []
         for p in pos:
-            rp, vp = old[p][0], vals[p]
+            rp, vp, zp = old[p][0], vals[p], zeros[p]
             for n in neg:
-                common = old[p][1] & old[n][1]
-                got = rank_memo.get(common)
-                if got is None:
-                    rows = eqs + [ineqs[j] for j in range(i) if common >> j & 1]
-                    got = rank_memo[common] = len(_echelon_int(rows))
-                if got != target:
+                common = zp & zeros[n]
+                if not _adjacent(zeros, common):
                     continue
                 vn = vals[n]
                 r_new = _primitive([vp * x - vn * y for x, y in zip(old[n][0], rp)])
@@ -378,6 +374,23 @@ def _dd(dim: int, eq_rows: Sequence, ineq_rows: Sequence) -> tuple:
     ):
         raise InternalInvariantError("generator violates an inequality row")
     return lin, list(rays)
+
+
+def _adjacent(zeros: list, common: int) -> bool:
+    """Whether two extreme rays of a cone, whose zero sets meet in common,
+    are adjacent, given the zero sets of all its extreme rays, the two
+    included.  The smallest face holding both is cut out by the rows in
+    common, and its extreme rays are those whose zero set contains common;
+    the two rays span a 2-face (modulo the lineality) exactly when no third
+    ray is among them (Fukuda & Prodon 1996).  This is the rank test
+    rank(rows in common) = dim - dim L - 2 without the rank."""
+    hits = 0
+    for z in zeros:
+        if z & common == common:
+            hits += 1
+            if hits > 2:
+                return False
+    return True
 
 
 def _dot(a, b) -> int:
@@ -715,16 +728,22 @@ def _face_lattice(P: HRep, geom: VRep, max_faces: Optional[int]) -> list:
     geom.points[k], and bit len(geom.points) + k for geom.rays[k].
 
     The whole lattice is built before anything is returned, so max_faces
-    counts every face whatever the caller does with them.
+    counts every face whatever the caller does with them, P itself
+    included.
     """
     tight = _incidence(P, geom)
 
     def tag(G: int) -> tuple:
         return tuple(i for i, t in enumerate(tight) if t & G == G)
 
+    def check_cap():
+        if max_faces is not None and len(found) > max_faces:
+            raise FaceLimitError(f"face enumeration exceeded the cap of {max_faces}")
+
     everything = (1 << (len(geom.points) + len(geom.rays))) - 1
     point_bits = (1 << len(geom.points)) - 1
     found = {tag(everything): everything}
+    check_cap()
     frontier = list(found)
     while frontier:
         nxt = []
@@ -738,10 +757,7 @@ def _face_lattice(P: HRep, geom: VRep, max_faces: Optional[int]) -> list:
                 canon = tag(G)
                 if canon not in found:
                     found[canon] = G
-                    if max_faces is not None and len(found) > max_faces:
-                        raise FaceLimitError(
-                            f"face enumeration exceeded the cap of {max_faces}"
-                        )
+                    check_cap()
                     nxt.append(canon)
         frontier = nxt
 

@@ -25,9 +25,12 @@ T_D(u) = cone(D - u), cut out by D's equalities and the inequalities tight
 at u; the rows slack at u play no part.  D is convex, so a direction d of
 T_D(u) has u + e d in D for small e > 0.  The slack programs ask whether
 some d has -M d in K \\ l(K) (strict) or in int K (weak), sets closed under
-positive scaling, which holds exactly when some x in D dominates u.  The
-argmin re-check of a weight c asks whether c.d >= 0 on T_D(u), which holds
-exactly when u minimizes c.x over D.
+positive scaling, which holds exactly when some x in D dominates u.  They
+are cone programs, with no <= 1 rows on their slacks: bounded, with
+optimum 0, exactly when u is (weakly) efficient, and unbounded otherwise.
+d is free, one simplex column per coordinate.  The argmin re-check of a
+weight c asks whether c.d >= 0 on T_D(u), which holds exactly when u
+minimizes c.x over D.
 
 Every LP, and the DD of every witness's weight region, is written as int
 rows straight from the problem's int data, each part a cached property
@@ -269,27 +272,30 @@ def _tangent_rows(P: VLPProblem, u: Vector, pad: int) -> tuple:
     )
 
 
-def _max_slack(P: VLPProblem, u: Vector, weak: bool) -> Rational:
+def _max_slack(P: VLPProblem, u: Vector, weak: bool) -> Optional[Rational]:
     """Optimum of the slack program behind the efficiency tests, posed on
-    the tangent cone T_D(u); only whether it is zero means anything.
+    the tangent cone T_D(u): zero exactly when u is (weakly) efficient, and
+    None when the slack is unbounded, which is the other case.
 
     Variables are (d, s) with d in T_D(u) and <n_j, -M d> <= -s_j for every
-    cone normal n_j.  The strict program gives each normal its own slack,
-    0 <= s_j <= 1; the weak program shares one slack 0 <= t <= 1 between
-    all normals.  The objective maximizes the total slack.
+    cone normal n_j.  The strict program gives each normal its own slack
+    s_j >= 0; the weak program shares one slack t >= 0 between all normals.
+    The objective maximizes the total slack.  Every row is homogeneous, so
+    the feasible set is a cone: a feasible point with a positive slack
+    scales without bound, and otherwise the optimum is 0.  A bounded
+    program with a nonzero optimum raises InternalInvariantError.
 
     This is the program over x in D in the shifted variables d = x - u,
     with D's rows that are slack at u dropped.  D is convex, so every d in
     T_D(u) has u + e d in D for some e > 0, and both K \\ l(K) and int K are
     closed under positive scaling: a dominating x exists exactly when a
-    dominating direction d does, and the optimum is zero exactly when the
-    optimum over D is.  The value itself differs in general.
+    dominating direction d does.
 
-    T_D(u) is a cone, so (0, 0) is feasible on the slack basis and no
-    phase-one simplex runs.  The slacks are sign-constrained columns of the
-    simplex, so the program has no -s_j <= 0 rows.  The rows are written as
-    ints from P's int data: D's rows as _tangent_rows gives them, and a cone
-    row as (S (-M^T n_j), S e_j | 0) of scale S.
+    (0, 0) is feasible on the slack basis, so no phase-one simplex runs.
+    d is free and the slacks are sign-constrained columns of the simplex,
+    so the program has no -s_j <= 0 rows.  The rows are written as ints
+    from P's int data: D's rows as _tangent_rows gives them, and a cone row
+    as (S (-M^T n_j), S e_j | 0) of scale S.
     """
     n = P.feasible_set.dim
     k = 1 if weak else len(P.cone.normals)
@@ -299,12 +305,12 @@ def _max_slack(P: VLPProblem, u: Vector, weak: bool) -> Rational:
         s = [0] * k
         s[0 if weak else j] = S
         ineqs.append((a + s + [0], S))
-    for j in range(k):
-        ineqs.append(([0] * (n + j) + [1] + [0] * (k - j - 1) + [1], 1))
     c = Vector((ZERO,) * n + (-ONE,) * k)
     out = _solve_rows(n + k, eqs, ineqs, c, k)
-    if out.status is not LPStatus.OPTIMAL:
-        raise InternalInvariantError("slack maximization failed to solve")
+    if out.status is LPStatus.UNBOUNDED:
+        return None
+    if out.status is not LPStatus.OPTIMAL or out.value != 0:
+        raise InternalInvariantError("slack program on the tangent cone has no zero optimum")
     return out.value
 
 
@@ -312,13 +318,14 @@ def is_efficient(P: VLPProblem, u: Vector) -> bool:
     """Exact efficiency test.
 
     Maximizes the total slack sum s_j subject to d in the tangent cone
-    T_D(u) = cone(D - u), 0 <= s_j <= 1 and <n_j, -M d> <= -s_j for every
-    cone normal n_j.  The point u is efficient exactly when the optimum is
-    zero: any positive slack exhibits a direction d, and with it a feasible
-    x = u + e d, such that M u - M x lies in K but outside the lineality
-    space of K.  K minus its lineality space is closed under positive
-    scaling, so looking along T_D(u) finds every such x (see _max_slack).
-    Raises InfeasiblePointError when u is not in D.
+    T_D(u) = cone(D - u), s_j >= 0 and <n_j, -M d> <= -s_j for every cone
+    normal n_j.  The program is a cone: u is efficient exactly when its
+    optimum is zero, and otherwise the slack is unbounded.  Any positive
+    slack exhibits a direction d, and with it a feasible x = u + e d, such
+    that M u - M x lies in K but outside the lineality space of K.  K minus
+    its lineality space is closed under positive scaling, so looking along
+    T_D(u) finds every such x (see _max_slack).  Raises InfeasiblePointError
+    when u is not in D.
     """
     _require_feasible(P, u)
     if not P.cone.normals:
@@ -330,12 +337,14 @@ def is_efficient(P: VLPProblem, u: Vector) -> bool:
 def is_weakly_efficient(P: VLPProblem, u: Vector) -> bool:
     """Exact weak efficiency test.
 
-    Maximizes a single slack 0 <= t <= 1 with d in the tangent cone
-    T_D(u) = cone(D - u) and <n_j, -M d> <= -t for every normal.  A positive
-    optimum exhibits a direction d, and with it a feasible x = u + e d, such
-    that M u - M x is interior to K, which is closed under positive scaling
-    (see _max_slack).  When K has empty interior every feasible point is
-    weakly efficient and the test short-circuits to True.
+    Maximizes a single slack t >= 0 with d in the tangent cone
+    T_D(u) = cone(D - u) and <n_j, -M d> <= -t for every normal.  The
+    program is a cone, with optimum zero exactly when u is weakly
+    efficient; otherwise t is unbounded.  A positive slack exhibits a
+    direction d, and with it a feasible x = u + e d, such that M u - M x is
+    interior to K, which is closed under positive scaling (see _max_slack).
+    When K has empty interior every feasible point is weakly efficient and
+    the test short-circuits to True.
     """
     _require_feasible(P, u)
     if P.cone_interior_empty:

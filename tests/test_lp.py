@@ -7,11 +7,13 @@ every LPOutcome bit for bit, so any change to the pivot path fails here.
 """
 
 import hashlib
+import math
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gpolyvlp.exact import Vector, rat, vec
 from gpolyvlp import lp
@@ -502,12 +504,12 @@ class TestKernelCases:
 
 
 # ---------------------------------------------------------------------------
-# sign-constrained columns
+# free and sign-constrained columns
 
 
 def reference_write_rows(dim, eqs, ineqs):
-    """The row writer with every variable free: x+, x-, then one slack per
-    inequality, the rows with b < 0 negated."""
+    """The split row writer: x+, x-, then one slack per inequality, the rows
+    with b < 0 negated."""
     n_ineq = len(ineqs)
     rows, scales = [], []
     for i, (ints, scale) in enumerate(list(eqs) + list(ineqs)):
@@ -523,10 +525,20 @@ def reference_write_rows(dim, eqs, ineqs):
 
 
 def test_write_rows_without_sign_constraints_keeps_the_free_layout():
+    # the HRep entry writes its split as data, so its standard form is the
+    # split tableau column for column; int rows get one column per variable
     for P, _ in GOLDEN:
         rows = lp._scaled_rows(P)
-        assert lp._write_rows(P.dim, *rows, 0) == reference_write_rows(P.dim, *rows)
         assert lp._standard_form(P) == reference_write_rows(P.dim, *rows)
+        got, scales, nvars = lp._write_rows(P.dim, *rows)
+        eqs, ineqs = rows
+        assert nvars == P.dim + len(ineqs) and scales == [s for _, s in eqs + ineqs]
+        for i, (row, (ints, _)) in enumerate(zip(got, eqs + ineqs)):
+            sign = -1 if ints[-1] < 0 else 1
+            slack = [0] * len(ineqs)
+            if i >= len(eqs):
+                slack[i - len(eqs)] = sign
+            assert row == [sign * v for v in ints[:-1]] + slack + [sign * ints[-1]]
 
 
 def sign_constrained_corpus(count=400, seed=5150):
@@ -548,25 +560,105 @@ def sign_constrained_corpus(count=400, seed=5150):
     return cases
 
 
+def sign_rows(n, k):
+    """-x_j <= 0 for the k variables after the first n, as int rows."""
+    return [([0] * (n + j) + [-1] + [0] * (k - j - 1) + [0], 1) for j in range(k)]
+
+
 def test_sign_constrained_columns_match_explicit_sign_rows():
     statuses = Counter()
     for n, k, eqs, ineqs, c in sign_constrained_corpus():
         dim = n + k
-        signs = [([0] * (n + j) + [-1] + [0] * (k - j - 1) + [0], 1) for j in range(k)]
-        got = lp._solve_rows(dim, eqs, ineqs, c, k)
+        signs = sign_rows(n, k)
+        got, T, enter = lp._optimize_rows(dim, eqs, ineqs, c, k)
         want = lp._solve_rows(dim, eqs, ineqs + signs, c)
         assert (got.status, got.value) == (want.status, want.value)
+        assert got.point is None and got.descent_ray is None
         if got.status is LPStatus.UNBOUNDED:
-            # the descent ray read off the narrower tableau is a recession
-            # direction of the program with the sign rows written out
-            ray = got.descent_ray
-            assert c.dot(ray) < 0
+            # the direction of the entering column, read off the narrower
+            # tableau, descends and is a recession direction of the program
+            # with the sign rows written out
+            ray = T.direction(enter)[:dim]
+            assert sum(a * x for a, x in zip(c.coords, ray)) < 0
             for rows, holds in ((eqs, lambda v: v == 0), (ineqs + signs, lambda v: v <= 0)):
                 for ints, _ in rows:
-                    assert holds(sum(a * x for a, x in zip(ints[:dim], ray.coords)))
+                    assert holds(sum(a * x for a, x in zip(ints[:dim], ray)))
         statuses[got.status] += 1
     assert statuses == {
         LPStatus.UNBOUNDED: 158,
         LPStatus.INFEASIBLE: 147,
         LPStatus.OPTIMAL: 95,
     }
+
+
+def int_rows_as_hrep(dim, eqs, ineqs):
+    """The program of int rows (ints [a | b], scale) as a rational HRep."""
+    return HRep.of(
+        dim,
+        [(ints[:dim], ints[dim]) for ints, _ in eqs],
+        [(ints[:dim], ints[dim]) for ints, _ in ineqs],
+    )
+
+
+def test_free_columns_match_the_split_hrep_entry():
+    # the int-row core pivots free columns in; the HRep entry splits every
+    # variable as x+ - x-.  Status and value agree on every program.
+    for P, c in GOLDEN:
+        got = lp._solve_rows(P.dim, *lp._scaled_rows(P), c)
+        want = lp._solve(P, c)
+        assert (got.status, got.value) == (want.status, want.value)
+    statuses = Counter()
+    for n, k, eqs, ineqs, c in sign_constrained_corpus():
+        dim = n + k
+        got = lp._solve_rows(dim, eqs, ineqs, c, k)
+        want = lp._solve(int_rows_as_hrep(dim, eqs, ineqs + sign_rows(n, k)), c)
+        assert (got.status, got.value) == (want.status, want.value)
+        statuses[got.status] += 1
+    assert statuses == {
+        LPStatus.UNBOUNDED: 158,
+        LPStatus.INFEASIBLE: 147,
+        LPStatus.OPTIMAL: 95,
+    }
+
+
+@st.composite
+def degenerate_programs(draw):
+    """Small int-row programs with mostly zero right-hand sides, so that
+    many pivots are degenerate: n free and k sign-constrained variables."""
+    n, k = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    dim = max(n + k, 1)
+    k = dim - n
+    entry = st.integers(-2, 2)
+    rhs = st.sampled_from((0, 0, 0, 1, -1))
+
+    def rows(count):
+        return [([draw(entry) for _ in range(dim)] + [draw(rhs)], 1) for _ in range(count)]
+
+    eqs = rows(draw(st.integers(0, 1)))
+    ineqs = rows(draw(st.integers(1, 5)))
+    c = Vector.of([draw(entry) for _ in range(dim)])
+    return n, k, eqs, ineqs, c
+
+
+@settings(max_examples=80)
+@given(degenerate_programs())
+def test_free_column_simplex_terminates_and_agrees_on_degenerate_programs(program):
+    n, k, eqs, ineqs, c = program
+    dim = n + k
+    pivots = []
+    real = lp._Tableau.pivot
+
+    def counting(T, row, col):
+        pivots.append(T.basis[row] >= T.free)
+        real(T, row, col)
+
+    with mock.patch.object(lp._Tableau, "pivot", counting):
+        got = lp._solve_rows(dim, eqs, ineqs, c, k)
+    # a free column never leaves the basis once it has entered
+    assert all(pivots)
+    # Bland's rule visits no basis twice in a phase: phase one, the
+    # drive-out of the artificials and phase two stay under this count
+    m = len(eqs) + len(ineqs)
+    assert len(pivots) <= 2 * math.comb(dim + len(ineqs) + m, m) + m
+    want = lp._solve(int_rows_as_hrep(dim, eqs, ineqs + sign_rows(n, k)), c)
+    assert (got.status, got.value) == (want.status, want.value)

@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -292,6 +293,16 @@ class TestFaces:
         with pytest.raises(FaceLimitError):
             faces(unit_square(), max_faces=3)
 
+    def test_face_cap_counts_the_improper_face(self):
+        # a single point has one face, itself: a cap of 0 trips, 1 does not
+        point = HRep.of(2, eqs=[([1, 0], 1), ([0, 1], 2)], ineqs=[([1, 1], 3)])
+        with pytest.raises(FaceLimitError):
+            faces(point, max_faces=0)
+        assert [f.active_ineq for f in faces(point, max_faces=1)] == [(0,)]
+        assert len(faces(unit_square(), max_faces=9)) == 9
+        with pytest.raises(FaceLimitError):
+            faces(unit_square(), max_faces=8)
+
 
 class TestJson:
     def test_hrep_roundtrip(self):
@@ -456,6 +467,15 @@ def test_dd_golden_digest():
     assert sum(r.is_zero() for P in DD_GOLDEN for r, _ in P.ineq_rows()) == 108
     digest = hashlib.sha256("\n".join(recs).encode()).hexdigest()
     assert digest == "32665e0e2f39a3dc0a662efa44ed1f33095a27b1c46dc313b0e8e25a91778fae"
+
+
+def test_combinatorial_adjacency_matches_the_rank_test(adjacency_verdicts):
+    # every pos/neg pair the conversions of the golden corpus meet gets the
+    # same adjacency verdict from the zero sets as from the rank
+    for P in DD_GOLDEN:
+        encode_conversions(P)
+    assert all(got == want for got, want in adjacency_verdicts)
+    assert Counter(got for got, _ in adjacency_verdicts) == {True: 858, False: 358}
 
 
 @pytest.mark.parametrize("start", range(0, len(DD_GOLDEN), DD_BLOCK))

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "gpolyvlp"
@@ -71,3 +72,37 @@ def test_interior_oracle_stays_independent_of_the_rank_test():
     # two routes share no interior test
     assert _calls_named("vlp.py", "has_nonempty_interior") == []
     assert _calls_named("crosscheck.py", "has_nonempty_interior") != []
+
+
+def _functions(source: str) -> list:
+    tree = ast.parse((PACKAGE_DIR / source).read_text(encoding="utf-8"))
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+
+
+def test_one_simplex_core():
+    # free columns, sign-constrained columns and the HRep split all run on
+    # one tableau, one phase one and one simplex; the split is written as
+    # data, so the row writer has exactly two callers
+    core = ("_Tableau", "_write_rows", "_phase_one", "_simplex")
+    defined = Counter(
+        (path.name, node.name)
+        for path in SOURCES
+        for node in _functions(path.name)
+        if node.name in core
+    )
+    assert defined == {("lp.py", name): 1 for name in core}
+    callers = sorted(
+        node.name
+        for path in SOURCES
+        for node in _functions(path.name)
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] == "_write_rows"
+            for call in ast.walk(node)
+        )
+    )
+    assert callers == ["_optimize_rows", "_standard_form"]

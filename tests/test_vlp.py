@@ -574,6 +574,18 @@ def test_pruned_sets_match_all_faces_oracle():
     assert capped == 168
 
 
+def test_combinatorial_adjacency_matches_the_rank_test_on_d_and_w(adjacency_verdicts):
+    # the DDs of D and of the lifted weight polyhedron W on SET_CORPUS get
+    # the same adjacency verdict for every pos/neg pair as the rank gives
+    for P in SET_CORPUS:
+        P = VLPProblem(P.objective, P.feasible_set, P.cone)
+        P.feasible_vrep
+        efficient_set(P)
+        weakly_efficient_set(P)
+    assert all(got == want for got, want in adjacency_verdicts)
+    assert Counter(got for got, _ in adjacency_verdicts) == {True: 767, False: 141}
+
+
 def count_set_work(monkeypatch):
     """Count, per name, the DDs of D (h_to_v), the face lattices, the DDs of
     the weight polyhedron W (vlp._homogenized_dd) and the LPs that the set
@@ -663,8 +675,8 @@ def test_cut_box_sets_match_all_faces_oracle():
 
 def test_capped_sets_equal_uncapped_sets():
     # a cap that does not trip changes nothing; one face fewer trips it on
-    # every call that gets past the early returns, where D has a proper face
-    # (the lattice checks the cap as it adds faces below the improper one)
+    # every call that gets past the early returns, a single-point D with a
+    # cap of 0 included (the improper face counts against the cap)
     reached = 0
     for P in SET_CORPUS + [orthant_cube(n) for n in range(2, 7)]:
         count = 0 if P.feasible_vrep.is_empty else len(faces(P.feasible_set))
@@ -674,11 +686,11 @@ def test_capped_sets_equal_uncapped_sets():
                 early = P.cone_interior_empty or not P.cone.normals
             else:
                 early = P.decomposition.is_subspace
-            if count < 2 or early:
+            if count < 1 or early:
                 continue
             assert _capped(routine, P, max_faces=count - 1) == "cap"
             reached += 1
-    assert reached == 295
+    assert reached == 371
 
 
 def interior_empty_by_lp(P):
@@ -795,11 +807,13 @@ def test_int_weight_regions_scale_the_rational_rows():
     assert checked == 2322
 
 
-def slack_program_value(P, u, weak, tangent):
+def slack_program_value(P, u, weak, tangent, bounds=True):
     """The slack program of the efficiency tests as a rational HRep in
     (d, s), d = x - u: d in D - u, or in the tangent cone T_D(u) when
     tangent (D's equalities and the inequalities tight at u, right-hand
-    sides 0), with <n_j, -M d> <= -s_j and 0 <= s_j <= 1."""
+    sides 0), with <n_j, -M d> <= -s_j, s_j >= 0 and, when bounds,
+    s_j <= 1.  Returns the optimum, or None when it is unbounded, which
+    only the cone program without bounds can be."""
     n = P.feasible_set.dim
     k = 1 if weak else len(P.cone.normals)
     M = P.objective
@@ -818,25 +832,33 @@ def slack_program_value(P, u, weak, tangent):
         ineqs.append((row(-M.tmatvec(nrm), Vector.unit(k, 0 if weak else j)), rat(0)))
     for j in range(k):
         ineqs.append((row(zero_x, -Vector.unit(k, j)), rat(0)))
-        ineqs.append((row(zero_x, Vector.unit(k, j)), rat(1)))
+        if bounds:
+            ineqs.append((row(zero_x, Vector.unit(k, j)), rat(1)))
     out = lp._solve(HRep.of(n + k, eqs, ineqs), row(zero_x, Vector.of([-1] * k)))
+    if out.status is LPStatus.UNBOUNDED and not bounds:
+        return None
     assert out.status is LPStatus.OPTIMAL
     return out.value
 
 
 def test_int_slack_program_matches_the_hrep_program():
-    # the int program is the tangent-cone program, value for value; the
-    # program over all of D is the oracle for the verdict, which reads only
-    # whether the value is zero
-    checked = 0
+    # the int program is the tangent-cone program without the s_j <= 1
+    # rows, a cone program: its optimum is the rational cone program's, 0
+    # or unbounded (None).  A bounded cone program means a zero optimum for
+    # the bounded tangent program and for the program over all of D, the
+    # oracle for the verdict, which reads only whether the value is zero
+    verdicts = Counter()
     for P in SET_CORPUS:
         for u in P.feasible_vrep.points:
             for weak in (False, True):
                 got = vlp._max_slack(P, u, weak)
-                assert got == slack_program_value(P, u, weak, tangent=True)
-                assert (got == 0) == (slack_program_value(P, u, weak, tangent=False) == 0)
-                checked += 1
-    assert checked == 856
+                assert got in (0, None)
+                assert got == slack_program_value(P, u, weak, tangent=True, bounds=False)
+                tangent = slack_program_value(P, u, weak, tangent=True)
+                over_d = slack_program_value(P, u, weak, tangent=False)
+                assert (got == 0) == (tangent == 0) == (over_d == 0)
+                verdicts["bounded" if got == 0 else "unbounded"] += 1
+    assert verdicts == {"bounded": 527, "unbounded": 329}
 
 
 def test_tangent_slack_program_agrees_with_d_off_the_vertices():
