@@ -8,8 +8,13 @@ minimal-face witness system.  It stops at the first disagreement.  On a
 configurable subset of instances it also recomputes the full efficient and
 weakly efficient sets, checks that each equals the set found by testing
 every face of the feasible set, and checks that every efficient face sits
-inside some weakly efficient face.  All arithmetic is exact, so a clean run
-certifies thousands of zero-tolerance agreements.
+inside some weakly efficient face.  On those instances it also connects the
+first and the last vertex of each set, when it has two, and checks the path
+without a solver: every point lies in D by exact row checks, every segment
+weight is admissible (in ri(K*), or a nonzero element of K* for the weak
+kind), and both ends of every segment attain the minimum of (M^T w).x over
+D, read off D's generator form.  All arithmetic is exact, so a clean run certifies
+thousands of zero-tolerance agreements.
 
 Usage:
     python3 scripts/random_sweep.py --count 200 --seed 90210
@@ -34,7 +39,9 @@ from gpolyvlp.crosscheck import (
     solution_set_via_all_faces,
 )
 from gpolyvlp.instances import InstanceConfig, random_problem
+from gpolyvlp.polyhedron import contains
 from gpolyvlp.vlp import (
+    connect,
     efficient_set,
     is_efficient,
     is_weakly_efficient,
@@ -87,11 +94,51 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
+def set_vertices(S) -> list:
+    """The vertices of D in the faces of the set S, in order of first
+    appearance."""
+    out = []
+    for f in S.faces:
+        out += [p for p in f.geometry.points if p not in out]
+    return out
+
+
+def path_fault(P, u, v, weak: bool):
+    """What is wrong with connect's path from u to v, or None.  The checks
+    use exact dot products only, no LP."""
+    cert = connect(P, u, v, weak=weak)
+    if cert.points[0] != u or cert.points[-1] != v:
+        return "path does not run between the queried vertices"
+    if any(not contains(P.feasible_set, x) for x in cert.points):
+        return "path point outside D"
+    dec, geom = P.decomposition, P.feasible_vrep
+    for i, w in enumerate(cert.weights):
+        if weak and P.cone_interior_empty:
+            # the weakly efficient set is all of D; the zero weight serves
+            admissible = w.is_zero()
+        elif weak:
+            in_dual = all(y.dot(w) == 0 for y in dec.y0_basis) and all(
+                r.dot(w) >= 0 for r in dec.k1_rays
+            )
+            admissible = in_dual and not w.is_zero()
+        else:
+            admissible = dec.ri_dual_contains(w)
+        if not admissible:
+            return f"segment {i} weight {w} is not admissible"
+        c = P.objective.tmatvec(w)
+        if any(c.dot(r) < 0 for r in geom.rays) or any(c.dot(l) for l in geom.lineality):
+            return f"segment {i} weight is unbounded below on D"
+        low = min(c.dot(p) for p in geom.points)
+        if c.dot(cert.points[i]) != low or c.dot(cert.points[i + 1]) != low:
+            return f"segment {i} leaves the argmin of its weight"
+    return None
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     config = args.config
     rng = random.Random(args.seed)
-    verdicts = efficient = sets_checked = 0
+    verdicts = efficient = sets_checked = paths = 0
     t0 = time.perf_counter()
     for i in range(args.count):
         P = random_problem(rng, config, allow_subspace=args.allow_subspace)
@@ -137,12 +184,22 @@ def main(argv=None) -> int:
                         file=sys.stderr,
                     )
                     return 1
+            for S, weak in ((E, False), (W, True)):
+                ends = set_vertices(S)
+                if len(ends) < 2:
+                    continue
+                fault = path_fault(P, ends[0], ends[-1], weak)
+                if fault:
+                    print(f"{S.kind.value} path of instance {i}: {fault}", file=sys.stderr)
+                    return 1
+                paths += 1
             sets_checked += 1
     elapsed = time.perf_counter() - t0
     print(
         f"{args.count} instances, {verdicts} vertex verdicts "
         f"({efficient} efficient) agree on all four routes, "
-        f"{sets_checked} set pairs match the all-faces route and nest, {elapsed:.1f}s"
+        f"{sets_checked} set pairs match the all-faces route and nest, "
+        f"{paths} connect paths check out, {elapsed:.1f}s"
     )
     return 0
 

@@ -5,6 +5,11 @@ nontrivial lineality space Y0 = K cap -K or even be a whole subspace.  The
 decomposition splits K = Y0 + K1 with K1 = K cap Y0-perp pointed, which is
 what the efficiency machinery consumes: dual membership reduces to signs
 against Y0 and the extreme rays of K1.
+
+The split is worked out in ints (_split): Y0 is the integer kernel of the
+normals, and K1 comes from one integer double description with Y0 as
+equalities.  decompose returns its rational view; VLPProblem keeps the ints
+and reads its weight-space rows and the interior test off them.
 """
 
 from __future__ import annotations
@@ -12,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exact import Matrix, Vector, kernel_basis, parse_rational, format_rational
+from .exact import Matrix, Vector, _integers, format_rational, kernel_basis, parse_rational
 from .lp import LPStatus, feasible, solve_lp
-from .polyhedron import HRep, InternalInvariantError, _json_dim, dd_cone
+from .polyhedron import HRep, InternalInvariantError, _cone_ints, _json_dim, _kernel_int, _view
 
 __all__ = [
     "ConeH",
@@ -97,7 +102,7 @@ class ConeH:
         return ConeH(dim, tuple(normals))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConeDecomposition:
     """K split as Y0 + K1 with Y0 the lineality space and K1 pointed.
 
@@ -131,18 +136,41 @@ class ConeDecomposition:
 
 
 def decompose(K: ConeH) -> ConeDecomposition:
-    y0 = K.lineality_basis()
-    y1 = kernel_basis(Matrix.from_rows(y0, cols=K.dim))
-    lin, rays = dd_cone(K.dim, y0, list(K.normals))
+    """K = Y0 + K1: the rational view of _split(K)."""
+    return _decomposition(K, _split(K))
+
+
+def _split(K: ConeH) -> tuple:
+    """The split K = Y0 + K1 in ints: (y0, k1), tuples of int generators
+    (*g, h) standing for g / h (see polyhedron._Generators).
+
+    y0 is the integer kernel of the normals, each vector g with h its entry
+    on its free column, so g / h is the canonical kernel_basis vector of
+    ConeH.lineality_basis.  k1 holds the extreme rays of K1 = K cap Y1, the
+    dd_cone rays of the normals with the y0 vectors as equalities, each a
+    primitive g with h the absolute value of its leading entry.  K1 is
+    pointed, so that DD must leave no lineality."""
+    normals = [_integers(n.coords)[0] for n in K.normals]
+    y0 = tuple([g + (g[f],) for f, g in _kernel_int(normals, K.dim)])
+    lin, k1 = _cone_ints(K.dim, [g[:-1] for g in y0], normals)
     if lin:
         raise InternalInvariantError(
             "the pointed part of the cone kept a lineality direction"
         )
+    return y0, k1
+
+
+def _decomposition(K: ConeH, split: tuple) -> ConeDecomposition:
+    """The ConeDecomposition of K given as its int split (see _split).
+    y1_basis is the canonical kernel of the y0 vectors, from one more
+    integer kernel."""
+    y0, k1 = split
+    y1 = [g + (g[f],) for f, g in _kernel_int([v[:-1] for v in y0], K.dim)]
     return ConeDecomposition(
         cone=K,
-        y0_basis=tuple(y0),
-        y1_basis=tuple(y1),
-        k1_rays=tuple(rays),
+        y0_basis=tuple([_view(v) for v in y0]),
+        y1_basis=tuple([_view(v) for v in y1]),
+        k1_rays=tuple([_view(r) for r in k1]),
         dual_generators=tuple(-n for n in K.normals),
     )
 

@@ -25,7 +25,9 @@ HRep entry, _solve and solve_lp, writes the split x = x+ - x- as data: rows
 its tableau is the split one, and reads a certified descent ray off the
 entering column of an unbounded program.  solve_lp adds a lexicographic
 refinement on top, so its optimal points are canonical.  Exact breakpoint
-analysis of objectives moving along a segment sits on top of both.
+analysis of objectives moving along a segment sits on top of both: it
+reads the candidate breakpoints off the int generators of the double
+description and checks each breakpoint it returns with an LP.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ from .exact import Rational, Vector, ZERO, _integers, rat
 from .polyhedron import (
     HRep,
     InternalInvariantError,
-    VRep,
+    _Generators,
     _direction,
     _dot,
+    _generators,
     _scaled_rows,
-    h_to_v,
 )
 
 __all__ = [
@@ -256,7 +258,7 @@ def _write_rows(dim: int, eqs: Sequence, ineqs: Sequence) -> tuple:
         if b < 0:
             a, b = [-v for v in a], -b
             unit = -1
-        row = a + [0] * n_ineq + [b]
+        row = [*a, *[0] * n_ineq, b]
         if slack is not None:
             row[dim + slack] = unit
         rows.append(row)
@@ -509,70 +511,92 @@ def parametric_breakpoints(c0: Vector, c1: Vector, P: HRep) -> list:
     """
     if c0.dim != P.dim or c1.dim != P.dim:
         raise ValueError("objective dimension differs from ambient dimension")
-    return _breakpoints(c0, c1, h_to_v(P), _scaled_rows(P))
+    rows = _scaled_rows(P)
+    return _breakpoints(c0, c1, _generators(P.dim, *rows), rows)
 
 
-def _breakpoints(c0: Vector, c1: Vector, geom: VRep, rows: tuple) -> list:
-    """parametric_breakpoints over a polyhedron P, given geom = h_to_v(P)
-    and rows = _scaled_rows(P)."""
-    if geom.is_empty:
+def _breakpoints(c0: Vector, c1: Vector, gens: _Generators, rows: tuple) -> list:
+    """parametric_breakpoints over a polyhedron P, given its int generators
+    gens = polyhedron._generators of P and its int rows = _scaled_rows(P).
+
+    Everything but the breakpoints themselves is worked out in ints.  With
+    c0 = C0 / L and c1 = C1 / L over one denominator, Dc = C1 - C0, and the
+    points g / h of P brought to the lcm H of their h, the objective value
+    of a point along the segment is (A0 + t A1) / (L H) with
+    A0 = (H / h) C0.g and A1 = (H / h) Dc.g, so two points' lines cross at
+    the t where A0 + t A1 agree.  A ray or lineality vector g / h has a
+    product C0.g + t Dc.g of the same sign, which crosses zero where
+    solvability can switch.  Each crossing in (0, 1) is a reduced int pair
+    (num, den) with den > 0.  The argmin points and the rays tight on the
+    argmin are constant between consecutive crossings, so each open
+    interval is classified at its midpoint, by the signs of den (A0 + t A1)
+    and of the ray products in ints; one rational is built per breakpoint.
+    """
+    if not gens.points:
         raise UnsolvableSegmentError("unsolvable on segment")
-    delta = c1 - c0
+    n = c0.dim
+    flat, _ = _integers(c0.coords + c1.coords)
+    C0 = flat[:n]
+    Dc = [y - x for x, y in zip(C0, flat[n:])]
+    H = math.lcm(*[v[-1] for v in gens.points])
+    lines = []
+    for v in gens.points:
+        # v's trailing h is past the end of C0 and Dc, so _dot skips it
+        f = H // v[-1]
+        lines.append((f * _dot(C0, v), f * _dot(Dc, v)))
+    rays = [(_dot(C0, v), _dot(Dc, v)) for v in gens.rays]
+    lineality = [(_dot(C0, v), _dot(Dc, v)) for v in gens.lineality]
 
-    def cost(t):
-        return c0 + delta.scale(t)
+    candidates = {(0, 1), (1, 1)}
 
-    # objective value lines of the candidate vertices: f_p(t) = c0.p + t delta.p
-    lines = [(c0.dot(p), delta.dot(p)) for p in geom.points]
-    candidates = {rat(0), rat(1)}
-    for i in range(len(lines)):
-        a0, a1 = lines[i]
-        for j in range(i + 1, len(lines)):
-            b0, b1 = lines[j]
-            if a1 == b1:
-                continue
-            t = (b0 - a0) / (a1 - b1)
-            if 0 < t < 1:
-                candidates.add(t)
+    def cross(num: int, den: int) -> None:
+        if den < 0:
+            num, den = -num, -den
+        if 0 < num < den:
+            g = math.gcd(num, den)
+            candidates.add((num // g, den // g))
+
+    for i, (a0, a1) in enumerate(lines):
+        for b0, b1 in lines[i + 1 :]:
+            if a1 != b1:
+                cross(b0 - a0, a1 - b1)
     # rays and lineality switch solvability where their product crosses zero
-    for g in list(geom.rays) + list(geom.lineality):
-        a0, a1 = c0.dot(g), delta.dot(g)
-        if a1 != 0:
-            t = -a0 / a1
-            if 0 < t < 1:
-                candidates.add(t)
-    grid = sorted(candidates)
+    for a0, a1 in rays + lineality:
+        if a1:
+            cross(-a0, a1)
+    common = math.lcm(*[den for _, den in candidates])
+    grid = sorted(candidates, key=lambda t: t[0] * (common // t[1]))
 
-    def signature(t):
-        ct = cost(t)
-        for g in geom.lineality:
-            if ct.dot(g) != 0:
-                return None
-        ray_products = tuple(ct.dot(g) for g in geom.rays)
-        if any(v < 0 for v in ray_products):
+    def signature(num: int, den: int):
+        """The argmin points and tight rays at t = num / den, den > 0, or
+        None when the objective is unbounded there."""
+        if any(den * a0 + num * a1 for a0, a1 in lineality):
             return None
-        values = [v0 + t * v1 for v0, v1 in lines]
+        products = [den * a0 + num * a1 for a0, a1 in rays]
+        if any(v < 0 for v in products):
+            return None
+        values = [den * a0 + num * a1 for a0, a1 in lines]
         best = min(values)
         argmin = tuple(i for i, v in enumerate(values) if v == best)
-        tight_rays = tuple(i for i, v in enumerate(ray_products) if v == 0)
+        tight_rays = tuple(i for i, v in enumerate(products) if v == 0)
         return argmin, tight_rays
 
     # signatures are constant between consecutive candidates, so probing the
-    # exact rational midpoint of each open interval classifies it completely
+    # exact midpoint of each open interval classifies it completely
     sigs = []
-    for k in range(1, len(grid)):
-        mid = (grid[k - 1] + grid[k]) / 2
-        sig = signature(mid)
+    for (n0, d0), (n1, d1) in zip(grid, grid[1:]):
+        sig = signature(n0 * d1 + n1 * d0, 2 * d0 * d1)
         if sig is None:
             raise UnsolvableSegmentError("unsolvable on segment")
         sigs.append(sig)
     breakpoints = [rat(0)]
     for k in range(1, len(grid) - 1):
         if sigs[k - 1] != sigs[k]:
-            breakpoints.append(grid[k])
+            breakpoints.append(Rational(*grid[k]))
     breakpoints.append(rat(1))
 
+    delta = c1 - c0
     for t in breakpoints:
-        if _solve_rows(geom.dim, *rows, cost(t)).status != LPStatus.OPTIMAL:
+        if _solve_rows(n, *rows, c0 + delta.scale(t)).status != LPStatus.OPTIMAL:
             raise UnsolvableSegmentError("unsolvable on segment")
     return breakpoints

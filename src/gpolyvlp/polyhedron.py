@@ -6,16 +6,20 @@ extreme-ray list, so sets with nontrivial lineality (and cones that are
 whole subspaces) need no special casing anywhere above this module.  Rows
 are scaled to primitive integer vectors once; rays are primitive integer
 representatives modulo the lineality space, kept reduced against an integer
-echelon basis of it.  The core has two entries: dd_cone for rational rows,
-and h_to_v, which scales an HRep's rows to ints, or takes int rows [a | b]
-straight from the pipeline (_h_to_v_rows).  The output stays in ints until
-the result is built: rays are projected orthogonally to the lineality space
-by integer steps, and each coordinate becomes one rational when a point is
-divided by its homogenizing coordinate or a ray by its leading entry.
+echelon basis of it.  The core has two int entries: _cone_ints for a cone,
+behind dd_cone, and _generators for a polyhedron, which takes int rows
+[a | b] as _scaled_rows and the pipeline write them, behind h_to_v.  Both
+keep their output in ints: rays are projected orthogonally to the
+lineality space by integer steps, and every generator is a tuple (*g, h)
+of ints that stands for the rational vector g / h.  A rational view
+(dd_cone, _vrep) divides each coordinate once, so a caller that needs ints
+reads them off the DD without a round trip through rationals.
 
 Faces and DD adjacency are both decided by incidence, which rows are tight
 on which generators: the DD carries each ray's zero set as a bitmask, and
 the face lattice is read off the incidence of one DD of the polyhedron.
+_generators hands the zero sets of its generators on as that incidence, so
+no row is dotted with a generator to find it again.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .exact import (
+    ONE,
+    ZERO,
     Matrix,
     Rational,
     Vector,
@@ -261,34 +267,45 @@ def dd_cone(dim: int, eq_rows: Sequence[Vector], ineq_rows: Sequence[Vector]):
     Returns (lineality_basis, extreme_rays): the basis in reduced row echelon
     form, the rays canonical modulo the lineality span: orthogonal to it,
     scaled to a +-1 leading coordinate, deduplicated and sorted.  The rows
-    are scaled to ints once and the method runs on _dd, the integer core it
-    shares with h_to_v.
+    are scaled to ints once, and the result is the rational view of
+    _cone_ints.
     """
     for r in list(eq_rows) + list(ineq_rows):
         if r.dim != dim:
             raise ValueError("constraint row dimension mismatch")
-    lin, rays = _dd(
+    lin, rays = _cone_ints(
         dim,
         [_integers(e.coords)[0] for e in eq_rows],
         [_integers(a.coords)[0] for a in ineq_rows],
     )
-    out_rays = [_direction(r) for r in _project(rays, lin)]
-    out_rays.sort(key=lambda r: r.coords)
-    return _rref_basis(lin), out_rays
+    return [_view(l) for l in lin], [_view(r) for r in rays]
+
+
+def _cone_ints(dim: int, eq_rows: Sequence, ineq_rows: Sequence) -> tuple:
+    """dd_cone on int rows, with int output: (lineality, rays) as tuples of
+    int generators (*g, h), g / h the vector dd_cone returns.  A lineality
+    vector is a primitive echelon row g with h its pivot entry, a ray the
+    primitive projection g of a _dd ray with h the absolute value of its
+    leading entry; both in dd_cone's order."""
+    lin, rays = _dd(dim, eq_rows, ineq_rows)
+    rays = _in_order([(r + (_lead(r),), None) for r in _project(rays, lin)])
+    return _echelon_basis(lin), tuple([r for r, _ in rays])
 
 
 def _dd(dim: int, eq_rows: Sequence, ineq_rows: Sequence) -> tuple:
     """The integer core of the double description: generators of the cone
     {z : e.z = 0, a.z <= 0} for int rows e in eq_rows and a in ineq_rows.
 
-    Returns (lineality, rays) as lists of primitive int vectors: a basis of
-    the lineality space L, and one representative of every extreme ray
-    class modulo L, neither projected nor scaled.
+    Returns (lineality, rays): a basis of the lineality space L as a list
+    of primitive int vectors, and a dict from one primitive representative
+    of every extreme ray class modulo L, neither projected nor scaled, to
+    its zero set (see below), the rows of ineq_rows tight on it.
 
     Every row is divided once by the gcd of its entries, which changes no
     sign.  L is held as primitive integer vectors, each with a pivot column
     where it is positive and every other basis vector is zero; it starts as
-    the kernel of the equalities, worked out in ints.  Rays are primitive
+    the kernel of the equalities as _kernel_int gives it, already in that
+    form (the identity without equalities).  Rays are primitive
     integer representatives modulo L that are zero on every pivot column.
     Each class r + L has exactly one such representative, so rays dedupe on
     it, and every processed row vanishes on L, so it gives the same signs
@@ -310,7 +327,7 @@ def _dd(dim: int, eq_rows: Sequence, ineq_rows: Sequence) -> tuple:
     """
     eqs = [_primitive(e) for e in eq_rows]
     ineqs = [_primitive(a) for a in ineq_rows]
-    L = _echelon_int(_kernel_int(eqs, dim))
+    L = _kernel_int(eqs, dim)
     rays: dict = {}  # ray -> zero set over the rows inserted so far
 
     for i, a in enumerate(ineqs):
@@ -373,7 +390,7 @@ def _dd(dim: int, eq_rows: Sequence, ineq_rows: Sequence) -> tuple:
         _dot(a, l) for a in ineqs for l in lin
     ):
         raise InternalInvariantError("generator violates an inequality row")
-    return lin, list(rays)
+    return lin, rays
 
 
 def _adjacent(zeros: list, common: int) -> bool:
@@ -431,10 +448,16 @@ def _echelon_int(rows) -> list:
 
 
 def _kernel_int(rows: list, dim: int) -> list:
-    """A basis of the null space of the int rows, as int vectors: one per
-    free column f of their reduced echelon form, x_f = D and x_c =
-    -D e[f] / e[c] on the pivot column c of each echelon row e, with D the
-    lcm of the pivot entries."""
+    """A basis of the null space of the int rows, as (f, primitive int
+    vector) pairs: one per free column f of their reduced echelon form, the
+    vector x_f = D and x_c = -D e[f] / e[c] on the pivot column c of each
+    echelon row e, with D the lcm of the pivot entries, divided by its gcd.
+
+    Each vector is positive at its free column f and every other one is
+    zero there, which is the form in which _dd keeps a lineality basis, so
+    it takes the kernel as it is; without rows it is the identity
+    [(i, e_i)].  x / x[f] is the canonical kernel vector of
+    exact.kernel_basis, the one with x_f = 1."""
     echelon = _echelon_int(rows)
     pivots = {c for c, _ in echelon}
     D = lcm(*[e[c] for c, e in echelon])
@@ -446,7 +469,7 @@ def _kernel_int(rows: list, dim: int) -> list:
         v[f] = D
         for c, e in echelon:
             v[c] = -e[f] * (D // e[c])
-        basis.append(v)
+        basis.append((f, _primitive(v)))
     return basis
 
 
@@ -473,22 +496,43 @@ def _reject(v, basis: list):
     return v
 
 
-def _direction(r) -> Vector:
-    """The int vector r as a rational vector with a +-1 leading coordinate."""
+def _lead(r) -> int:
+    """The absolute value of the leading nonzero entry of the int vector r."""
     lead = next((abs(x) for x in r if x), None)
     if lead is None:
         raise InternalInvariantError("zero vector produced as an extreme ray")
-    if lead == 1:
-        return Vector(tuple([Rational(x) for x in r]))
-    return Vector(tuple([Rational(x, lead) for x in r]))
+    return lead
 
 
-def _rref_basis(lin: list) -> list:
-    """The reduced row echelon basis of span(lin), as rational vectors: the
-    integer echelon rows in pivot order, each divided by its pivot entry."""
-    return [
-        Vector(tuple([Rational(x, e[c]) for x in e])) for c, e in sorted(_echelon_int(lin))
-    ]
+def _direction(r) -> Vector:
+    """The int vector r as a rational vector with a +-1 leading coordinate."""
+    return _view(tuple(r) + (_lead(r),))
+
+
+def _view(v) -> Vector:
+    """The rational vector g / h of the int generator v = (*g, h), one
+    rational per coordinate.  Zero entries, and unit entries over h = 1,
+    share the immutable ZERO and ONE, as exact.kernel_basis does."""
+    h = v[-1]
+    if h == 1:
+        return Vector(tuple([ZERO if x == 0 else ONE if x == 1 else Rational(x) for x in v[:-1]]))
+    return Vector(tuple([Rational(x, h) if x else ZERO for x in v[:-1]]))
+
+
+def _echelon_basis(lin: list) -> tuple:
+    """The reduced row echelon basis of span(lin) as int generators: each
+    integer echelon row e, in pivot order, as (*e, e[c]) with c its pivot
+    column, which stands for e / e[c]."""
+    return tuple([e + (e[c],) for c, e in sorted(_echelon_int(lin))])
+
+
+def _in_order(items: list) -> list:
+    """(generator, data) pairs sorted by the rational vectors g / h of the
+    int generators (*g, h): brought to the common denominator H of all of
+    them, g H / h compares as g / h does."""
+    H = lcm(*[v[-1] for v, _ in items])
+    items.sort(key=lambda item: [x * (H // item[0][-1]) for x in item[0][:-1]])
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -541,33 +585,90 @@ def _scaled_rows(P: HRep) -> tuple:
 
 def _h_to_v_rows(d: int, eqs: Sequence, ineqs: Sequence) -> VRep:
     """h_to_v of {x : a.x = b for eqs, a.x <= b for ineqs}, given as int
-    rows (ints [a | b], scale) as _scaled_rows and the pipeline write them;
-    the scale plays no part.
+    rows (ints [a | b], scale) as _scaled_rows and the pipeline write them:
+    the rational view of _generators."""
+    return _vrep(d, _generators(d, eqs, ineqs))
+
+
+# _Generators is a plain slotted class: a dataclass generates its methods
+# with exec when the module is imported.
+class _Generators:
+    """The generator form of a polyhedron in ints, in the order of the VRep
+    that _vrep makes of it: points, rays and a lineality basis, each
+    generator a tuple (*g, h) of ints that stands for the rational vector
+    g / h.  A point is the projected ray (g, h) of the homogenized cone that
+    it comes from, h > 0 its homogenizing coordinate; a ray is a projected
+    primitive g with h the absolute value of its leading entry, and a
+    lineality vector a primitive echelon row g with h its pivot entry.  g
+    and h have no common factor, so h is the lcm of the denominators of
+    g / h.  An empty polyhedron has no generators at all.
+
+    tight is the incidence with the inequality rows the set was given by,
+    as _incidence defines it: one mask per row, bit k set when the row is
+    tight on points[k] and bit len(points) + k when it is tight on
+    rays[k]."""
+
+    __slots__ = ("points", "rays", "lineality", "tight")
+
+    def __init__(self, points: tuple, rays: tuple, lineality: tuple, tight: tuple):
+        self.points, self.rays, self.lineality, self.tight = points, rays, lineality, tight
+
+
+def _generators(d: int, eqs: Sequence, ineqs: Sequence) -> _Generators:
+    """The int generators of {x : a.x = b for eqs, a.x <= b for ineqs},
+    given as int rows (ints [a | b], scale); the scale plays no part.
 
     The cone of the homogenization, rows [a | -b] and -t <= 0, goes through
-    the integer core _dd, and its output stays in ints until the VRep is
-    built: rays are projected orthogonally to the lineality in ints, a ray
-    r with t = r[-1] > 0 is the point r[:-1] / t, one with t = 0 is a ray
-    scaled to a +-1 leading coordinate, and the lineality basis is the
-    reduced echelon form of the integer one.
+    the integer core _dd, and its rays are projected orthogonally to the
+    lineality in ints: a ray r with t = r[-1] > 0 is the point r[:-1] / t,
+    one with t = 0 is a ray of the set, and the lineality basis is the
+    reduced echelon form of the integer one.  No rational is built.
+
+    The incidence is the DD's zero sets: every row vanishes on the
+    lineality, so a projected ray keeps the zero set of its DD ray, and
+    row [a | -b] is zero on (g, t) exactly when a.g = b t, which is the
+    point g / t on the row's boundary, or for t = 0 the ray g along it.
+    Bit i + 1 of a zero set is ineqs[i], past the row -t <= 0.
     """
     lin, rays = _homogenized_dd(d, eqs, ineqs)
     if not any(r[-1] > 0 for r in rays):
-        return VRep.empty(d)
+        return _Generators((), (), (), ())
     if any(l[-1] for l in lin):
         raise InternalInvariantError("homogenization lineality leaked a nonzero last coordinate")
     points, free_rays = [], []
-    for r in _project(rays, lin):
-        t = r[-1]
-        if t > 0:
-            points.append(Vector(tuple([Rational(x, t) for x in r[:-1]])))
+    for r, zeros in zip(_project(rays, lin), rays.values()):
+        if r[-1] > 0:
+            points.append((r, zeros))
         else:
             # t < 0 is impossible: the homogenization row forbids it
-            free_rays.append(_direction(r[:-1]))
-    points.sort(key=lambda p: p.coords)
-    free_rays.sort(key=lambda r: r.coords)
-    lineality = [Vector(l.coords[:-1]) for l in _rref_basis(lin)]
-    return VRep(d, tuple(points), tuple(free_rays), tuple(lineality))
+            g = r[:-1]
+            free_rays.append((g + (_lead(g),), zeros))
+    points, free_rays = _in_order(points), _in_order(free_rays)
+    zero_sets = [z for _, z in points + free_rays]
+    tight = tuple(
+        [
+            sum([1 << k for k, z in enumerate(zero_sets) if z >> i & 1])
+            for i in range(1, len(ineqs) + 1)
+        ]
+    )
+    # the echelon rows end in the homogenizing coordinate 0, dropped here
+    lineality = tuple([e[:-2] + e[-1:] for e in _echelon_basis(lin)])
+    return _Generators(
+        tuple([v for v, _ in points]), tuple([v for v, _ in free_rays]), lineality, tight
+    )
+
+
+def _vrep(d: int, gens: _Generators) -> VRep:
+    """The rational view of int generators: each g / h as a Vector, one
+    rational per coordinate."""
+    if not gens.points:
+        return VRep.empty(d)
+    return VRep(
+        d,
+        tuple([_view(v) for v in gens.points]),
+        tuple([_view(v) for v in gens.rays]),
+        tuple([_view(v) for v in gens.lineality]),
+    )
 
 
 def _homogenized_dd(d: int, eqs: Sequence, ineqs: Sequence) -> tuple:
@@ -576,8 +677,8 @@ def _homogenized_dd(d: int, eqs: Sequence, ineqs: Sequence) -> tuple:
     rows [a | -b] and -t <= 0.  Returns (lineality, rays) as _dd does; a
     ray r with r[-1] > 0 stands for the point r[:-1] / r[-1] modulo the
     lineality, one with r[-1] == 0 for a ray of the set."""
-    eq_lift = [e[:d] + [-e[d]] for e, _ in eqs]
-    ineq_lift = [[0] * d + [-1]] + [a[:d] + [-a[d]] for a, _ in ineqs]
+    eq_lift = [[*e[:d], -e[d]] for e, _ in eqs]
+    ineq_lift = [[0] * d + [-1]] + [[*a[:d], -a[d]] for a, _ in ineqs]
     return _dd(d + 1, eq_lift, ineq_lift)
 
 
@@ -764,31 +865,35 @@ def _face_lattice(P: HRep, geom: VRep, max_faces: Optional[int]) -> list:
     return sorted(found.items())
 
 
-def _incidence(P: HRep, geom: VRep) -> list:
+def _incidence(P: HRep, geom: VRep) -> tuple:
     """The row/generator incidence of P and geom = h_to_v(P): one mask per
     inequality row of P, bit k set when the row is tight on geom.points[k]
     and bit len(geom.points) + k when it is tight on geom.rays[k].
 
     A face of P is a mask G that holds a point and equals the AND of the
     masks of its tag, the rows whose mask contains G (all generators when
-    no row does)."""
+    no row does).  Each row and generator is scaled to ints and dotted:
+    row (a | b) is tight on the point g / h when a.g = b h, and on the ray
+    g / h when a.g = 0.  _generators reads the same incidence off the DD."""
     n_pts = len(geom.points)
-    # homogenized int generators (g, h): a point p is (L p, L) and a ray r
-    # is (L r, 0), so row (a, b) scaled to ints is tight on it iff a.g == b h
-    gens = []
-    for k, v in enumerate(geom.points + geom.rays):
-        ints, L = _integers(v.coords)
-        gens.append((ints, L if k < n_pts else 0))
+    gens = [_int_vector(v) for v in geom.points + geom.rays]
     tight = []
-    for row, rhs in P.ineq_rows():
-        ints, _ = _integers(row.coords + (rhs,))
-        a, b = ints[:-1], ints[-1]
+    for row, _ in _scaled_rows(P)[1]:
+        a, b = row[:-1], row[-1]
         mask = 0
-        for k, (g, h) in enumerate(gens):
-            if _dot(a, g) == b * h:
+        for k, v in enumerate(gens):
+            # v's trailing h is past the end of a, so _dot skips it
+            if _dot(a, v) == (b * v[-1] if k < n_pts else 0):
                 mask |= 1 << k
         tight.append(mask)
-    return tight
+    return tuple(tight)
+
+
+def _int_vector(v: Vector) -> tuple:
+    """The rational vector v as an int generator (*g, h): g = v h for h the
+    lcm of its denominators."""
+    ints, h = _integers(v.coords)
+    return (*ints, h)
 
 
 def _face(geom: VRep, active: tuple, G: int) -> Face:

@@ -32,11 +32,19 @@ d is free, one simplex column per coordinate.  The argmin re-check of a
 weight c asks whether c.d >= 0 on T_D(u), which holds exactly when u
 minimizes c.x over D.
 
+A problem has one integer set-up, each part a cached property built on
+first use by the programs that read it, from the ints the DD cores
+produce: D's scaled rows (_d_rows), D's generators and their row
+incidence from the one DD of D (_d_generators, each point or ray a tuple
+(*g, h) of ints standing for g / h), the split K = Y0 + K1 from one
+integer kernel and one DD of K (_cone_split), S M (_image_rows) and
+S (-M^T n_j) over the cone normals (_weak_image_rows), an int product of
+the normals with S M.  feasible_vrep and decomposition are rational views
+of the same results, built only when asked for; the set routines read
+decomposition for their weight checks, and build no feasible_vrep.
+
 Every LP, and the DD of every witness's weight region, is written as int
-rows straight from the problem's int data, each part a cached property
-built on first use by the programs that read it: D's
-scaled rows (_d_rows), S M (_image_rows) and S (-M^T n_j) over the cone
-normals (_weak_image_rows).  Membership in D is tested on the same
+rows straight from the set-up; membership in D is tested on the same
 ints.  Each int row carries its factor over the rational row it stands for,
 so the simplex sees the program the rational formula describes.
 
@@ -47,11 +55,11 @@ off one DD of the lifted weight polyhedron W of pairs (y, t) with y
 admissible and t <= y.M x on D: each point of W is tight on exactly the
 generators of its argmin face.  The maximal tight masks are the maximal
 faces of the set.  Each is tagged, and checked to be a face, from D's
-row/generator incidence, read once per problem off the one DD of D; no
-face lattice is walked unless a cap on it is asked for.  W's points stay
-the int rays of its homogenized cone, and the weight-space images of D's
-generators are computed once per set call, as int vectors over one common
-denominator.
+row/generator incidence; no face lattice is walked unless a cap on it is
+asked for.  W's points stay the int rays of its homogenized cone, and the
+weight-space images of D's generators are int products of the image rows
+with D's int generators, over one common denominator.  connect's
+breakpoints are worked out over the same int generators.
 """
 
 from __future__ import annotations
@@ -59,9 +67,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd, lcm
 from typing import Optional
 
-from .cone import ConeDecomposition, ConeH, decompose
+from .cone import ConeDecomposition, ConeH, _decomposition, _split
 from .exact import ONE, ZERO, Matrix, Rational, Vector, _integers, complement_projector, rat
 from .lp import LPStatus, _breakpoints, _solve_rows
 from .polyhedron import (
@@ -69,15 +78,17 @@ from .polyhedron import (
     HRep,
     InternalInvariantError,
     VRep,
+    _Generators,
     _dot,
     _echelon_int,
-    _face,
     _face_lattice,
+    _generators,
     _h_to_v_rows,
     _homogenized_dd,
-    _incidence,
+    _int_vector,
     _scaled_rows,
-    h_to_v,
+    _view,
+    _vrep,
     map_polyhedron,
 )
 
@@ -141,7 +152,14 @@ class VLPProblem:
 
     @cached_property
     def decomposition(self) -> ConeDecomposition:
-        return decompose(self.cone)
+        """cone.decompose of K: the rational view of _cone_split."""
+        return _decomposition(self.cone, self._cone_split)
+
+    @cached_property
+    def _cone_split(self) -> tuple:
+        """K = Y0 + K1 in ints, (y0, k1) as cone._split gives it, from one
+        DD of K."""
+        return _split(self.cone)
 
     @cached_property
     def projector(self) -> Matrix:
@@ -151,7 +169,18 @@ class VLPProblem:
 
     @cached_property
     def feasible_vrep(self) -> VRep:
-        return h_to_v(self.feasible_set)
+        """h_to_v of D: the rational view of _d_generators."""
+        return _vrep(self.feasible_set.dim, self._d_generators)
+
+    @cached_property
+    def _d_generators(self) -> _Generators:
+        """D's generators as ints, in feasible_vrep order, with their
+        incidence with D's inequality rows (polyhedron._Generators), from
+        the one DD of D.  The DD runs on _d_rows when a certificate has
+        already scaled them; otherwise D's rows are scaled for it and not
+        kept, since the set routines need them for nothing else."""
+        rows = vars(self).get("_d_rows") or _scaled_rows(self.feasible_set)
+        return _generators(self.feasible_set.dim, *rows)
 
     @cached_property
     def image_set(self) -> VRep:
@@ -161,8 +190,9 @@ class VLPProblem:
     @cached_property
     def _d_rows(self) -> tuple:
         """D's (eqs, ineqs) as polyhedron._scaled_rows gives them, each row
-        (ints [a | b], scale)."""
-        return _scaled_rows(self.feasible_set)
+        (ints [a | b], scale), held as tuples."""
+        eqs, ineqs = _scaled_rows(self.feasible_set)
+        return tuple([(tuple(a), s) for a, s in eqs]), tuple([(tuple(a), s) for a, s in ineqs])
 
     @cached_property
     def _image_rows(self) -> tuple:
@@ -172,32 +202,38 @@ class VLPProblem:
 
     @cached_property
     def _weak_image_rows(self) -> tuple:
-        """(S (-M^T n_j) over the cone normals n_j as int rows, S).  The weak
+        """(S (-M^T n_j) over the cone normals n_j as int rows, S), S the lcm
+        of all their denominators, as _int_rows gives them.  The weak
         weight-space row of v is (g_j . M v)_j over the dual generators
         g_j = -n_j, in lambda-space; the rows are also the x part of the cone
-        rows of the slack programs."""
-        M = self.objective
-        return _int_rows([(-M.tmatvec(n)).coords for n in self.cone.normals])
+        rows of the slack programs.
 
-    @cached_property
-    def _tight_masks(self) -> list:
-        """polyhedron._incidence of D and feasible_vrep, one generator mask
-        per inequality row of D, shared by the strict and weak set calls."""
-        return _incidence(self.feasible_set, self.feasible_vrep)
+        Each row is an int product: with S' M = _image_rows and the normal
+        n = N / s in ints, R = -(S' M)^T N is S' s times the rational row.
+        Divided by g, the gcd of S' s and R, the row's lowest common
+        denominator is S' s / g, and S is the lcm of those."""
+        rows, scale = self._image_rows
+        products = []
+        for n in self.cone.normals:
+            N, s = _integers(n.coords)
+            R = [-_dot(N, col) for col in zip(*rows)]
+            g = gcd(scale * s, *R)
+            products.append(([x // g for x in R], scale * s // g))
+        S = lcm(*[d for _, d in products])
+        return tuple([tuple([x * (S // d) for x in R]) for R, d in products]), S
 
     @cached_property
     def cone_interior_empty(self) -> bool:
-        """Whether K has empty topological interior, read off the
-        decomposition.  K = Y0 + cone(k1 rays) with the rays in Y1, the
-        orthogonal complement of Y0, so the span of K is Y0 plus the span
-        of the rays and their dimensions add.  A convex cone has interior
-        points exactly when it spans R^q, so the interior is empty exactly
-        when len(y0_basis) + rank(k1 rays) < q; one integer echelon pass
-        gives the rank.  A cone with no normals has Y0 = R^q.
+        """Whether K has empty topological interior, read off the int split
+        K = Y0 + cone(k1 rays).  The rays lie in Y1, the orthogonal
+        complement of Y0, so the span of K is Y0 plus the span of the rays
+        and their dimensions add.  A convex cone has interior points exactly
+        when it spans R^q, so the interior is empty exactly when
+        len(y0) + rank(k1 rays) < q; one integer echelon pass gives the
+        rank.  A cone with no normals has Y0 = R^q.
         ConeH.has_nonempty_interior decides the same by an LP."""
-        dec = self.decomposition
-        rays = [_integers(r.coords)[0] for r in dec.k1_rays]
-        return len(dec.y0_basis) + len(_echelon_int(rays)) < self.cone.dim
+        y0, k1 = self._cone_split
+        return len(y0) + len(_echelon_int([r[:-1] for r in k1])) < self.cone.dim
 
     def project_to_y1(self, y: Vector) -> Vector:
         """The unique component of y lying in Y1 along the lineality of K."""
@@ -206,10 +242,10 @@ class VLPProblem:
 
 def _int_rows(rows) -> tuple:
     """(ints, S): the rational rows times S, the lcm of all their
-    denominators, as lists of ints.  No rows give ([], 1)."""
+    denominators, as tuples of ints.  No rows give ((), 1)."""
     flat, S = _integers([x for row in rows for x in row])
     it = iter(flat)
-    return [[next(it) for _ in row] for row in rows], S
+    return tuple([tuple([next(it) for _ in row]) for row in rows]), S
 
 
 @dataclass(frozen=True)
@@ -267,8 +303,8 @@ def _tangent_rows(P: VLPProblem, u: Vector, pad: int) -> tuple:
     U, L = _integers(u.coords)
     zeros = [0] * (pad + 1)
     return (
-        [(a[:n] + zeros, scale) for a, scale in eqs],
-        [(a[:n] + zeros, scale) for a, scale in ineqs if _dot(a, U) == a[n] * L],
+        [([*a[:n], *zeros], scale) for a, scale in eqs],
+        [([*a[:n], *zeros], scale) for a, scale in ineqs if _dot(a, U) == a[n] * L],
     )
 
 
@@ -304,7 +340,7 @@ def _max_slack(P: VLPProblem, u: Vector, weak: bool) -> Optional[Rational]:
     for j, a in enumerate(cone_rows):
         s = [0] * k
         s[0 if weak else j] = S
-        ineqs.append((a + s + [0], S))
+        ineqs.append(([*a, *s, 0], S))
     c = Vector((ZERO,) * n + (-ONE,) * k)
     out = _solve_rows(n + k, eqs, ineqs, c, k)
     if out.status is LPStatus.UNBOUNDED:
@@ -377,28 +413,43 @@ class _WeightSpace:
 
 
 def _weight_space(P: VLPProblem, weak: bool, extra: tuple) -> _WeightSpace:
+    """_int_weight_space with the rational vectors in extra as int
+    generators."""
+    return _int_weight_space(P, weak, tuple([_int_vector(v) for v in extra]))
+
+
+def _int_weight_space(P: VLPProblem, weak: bool, extra: tuple) -> _WeightSpace:
     """The weight space of P with the images of D's points and rays and of
-    the vectors in extra, computed together over one common denominator."""
-    geom = P.feasible_vrep
-    n = geom.dim
+    the int generators (*g, h) in extra, computed together over one common
+    denominator L.
+
+    D's generators are P._d_generators.  For every generator g / h here, h
+    is the lcm of the denominators of g / h, so L is the lcm of all the h,
+    and the image of g / h is (L / h) times the int rows dotted with g: the
+    rows times the vector scaled to ints over L.  The strict admissibility
+    rows are read off the int split of K (P._cone_split): a y0 vector g / h
+    gives the row (g | 0) of scale h, and a k1 ray g / h the row (-g | -h)
+    of scale h."""
+    gens = P._d_generators
     if weak:
         dim = len(P.cone.normals)
         eqs = [([1] * (dim + 1), 1)]
         ineqs = [([-int(i == j) for j in range(dim)] + [0], 1) for i in range(dim)]
         rows, S = P._weak_image_rows
     else:
-        dec = P.decomposition
+        y0, k1 = P._cone_split
         dim = P.cone.dim
-        eqs = [_integers(w.coords + (ZERO,)) for w in dec.y0_basis]
-        ineqs = []
-        for r in dec.k1_rays:
-            ints, scale = _integers(r.coords + (ONE,))
-            ineqs.append(([-v for v in ints], scale))
+        eqs = [(list(v[:-1]) + [0], v[-1]) for v in y0]
+        ineqs = [([-x for x in v], v[-1]) for v in k1]
         rows, S = P._image_rows
-    vectors = geom.points + geom.rays + extra
-    flat, L = _integers([x for v in vectors for x in v.coords])
-    images = [[_dot(a, flat[i : i + n]) for a in rows] for i in range(0, len(flat), n)]
-    return _WeightSpace(dim, eqs, ineqs, images, S * L, len(geom.points), len(geom.rays))
+    generators = gens.points + gens.rays + extra
+    L = lcm(*[v[-1] for v in generators])
+    images = []
+    for v in generators:
+        # v's trailing h is past the end of every row, so _dot skips it
+        f = L // v[-1]
+        images.append([_dot(a, v) * f for a in rows])
+    return _WeightSpace(dim, eqs, ineqs, images, S * L, len(gens.points), len(gens.rays))
 
 
 def _weight_region(W: _WeightSpace, points: list, dirs: list) -> tuple:
@@ -442,6 +493,14 @@ def _relative_interior_point(V: VRep) -> Vector:
     return s
 
 
+def _point_region(P: VLPProblem, u: Vector, weak: bool) -> tuple:
+    """_face_region of the flat u + lin(D), with u scaled to ints once and
+    D's int lineality basis as they are."""
+    W = _int_weight_space(P, weak, (_int_vector(u),) + P._d_generators.lineality)
+    first = W.n_points + W.n_rays
+    return _weight_region(W, [first], range(first + 1, len(W.images)))
+
+
 def _point_weight(P: VLPProblem, u: Vector, weak: bool) -> Vector:
     """The relative interior point of the weight region of u + lin(D), the
     smallest flat of D that every weight scalarizing u scalarizes whole.
@@ -449,8 +508,7 @@ def _point_weight(P: VLPProblem, u: Vector, weak: bool) -> Vector:
     An empty region means u is not (weakly) efficient, and that verdict is
     cross-checked by the primal slack program before NotEfficientError is
     raised: a zero slack there contradicts it."""
-    F = VRep(P.feasible_set.dim, (u,), (), P.feasible_vrep.lineality)
-    region = _h_to_v_rows(*_face_region(P, F, weak))
+    region = _h_to_v_rows(*_point_region(P, u, weak))
     if region.is_empty:
         if _max_slack(P, u, weak) == 0:
             raise InternalInvariantError("no dual weight for a (weakly) efficient point")
@@ -533,7 +591,7 @@ def _whole_set_face(P: VLPProblem) -> Face:
     generator of D."""
     geom = P.feasible_vrep
     everything = (1 << (len(geom.points) + len(geom.rays))) - 1
-    return Face(tuple(i for i, t in enumerate(P._tight_masks) if t == everything), geom)
+    return Face(tuple(i for i, t in enumerate(P._d_generators.tight) if t == everything), geom)
 
 
 def face_scalarizable(P: VLPProblem, face: Face, weak: bool) -> bool:
@@ -569,18 +627,24 @@ def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -
     cone, straight from the DD; every row of W vanishes on W's lineality,
     so they give the same tight masks as the projected points (Y, T) / h.
     A mask's tag is the set of D's rows whose incidence mask contains it
-    (P._tight_masks), and sorting by tag is faces() order.  A mask that is
-    not the AND of its tag's masks (all generators for an empty tag), or
-    that holds no point, is no face of D; that, and a returned face whose
-    weight the cone rejects, raises InternalInvariantError.
+    (the incidence of P._d_generators), and sorting by tag is faces()
+    order.  A mask that is not the AND of its tag's masks (all generators
+    for an empty tag), or that holds no point, is no face of D; that, and a
+    returned face whose weight the cone rejects, raises
+    InternalInvariantError.
+
+    W is written from the int set-up of P: D's int generators, the int
+    split of K and the image rows.  The returned faces are built from the
+    rational views of their own generators only; feasible_vrep is not
+    needed.
 
     The face lattice is walked only when max_faces is given, and then whole
     and before W, as the count behind FaceLimitError.
     """
-    geom = P.feasible_vrep
+    gens = P._d_generators
     if max_faces is not None:
-        _face_lattice(P.feasible_set, geom, max_faces)
-    W = _weight_space(P, weak, geom.lineality)
+        _face_lattice(P.feasible_set, P.feasible_vrep, max_faces)
+    W = _int_weight_space(P, weak, gens.lineality)
     img, den, dim = W.images, W.den, W.dim
     points, rays = range(W.n_points), range(W.n_points, W.n_points + W.n_rays)
     # the lifted polyhedron's rows in (y, t): an admissibility row [a | b]
@@ -598,7 +662,7 @@ def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -
         mask = sum(1 << p for p in points if _dot(img[p], Y) == T * den)
         mask += sum(1 << r for r in rays if not _dot(img[r], Y))
         weights.setdefault(mask, v)
-    tight = P._tight_masks
+    tight = gens.tight
     everything = (1 << rays.stop) - 1
     dec = P.decomposition
     found = []
@@ -617,7 +681,14 @@ def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -
         if y.is_zero() if weak else not dec.ri_dual_contains(y):
             raise InternalInvariantError("a set weight left the admissible dual weights")
         found.append((tag, m))
-    return tuple(_face(geom, tag, m) for tag, m in sorted(found))
+    n = P.feasible_set.dim
+    lineality = tuple([_view(l) for l in gens.lineality])
+    faces = []
+    for tag, m in sorted(found):
+        face_points = tuple([_view(p) for k, p in enumerate(gens.points) if m >> k & 1])
+        face_rays = tuple([_view(r) for k, r in enumerate(gens.rays, W.n_points) if m >> k & 1])
+        faces.append(Face(tag, VRep(n, face_points, face_rays, lineality)))
+    return tuple(faces)
 
 
 def efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> EfficientSet:
@@ -636,7 +707,7 @@ def efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> EfficientSe
     """
     sub = P.decomposition.is_subspace
     eint = P.cone_interior_empty
-    if P.feasible_vrep.is_empty:
+    if not P._d_generators.points:
         return EfficientSet(P, SetKind.EFFICIENT, (), sub, eint)
     if sub:
         return EfficientSet(P, SetKind.EFFICIENT, (_whole_set_face(P),), True, eint)
@@ -657,7 +728,7 @@ def weakly_efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> Effi
     sub = P.decomposition.is_subspace
     eint = P.cone_interior_empty
     kind = SetKind.WEAKLY_EFFICIENT
-    if P.feasible_vrep.is_empty:
+    if not P._d_generators.points:
         return EfficientSet(P, kind, (), sub, eint)
     if eint:
         return EfficientSet(P, kind, (_whole_set_face(P),), sub, True)
@@ -705,7 +776,7 @@ def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCert
     M = P.objective
     c0, c1 = M.tmatvec(xi0), M.tmatvec(xi1)
     try:
-        bps = _breakpoints(c0, c1, P.feasible_vrep, P._d_rows)
+        bps = _breakpoints(c0, c1, P._d_generators, P._d_rows)
     except ValueError as exc:
         raise InternalInvariantError(
             "interpolated scalarizations became unsolvable"

@@ -133,14 +133,14 @@ class TestSolve:
         # (0, 1) and (1, 0), bits 0 and 1 of D's incidence.  With row 0 no
         # longer tight on (0, 1), no row's mask contains the edge's mask, so
         # the tight mask of its weight is no face of D
-        real = vlp._incidence
+        real = vlp._generators
 
-        def corrupted(D, geom):
-            tight = real(D, geom)
-            tight[0] &= ~1
-            return tight
+        def corrupted(d, eqs, ineqs):
+            gens = real(d, eqs, ineqs)
+            gens.tight = (gens.tight[0] & ~1,) + gens.tight[1:]
+            return gens
 
-        monkeypatch.setattr(vlp, "_incidence", corrupted)
+        monkeypatch.setattr(vlp, "_generators", corrupted)
         code, out, err = run(capsys, "solve", "--problem", triangle_file, "--kind", kind)
         assert code == 3 and out == ""
         assert err == "error: a weight's argmin face is missing from the face lattice\n"
@@ -154,14 +154,14 @@ class TestSolve:
         if kind == "efficient":
             monkeypatch.setattr(ConeDecomposition, "ri_dual_contains", lambda dec, y: False)
         else:
-            real = vlp.decompose
+            real = vlp._decomposition
 
-            def zero_generators(K):
-                dec = real(K)
+            def zero_generators(K, split):
+                dec = real(K, split)
                 zeros = tuple(g.scale(0) for g in dec.dual_generators)
                 return dataclasses.replace(dec, dual_generators=zeros)
 
-            monkeypatch.setattr(vlp, "decompose", zero_generators)
+            monkeypatch.setattr(vlp, "_decomposition", zero_generators)
         code, out, err = run(capsys, "solve", "--problem", triangle_file, "--kind", kind)
         assert code == 3 and out == ""
         assert err == "error: a set weight left the admissible dual weights\n"

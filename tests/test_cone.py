@@ -1,10 +1,14 @@
 """Ordering-cone decomposition and dual-membership tests."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from gpolyvlp.cone import ConeH, decompose, ri_generated_cone_contains
-from gpolyvlp.exact import Matrix, Vector, rat, vec
+from gpolyvlp import cone, vlp
+from gpolyvlp.cone import ConeDecomposition, ConeH, decompose, ri_generated_cone_contains
+from gpolyvlp.exact import Matrix, Vector, kernel_basis, rat, vec
+from gpolyvlp.polyhedron import HRep, dd_cone
 
 
 def orthant2():
@@ -183,3 +187,67 @@ def test_decomposition_structure(K):
     for r in dec.k1_rays:
         assert K.strict_part_contains(r)
         assert all(w.dot(r) == 0 for w in dec.y0_basis)
+
+
+# ---------------------------------------------------------------------------
+# the int split against the rational route it replaced
+
+
+def reference_decomposition(K):
+    """decompose on rationals, as the library computed it before its int
+    split: kernel_basis of the normals, kernel_basis of that, and dd_cone
+    of the normals with Y0 as equalities."""
+    y0 = kernel_basis(Matrix.from_rows(list(K.normals), cols=K.dim))
+    y1 = kernel_basis(Matrix.from_rows(y0, cols=K.dim))
+    lin, rays = dd_cone(K.dim, y0, list(K.normals))
+    assert not lin
+    return ConeDecomposition(K, tuple(y0), tuple(y1), tuple(rays), tuple(-n for n in K.normals))
+
+
+def check_int_split(K):
+    """decompose(K) is the reference; each int vector (*g, h) of the split
+    is h times its rational vector, g and h coprime; the problem's interior
+    test reads the same off the ints as the LP test."""
+    dec = decompose(K)
+    assert dec == reference_decomposition(K)
+    y0, k1 = cone._split(K)
+    for ints, vectors in ((y0, dec.y0_basis), (k1, dec.k1_rays)):
+        assert len(ints) == len(vectors)
+        for v, x in zip(ints, vectors):
+            assert v[-1] > 0 and math.gcd(*v) == 1
+            assert [v[-1] * c for c in x.coords] == list(v[:-1])
+    P = vlp.VLPProblem(Matrix.identity(K.dim), HRep.universe(K.dim), K)
+    assert P.decomposition == dec
+    assert P.cone_interior_empty == (not K.has_nonempty_interior())
+
+
+@pytest.mark.parametrize(
+    "K",
+    [
+        ConeH.of(2, []),  # no normals: Y0 = R^2
+        ConeH.of(2, [[0, 1], [0, -1]]),  # a line
+        ConeH.of(3, [[1, -2, 0]]),  # a half-space
+        ConeH.of(2, [[1, 0], [-1, 0], [0, 1], [0, -1]]),  # K = {0}
+        ConeH.of(3, [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]),  # the orthant
+    ],
+    ids=["no-normals", "line", "half-space", "origin", "orthant"],
+)
+def test_int_split_of_hand_cones(K):
+    check_int_split(K)
+
+
+@st.composite
+def split_cones(draw):
+    dim = draw(st.integers(1, 4))
+    normals = draw(
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any),
+            max_size=4,
+        )
+    )
+    return ConeH.of(dim, normals)
+
+
+@given(split_cones())
+def test_int_split_matches_the_rational_route(K):
+    check_int_split(K)

@@ -8,6 +8,7 @@ against a brute force over all row subsets.
 import hashlib
 import itertools
 import json
+import math
 import random
 from collections import Counter
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gpolyvlp import polyhedron
-from gpolyvlp.exact import Matrix, Vector, rat, vec
+from gpolyvlp.exact import Matrix, Vector, kernel_basis, rat, vec
 from gpolyvlp.polyhedron import (
     EmptyPolyhedronError,
     FaceLimitError,
@@ -564,3 +565,29 @@ def test_one_projection_per_double_description(monkeypatch):
             assert events[k + 1 : end] in ([], [("project", lin)])
             with_lineality.append(lin)
     assert sum(with_lineality) > 100 and not all(with_lineality)
+
+
+@st.composite
+def int_systems(draw):
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), max_size=4))
+    return dim, rows
+
+
+@given(int_systems())
+def test_kernel_int_is_the_start_basis_of_the_double_description(system):
+    # _dd takes the kernel of its equalities as _kernel_int gives it: each
+    # primitive vector positive at its own free column, where every other
+    # one is zero, and the canonical kernel_basis vector times that entry.
+    # Without rows it is the identity, what echeloning it again would give
+    dim, rows = system
+    basis = polyhedron._kernel_int(rows, dim)
+    want = kernel_basis(Matrix.of(rows, cols=dim))
+    assert len(basis) == len(want)
+    for (f, v), w in zip(basis, want):
+        assert v[f] > 0 and math.gcd(*v) == 1
+        assert all(u[f] == 0 for g, u in basis if g != f)
+        assert [v[f] * x for x in w.coords] == list(v)
+    if not rows:
+        assert basis == [(i, tuple(int(i == j) for j in range(dim))) for i in range(dim)]
+        assert basis == polyhedron._echelon_int([v for _, v in basis])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 from pathlib import Path
@@ -29,7 +30,7 @@ from gpolyvlp.instances import (
     square_constant_row_problem,
     triangle_problem,
 )
-from gpolyvlp.lp import LPStatus, argmin_face, solve_lp
+from gpolyvlp.lp import LPStatus, UnsolvableSegmentError, argmin_face, solve_lp
 from gpolyvlp.polyhedron import FaceLimitError, HRep, VRep, faces, h_to_v, vrep_contains
 from gpolyvlp.vlp import (
     InfeasiblePointError,
@@ -308,18 +309,22 @@ def test_argmin_recheck_accepts_a_weight_that_scalarizes_u():
 
 
 def test_connect_converts_the_feasible_set_once(monkeypatch):
+    # every DD of a polyhedron, h_to_v and the witness regions included,
+    # runs polyhedron._generators; the one of D runs on D's int rows, which
+    # the endpoint checks have cached by then
     calls = []
-    real = polyhedron.h_to_v
+    real = polyhedron._generators
 
-    def counting(H):
-        calls.append(H)
-        return real(H)
+    def counting(d, eqs, ineqs):
+        calls.append((eqs, ineqs))
+        return real(d, eqs, ineqs)
 
     for module in (polyhedron, lp, vlp):
-        monkeypatch.setattr(module, "h_to_v", counting)
+        monkeypatch.setattr(module, "_generators", counting)
     P = triangle_problem()
     connect(P, V(0, 1), V(1, 0))
-    assert sum(H is P.feasible_set for H in calls) == 1
+    assert sum(ineqs is P._d_rows[1] for _, ineqs in calls) == 1
+    assert len(calls) == 3  # and one witness region per endpoint
 
 
 class TestEfficientSets:
@@ -587,10 +592,11 @@ def test_combinatorial_adjacency_matches_the_rank_test_on_d_and_w(adjacency_verd
 
 
 def count_set_work(monkeypatch):
-    """Count, per name, the DDs of D (h_to_v), the face lattices, the DDs of
-    the weight polyhedron W (vlp._homogenized_dd) and the LPs that the set
-    routines run.  LPs are counted at lp._optimize_rows, which every LP
-    runs, the phase-one test of ConeH.has_nonempty_interior included."""
+    """Count, per name, the DDs of D (polyhedron._generators, which h_to_v
+    runs too), the face lattices, the DDs of the weight polyhedron W
+    (vlp._homogenized_dd) and the LPs that the set routines run.  LPs are
+    counted at lp._optimize_rows, which every LP runs, the phase-one test
+    of ConeH.has_nonempty_interior included."""
     counts = Counter()
 
     def counting(name, real):
@@ -600,8 +606,8 @@ def count_set_work(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(polyhedron, "h_to_v", counting("D", polyhedron.h_to_v))
-    monkeypatch.setattr(vlp, "h_to_v", counting("D", vlp.h_to_v))
+    monkeypatch.setattr(polyhedron, "_generators", counting("D", polyhedron._generators))
+    monkeypatch.setattr(vlp, "_generators", counting("D", vlp._generators))
     monkeypatch.setattr(vlp, "_face_lattice", counting("lattice", vlp._face_lattice))
     monkeypatch.setattr(vlp, "_homogenized_dd", counting("W", vlp._homogenized_dd))
     monkeypatch.setattr(lp, "_optimize_rows", counting("LP", lp._optimize_rows))
@@ -908,3 +914,154 @@ def test_int_dd_entry_matches_h_to_v_on_witness_regions():
                 regions += 1
     assert regions == 856
     assert shapes == {"D with lineality": 43, "region with lineality": 38, "empty region": 329}
+
+
+# ---------------------------------------------------------------------------
+# the int set-up of a problem against the rational routes it replaced
+
+
+def int_setup_corpus():
+    """SET_CORPUS, problems of the certify and solve benchmark envelopes,
+    and cut boxes, all with cold caches."""
+    rng = random.Random(1515)
+    certify = InstanceConfig(4, 6, 1, 3, 3, 3)
+    solve = InstanceConfig(3, 5, 1, 2, 3, 2)
+    out = SET_CORPUS + [random_problem(rng, certify, allow_subspace=False) for _ in range(60)]
+    out += [random_problem(rng, solve) for _ in range(60)]
+    out += [random_cut_box(rng) for _ in range(30)]
+    return [VLPProblem(P.objective, P.feasible_set, P.cone) for P in out]
+
+
+INT_SETUP_CORPUS = int_setup_corpus()
+
+
+def test_int_generators_stand_for_the_feasible_vrep():
+    # every int generator (*g, h) is h times its feasible_vrep vector, with
+    # g and h coprime, so h is the lcm of the vector's denominators, and a
+    # ray's h is its leading entry; the incidence read off the DD's zero
+    # sets is _incidence of the rational VRep, which dots D's int rows with
+    # it, and a vertex's weight region is _face_region of u + lin(D)
+    shapes = Counter()
+    for P in INT_SETUP_CORPUS:
+        gens, geom = P._d_generators, P.feasible_vrep
+        for ints, vectors in (
+            (gens.points, geom.points),
+            (gens.rays, geom.rays),
+            (gens.lineality, geom.lineality),
+        ):
+            assert len(ints) == len(vectors)
+            for v, x in zip(ints, vectors):
+                assert v[-1] > 0 and math.gcd(*v) == 1
+                assert [v[-1] * c for c in x.coords] == list(v[:-1])
+        for v in gens.rays:
+            assert v[-1] == abs(next(c for c in v if c))
+        assert gens.tight == polyhedron._incidence(P.feasible_set, geom)
+        for u in geom.points:
+            F = VRep(geom.dim, (u,), (), geom.lineality)
+            for weak in (False, True):
+                assert vlp._point_region(P, u, weak) == vlp._face_region(P, F, weak)
+        shapes["rays"] += bool(geom.rays)
+        shapes["lineality"] += bool(geom.lineality)
+        shapes["h > 1"] += any(v[-1] > 1 for v in gens.points + gens.rays + gens.lineality)
+    assert len(INT_SETUP_CORPUS) == 412
+    assert shapes == {"rays": 215, "lineality": 65, "h > 1": 244}
+
+
+def test_weak_image_rows_are_the_int_rows_of_the_rational_products():
+    # the int product of the normals with S M gives the rows and the scale
+    # that _int_rows makes of the rational rows -M^T n_j; the corpus has
+    # integer M and normals, so each problem runs again with its rows of M
+    # and its normals scaled by rationals, where the products have common
+    # factors to cancel
+    rng = random.Random(77)
+    factors = [rat(1), rat(3, 2), rat(1, 6), rat(10, 7), rat(4), rat(2, 9)]
+    scaled = 0
+    for P in INT_SETUP_CORPUS:
+        rows = zip(P.objective.entries, rng.choices(factors, k=P.cone.dim))
+        M = Matrix.of([[f * x for x in row] for row, f in rows])
+        K = ConeH(P.cone.dim, tuple(n.scale(rng.choice(factors)) for n in P.cone.normals))
+        for Q in (P, VLPProblem(M, P.feasible_set, K)):
+            want = vlp._int_rows([(-Q.objective.tmatvec(n)).coords for n in Q.cone.normals])
+            assert Q._weak_image_rows == want
+        scaled += Q._weak_image_rows[1] != P._weak_image_rows[1]
+    assert scaled == 357
+
+
+def rational_breakpoints(c0, c1, D):
+    """parametric_breakpoints on rationals, as the library computed it
+    before its int route: the value lines of the points of h_to_v(D),
+    their crossings and the zero crossings of the ray and lineality
+    products as rational candidates, each open interval classified at its
+    rational midpoint, and an LP at every breakpoint."""
+    geom = h_to_v(D)
+    if geom.is_empty:
+        raise UnsolvableSegmentError("unsolvable on segment")
+    delta = c1 - c0
+    lines = [(c0.dot(p), delta.dot(p)) for p in geom.points]
+    candidates = {rat(0), rat(1)}
+    for i, (a0, a1) in enumerate(lines):
+        for b0, b1 in lines[i + 1 :]:
+            if a1 != b1 and 0 < (b0 - a0) / (a1 - b1) < 1:
+                candidates.add((b0 - a0) / (a1 - b1))
+    for g in geom.rays + geom.lineality:
+        a0, a1 = c0.dot(g), delta.dot(g)
+        if a1 != 0 and 0 < -a0 / a1 < 1:
+            candidates.add(-a0 / a1)
+    grid = sorted(candidates)
+
+    def signature(t):
+        ct = c0 + delta.scale(t)
+        if any(ct.dot(g) != 0 for g in geom.lineality):
+            return None
+        products = [ct.dot(g) for g in geom.rays]
+        if any(v < 0 for v in products):
+            return None
+        values = [v0 + t * v1 for v0, v1 in lines]
+        best = min(values)
+        return (
+            tuple(i for i, v in enumerate(values) if v == best),
+            tuple(i for i, v in enumerate(products) if v == 0),
+        )
+
+    sigs = [signature((a + b) / 2) for a, b in zip(grid, grid[1:])]
+    if None in sigs:
+        raise UnsolvableSegmentError("unsolvable on segment")
+    out = [grid[0]] + [grid[k] for k in range(1, len(grid) - 1) if sigs[k - 1] != sigs[k]]
+    out.append(grid[-1])
+    for t in out:
+        if solve_lp(D, c0 + delta.scale(t)).status is not LPStatus.OPTIMAL:
+            raise UnsolvableSegmentError("unsolvable on segment")
+    return out
+
+
+def test_int_breakpoints_match_the_rational_route():
+    # random segments: each end a random integer cost or M^T w for a weight
+    # w = sum r_j g_j with r_j > 0 over the dual generators, as connect
+    # interpolates; both routes agree, failures included, through
+    # parametric_breakpoints and through connect's entry on P's int set-up
+    rng = random.Random(2020)
+    outcomes = Counter()
+
+    def cost(P):
+        if rng.random() < 0.5 or not P.cone.normals:
+            return Vector.of([rng.randint(-3, 3) for _ in range(P.feasible_set.dim)])
+        w = Vector.zero(P.cone.dim)
+        for n in P.cone.normals:
+            w = w - n.scale(rng.randint(1, 4))
+        return P.objective.tmatvec(w)
+
+    def attempt(route, *args):
+        try:
+            return route(*args)
+        except UnsolvableSegmentError:
+            return None
+
+    for P in INT_SETUP_CORPUS:
+        D = P.feasible_set
+        for _ in range(3):
+            c0, c1 = cost(P), cost(P)
+            want = attempt(rational_breakpoints, c0, c1, D)
+            assert attempt(lp.parametric_breakpoints, c0, c1, D) == want
+            assert attempt(lp._breakpoints, c0, c1, P._d_generators, P._d_rows) == want
+            outcomes["unsolvable" if want is None else "interior %d" % min(len(want) - 2, 2)] += 1
+    assert outcomes == {"unsolvable": 559, "interior 0": 533, "interior 1": 119, "interior 2": 25}
