@@ -27,7 +27,8 @@ entering column of an unbounded program.  solve_lp adds a lexicographic
 refinement on top, so its optimal points are canonical.  Exact breakpoint
 analysis of objectives moving along a segment sits on top of both: it
 reads the candidate breakpoints off the int generators of the double
-description and checks each breakpoint it returns with an LP.
+description, names the first argmin point of each interval among them, and
+checks each breakpoint it returns with an LP.
 """
 
 from __future__ import annotations
@@ -282,12 +283,6 @@ def _split_rows(P: HRep) -> tuple:
     )
 
 
-def _standard_form(P: HRep) -> tuple:
-    """Integer equality standard form of an HRep: _write_rows of its split
-    rows, columns x+, x-, then the slacks."""
-    return _write_rows(2 * P.dim, *_split_rows(P))
-
-
 def _phase_one(rows: list, scales: list, nvars: int, free: int = 0) -> Optional[_Tableau]:
     """Feasible tableau from the slack basis, or None if infeasible.  The
     tableau takes over rows; its first free columns are free variables.
@@ -512,12 +507,16 @@ def parametric_breakpoints(c0: Vector, c1: Vector, P: HRep) -> list:
     if c0.dim != P.dim or c1.dim != P.dim:
         raise ValueError("objective dimension differs from ambient dimension")
     rows = _scaled_rows(P)
-    return _breakpoints(c0, c1, _generators(P.dim, *rows), rows)
+    return _breakpoints(c0, c1, _generators(P.dim, *rows), rows)[0]
 
 
-def _breakpoints(c0: Vector, c1: Vector, gens: _Generators, rows: tuple) -> list:
+def _breakpoints(c0: Vector, c1: Vector, gens: _Generators, rows: tuple) -> tuple:
     """parametric_breakpoints over a polyhedron P, given its int generators
     gens = polyhedron._generators of P and its int rows = _scaled_rows(P).
+    Returns (breakpoints, firsts): the list parametric_breakpoints returns,
+    and for each of its open intervals the index in gens.points of the
+    first point of P's generator form in the interval's argmin face, the
+    lexicographically smallest argmin point, since the points are sorted.
 
     Everything but the breakpoints themselves is worked out in ints.  With
     c0 = C0 / L and c1 = C1 / L over one denominator, Dc = C1 - C0, and the
@@ -589,14 +588,15 @@ def _breakpoints(c0: Vector, c1: Vector, gens: _Generators, rows: tuple) -> list
         if sig is None:
             raise UnsolvableSegmentError("unsolvable on segment")
         sigs.append(sig)
-    breakpoints = [rat(0)]
+    breakpoints, firsts = [rat(0)], [sigs[0][0][0]]
     for k in range(1, len(grid) - 1):
         if sigs[k - 1] != sigs[k]:
             breakpoints.append(Rational(*grid[k]))
+            firsts.append(sigs[k][0][0])
     breakpoints.append(rat(1))
 
     delta = c1 - c0
     for t in breakpoints:
         if _solve_rows(n, *rows, c0 + delta.scale(t)).status != LPStatus.OPTIMAL:
             raise UnsolvableSegmentError("unsolvable on segment")
-    return breakpoints
+    return breakpoints, firsts

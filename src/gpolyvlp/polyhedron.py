@@ -17,9 +17,10 @@ reads them off the DD without a round trip through rationals.
 
 Faces and DD adjacency are both decided by incidence, which rows are tight
 on which generators: the DD carries each ray's zero set as a bitmask, and
-the face lattice is read off the incidence of one DD of the polyhedron.
-_generators hands the zero sets of its generators on as that incidence, so
-no row is dotted with a generator to find it again.
+_generators hands the zero sets of its generators on as the one incidence
+of the polyhedron, so no row is dotted with a generator to find it again.
+The face lattice (faces, _face_lattice) and every face tag (_tag) are read
+off it.
 """
 
 from __future__ import annotations
@@ -604,9 +605,10 @@ class _Generators:
     g / h.  An empty polyhedron has no generators at all.
 
     tight is the incidence with the inequality rows the set was given by,
-    as _incidence defines it: one mask per row, bit k set when the row is
-    tight on points[k] and bit len(points) + k when it is tight on
-    rays[k]."""
+    read off the DD's zero sets: one mask per row, bit k set when the row
+    is tight on points[k] and bit len(points) + k when it is tight on
+    rays[k].  Row (a | b) is tight on the point g / h when a.g = b h, and
+    on the ray g / h when a.g = 0."""
 
     __slots__ = ("points", "rays", "lineality", "tight")
 
@@ -807,43 +809,57 @@ def active_set(P: HRep, geom: VRep) -> tuple:
 def faces(P: HRep, max_faces: Optional[int] = None) -> list:
     """All nonempty faces of P, each tagged by its maximal active set.
 
-    One double description of P, then the face lattice is read off the
-    generator-constraint incidence: a face keeps P's lineality and is
-    generated by the points and rays of P tight on its rows, so a set of
-    generators stands for a face, and it is nonempty iff it holds a point.
-    Lattice search: children add one more tight row, each child is tagged
-    with every inequality tight on all of its generators, and duplicates
-    merge on that canonical tag.  Exponential in the number of inequalities
-    in the worst case; intended for small systems (roughly 20 inequalities
-    or fewer), with max_faces as a hard stop.
+    One double description of P (_generators), whose zero sets are the
+    generator-constraint incidence, then the face lattice is read off that
+    incidence (_face_lattice): a face keeps P's lineality and is generated
+    by the points and rays of P tight on its rows.  Exponential in the
+    number of inequalities in the worst case; intended for small systems
+    (roughly 20 inequalities or fewer), with max_faces as a hard stop.
     """
-    geom = h_to_v(P)
-    if geom.is_empty:
+    gens = _generators(P.dim, *_scaled_rows(P))
+    if not gens.points:
         raise EmptyPolyhedronError("empty polyhedron")
-    return [_face(geom, active, G) for active, G in _face_lattice(P, geom, max_faces)]
+    geom = _vrep(P.dim, gens)
+    n_pts = len(geom.points)
+    out = []
+    for active, G in _face_lattice(gens, max_faces):
+        points = tuple([p for k, p in enumerate(geom.points) if G >> k & 1])
+        rays = tuple([r for k, r in enumerate(geom.rays, n_pts) if G >> k & 1])
+        out.append(Face(active, VRep(P.dim, points, rays, geom.lineality)))
+    return out
 
 
-def _face_lattice(P: HRep, geom: VRep, max_faces: Optional[int]) -> list:
-    """The faces of P, read off geom = h_to_v(P), nonempty, as (tag,
-    generator mask) pairs sorted by tag.  Bit k of the mask stands for
-    geom.points[k], and bit len(geom.points) + k for geom.rays[k].
+def _tag(tight: tuple, mask: int) -> tuple:
+    """The rows tight on every generator in mask, for the incidence tight
+    of _Generators: the rows whose incidence mask contains mask.  A mask is
+    a face when it holds a point and equals the AND of its tag's masks (all
+    generators for an empty tag), and then the tag is the face's maximal
+    active set."""
+    return tuple([i for i, t in enumerate(tight) if t & mask == mask])
 
-    The whole lattice is built before anything is returned, so max_faces
-    counts every face whatever the caller does with them, P itself
-    included.
+
+def _face_lattice(gens: _Generators, max_faces: Optional[int]) -> list:
+    """The nonempty faces of the polyhedron whose int generators are gens,
+    as (tag, generator mask) pairs sorted by tag, read off gens.tight.  Bit
+    k of a mask stands for gens.points[k], and bit len(gens.points) + k for
+    gens.rays[k].
+
+    Lattice search from the whole set down: a child adds one more tight
+    row, so its mask is its parent's AND that row's, and it is a face when
+    it holds a point.  Duplicates merge on the canonical tag (_tag).  The
+    whole lattice is built before anything is returned, so max_faces
+    counts every face whatever the caller does with them, the polyhedron
+    itself included.
     """
-    tight = _incidence(P, geom)
-
-    def tag(G: int) -> tuple:
-        return tuple(i for i, t in enumerate(tight) if t & G == G)
+    tight = gens.tight
 
     def check_cap():
         if max_faces is not None and len(found) > max_faces:
             raise FaceLimitError(f"face enumeration exceeded the cap of {max_faces}")
 
-    everything = (1 << (len(geom.points) + len(geom.rays))) - 1
-    point_bits = (1 << len(geom.points)) - 1
-    found = {tag(everything): everything}
+    everything = (1 << (len(gens.points) + len(gens.rays))) - 1
+    point_bits = (1 << len(gens.points)) - 1
+    found = {_tag(tight, everything): everything}
     check_cap()
     frontier = list(found)
     while frontier:
@@ -855,7 +871,7 @@ def _face_lattice(P: HRep, geom: VRep, max_faces: Optional[int]) -> list:
                 G = found[S] & tight[i]
                 if not G & point_bits:
                     continue
-                canon = tag(G)
+                canon = _tag(tight, G)
                 if canon not in found:
                     found[canon] = G
                     check_cap()
@@ -865,40 +881,9 @@ def _face_lattice(P: HRep, geom: VRep, max_faces: Optional[int]) -> list:
     return sorted(found.items())
 
 
-def _incidence(P: HRep, geom: VRep) -> tuple:
-    """The row/generator incidence of P and geom = h_to_v(P): one mask per
-    inequality row of P, bit k set when the row is tight on geom.points[k]
-    and bit len(geom.points) + k when it is tight on geom.rays[k].
-
-    A face of P is a mask G that holds a point and equals the AND of the
-    masks of its tag, the rows whose mask contains G (all generators when
-    no row does).  Each row and generator is scaled to ints and dotted:
-    row (a | b) is tight on the point g / h when a.g = b h, and on the ray
-    g / h when a.g = 0.  _generators reads the same incidence off the DD."""
-    n_pts = len(geom.points)
-    gens = [_int_vector(v) for v in geom.points + geom.rays]
-    tight = []
-    for row, _ in _scaled_rows(P)[1]:
-        a, b = row[:-1], row[-1]
-        mask = 0
-        for k, v in enumerate(gens):
-            # v's trailing h is past the end of a, so _dot skips it
-            if _dot(a, v) == (b * v[-1] if k < n_pts else 0):
-                mask |= 1 << k
-        tight.append(mask)
-    return tuple(tight)
-
-
 def _int_vector(v: Vector) -> tuple:
     """The rational vector v as an int generator (*g, h): g = v h for h the
     lcm of its denominators."""
     ints, h = _integers(v.coords)
     return (*ints, h)
 
-
-def _face(geom: VRep, active: tuple, G: int) -> Face:
-    """The face with tag active and generator mask G (see _face_lattice)."""
-    n_pts = len(geom.points)
-    pts = tuple(p for k, p in enumerate(geom.points) if G >> k & 1)
-    rays = tuple(r for k, r in enumerate(geom.rays) if G >> (n_pts + k) & 1)
-    return Face(active, VRep(geom.dim, pts, rays, geom.lineality))

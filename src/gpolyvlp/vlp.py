@@ -56,10 +56,12 @@ admissible and t <= y.M x on D: each point of W is tight on exactly the
 generators of its argmin face.  The maximal tight masks are the maximal
 faces of the set.  Each is tagged, and checked to be a face, from D's
 row/generator incidence; no face lattice is walked unless a cap on it is
-asked for.  W's points stay the int rays of its homogenized cone, and the
-weight-space images of D's generators are int products of the image rows
-with D's int generators, over one common denominator.  connect's
-breakpoints are worked out over the same int generators.
+asked for, and then on the same incidence.  W's points stay the int rays
+of its homogenized cone, and the weight-space images of D's generators are
+int products of the image rows with D's int generators, over one common
+denominator.  connect's breakpoints are worked out over the same int
+generators, and so is its chain: the breakpoint analysis names the first
+argmin point of each interval, so connect solves no LP to find it.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ from .polyhedron import (
     _homogenized_dd,
     _int_vector,
     _scaled_rows,
+    _tag,
     _view,
     _vrep,
     map_polyhedron,
@@ -280,27 +283,33 @@ class PathCertificate:
     breakpoints: tuple
 
 
-def _require_feasible(P: VLPProblem, u: Vector) -> None:
+def _require_feasible(P: VLPProblem, u: Vector) -> tuple:
+    """u's int form (*U, L), U / L = u with L the lcm of its denominators,
+    once u is checked to lie in D; the certificates of u take it as it is.
+    Raises InfeasiblePointError otherwise."""
     if u.dim != P.feasible_set.dim:
         raise InfeasiblePointError("infeasible point")
     eqs, ineqs = P._d_rows
-    U, L = _integers(u.coords)
+    ui = _int_vector(u)
+    U, L = ui[:-1], ui[-1]
     # row (a | b) holds at u = U / L iff a.U = b L (<= for an inequality)
     if any(_dot(a, U) != a[-1] * L for a, _ in eqs) or any(
         _dot(a, U) > a[-1] * L for a, _ in ineqs
     ):
         raise InfeasiblePointError("infeasible point")
+    return ui
 
 
-def _tangent_rows(P: VLPProblem, u: Vector, pad: int) -> tuple:
+def _tangent_rows(P: VLPProblem, ui: tuple, pad: int) -> tuple:
     """The rows of D that cut out its tangent cone at u, T_D(u) = cone(D - u):
     every equality and the inequalities tight at u, with their right-hand
     sides 0.  Each is D's int row (a | b) of scale d written as (a, 0 | 0)
     of scale d, with pad zero columns before the right-hand side; the rows
-    that are slack at u are dropped.  u must lie in D."""
+    that are slack at u are dropped.  u must lie in D, and comes in its int
+    form ui = (*U, L) as _require_feasible gives it."""
     n = P.feasible_set.dim
     eqs, ineqs = P._d_rows
-    U, L = _integers(u.coords)
+    U, L = ui[:-1], ui[-1]
     zeros = [0] * (pad + 1)
     return (
         [([*a[:n], *zeros], scale) for a, scale in eqs],
@@ -308,10 +317,11 @@ def _tangent_rows(P: VLPProblem, u: Vector, pad: int) -> tuple:
     )
 
 
-def _max_slack(P: VLPProblem, u: Vector, weak: bool) -> Optional[Rational]:
+def _max_slack(P: VLPProblem, ui: tuple, weak: bool) -> Optional[Rational]:
     """Optimum of the slack program behind the efficiency tests, posed on
-    the tangent cone T_D(u): zero exactly when u is (weakly) efficient, and
-    None when the slack is unbounded, which is the other case.
+    the tangent cone T_D(u) of the point u with int form ui (see
+    _require_feasible): zero exactly when u is (weakly) efficient, and None
+    when the slack is unbounded, which is the other case.
 
     Variables are (d, s) with d in T_D(u) and <n_j, -M d> <= -s_j for every
     cone normal n_j.  The strict program gives each normal its own slack
@@ -335,7 +345,7 @@ def _max_slack(P: VLPProblem, u: Vector, weak: bool) -> Optional[Rational]:
     """
     n = P.feasible_set.dim
     k = 1 if weak else len(P.cone.normals)
-    eqs, ineqs = _tangent_rows(P, u, k)
+    eqs, ineqs = _tangent_rows(P, ui, k)
     cone_rows, S = P._weak_image_rows
     for j, a in enumerate(cone_rows):
         s = [0] * k
@@ -363,11 +373,11 @@ def is_efficient(P: VLPProblem, u: Vector) -> bool:
     T_D(u) finds every such x (see _max_slack).  Raises InfeasiblePointError
     when u is not in D.
     """
-    _require_feasible(P, u)
+    ui = _require_feasible(P, u)
     if not P.cone.normals:
         # K is the whole space, hence a subspace: nothing dominates anything.
         return True
-    return _max_slack(P, u, weak=False) == 0
+    return _max_slack(P, ui, weak=False) == 0
 
 
 def is_weakly_efficient(P: VLPProblem, u: Vector) -> bool:
@@ -382,10 +392,10 @@ def is_weakly_efficient(P: VLPProblem, u: Vector) -> bool:
     When K has empty interior every feasible point is weakly efficient and
     the test short-circuits to True.
     """
-    _require_feasible(P, u)
+    ui = _require_feasible(P, u)
     if P.cone_interior_empty:
         return True
-    return _max_slack(P, u, weak=True) == 0
+    return _max_slack(P, ui, weak=True) == 0
 
 
 # _WeightSpace is a plain slotted class: a dataclass generates its methods
@@ -493,36 +503,38 @@ def _relative_interior_point(V: VRep) -> Vector:
     return s
 
 
-def _point_region(P: VLPProblem, u: Vector, weak: bool) -> tuple:
-    """_face_region of the flat u + lin(D), with u scaled to ints once and
-    D's int lineality basis as they are."""
-    W = _int_weight_space(P, weak, (_int_vector(u),) + P._d_generators.lineality)
+def _point_region(P: VLPProblem, ui: tuple, weak: bool) -> tuple:
+    """_face_region of the flat u + lin(D), with u in its int form ui (see
+    _require_feasible) and D's int lineality basis as they are."""
+    W = _int_weight_space(P, weak, (ui,) + P._d_generators.lineality)
     first = W.n_points + W.n_rays
     return _weight_region(W, [first], range(first + 1, len(W.images)))
 
 
-def _point_weight(P: VLPProblem, u: Vector, weak: bool) -> Vector:
+def _point_weight(P: VLPProblem, ui: tuple, weak: bool) -> Vector:
     """The relative interior point of the weight region of u + lin(D), the
-    smallest flat of D that every weight scalarizing u scalarizes whole.
+    smallest flat of D that every weight scalarizing u scalarizes whole; u
+    comes in its int form ui (see _require_feasible).
 
     An empty region means u is not (weakly) efficient, and that verdict is
     cross-checked by the primal slack program before NotEfficientError is
     raised: a zero slack there contradicts it."""
-    region = _h_to_v_rows(*_point_region(P, u, weak))
+    region = _h_to_v_rows(*_point_region(P, ui, weak))
     if region.is_empty:
-        if _max_slack(P, u, weak) == 0:
+        if _max_slack(P, ui, weak) == 0:
             raise InternalInvariantError("no dual weight for a (weakly) efficient point")
         raise NotEfficientError("not weakly efficient" if weak else "not efficient")
     return _relative_interior_point(region)
 
 
-def _verify_argmin(P: VLPProblem, ystar: Vector, u: Vector, label: str) -> None:
-    """Re-verify by an exact LP that u, a point of D, minimizes c.x over D
-    for c = M^T ystar.  D is convex, so that holds exactly when c.d >= 0 on
-    the tangent cone T_D(u): min c.d over T_D(u) is then OPTIMAL with value
-    0, and otherwise it is unbounded below."""
+def _verify_argmin(P: VLPProblem, ystar: Vector, ui: tuple, label: str) -> None:
+    """Re-verify by an exact LP that u, a point of D with int form ui (see
+    _require_feasible), minimizes c.x over D for c = M^T ystar.  D is
+    convex, so that holds exactly when c.d >= 0 on the tangent cone
+    T_D(u): min c.d over T_D(u) is then OPTIMAL with value 0, and otherwise
+    it is unbounded below."""
     c = P.objective.tmatvec(ystar)
-    out = _solve_rows(P.feasible_set.dim, *_tangent_rows(P, u, 0), c)
+    out = _solve_rows(P.feasible_set.dim, *_tangent_rows(P, ui, 0), c)
     if out.status is not LPStatus.OPTIMAL or out.value != 0:
         raise InternalInvariantError(
             "%s does not scalarize its point to an argmin of D" % label
@@ -544,18 +556,18 @@ def scalarize_witness(P: VLPProblem, u: Vector) -> Vector:
     NotEfficientError is raised.  The result is re-verified before it is
     returned.  Raises InfeasiblePointError when u is not in D.
     """
-    _require_feasible(P, u)
+    ui = _require_feasible(P, u)
     dec = P.decomposition
     if dec.is_subspace:
         # K* is the annihilator of K, a subspace equal to its own relative
         # interior; the zero functional scalarizes every feasible point.
         ystar = Vector.zero(P.cone.dim)
-        _verify_argmin(P, ystar, u, "subspace witness")
+        _verify_argmin(P, ystar, ui, "subspace witness")
         return ystar
-    ystar = _point_weight(P, u, weak=False)
+    ystar = _point_weight(P, ui, weak=False)
     if not dec.ri_dual_contains(ystar):
         raise InternalInvariantError("witness left the relative interior of the dual")
-    _verify_argmin(P, ystar, u, "witness")
+    _verify_argmin(P, ystar, ui, "witness")
     return ystar
 
 
@@ -569,29 +581,29 @@ def weak_witness(P: VLPProblem, u: Vector) -> Vector:
     NotEfficientError is raised.  Raises InfeasiblePointError when u is not
     in D.
     """
-    _require_feasible(P, u)
+    ui = _require_feasible(P, u)
     q = P.cone.dim
     if P.cone_interior_empty:
         return Vector.zero(q)
     if not P.cone.normals:
         # the interior of the whole space contains zero: u dominates itself
         raise NotEfficientError("not weakly efficient")
-    lam = _point_weight(P, u, weak=True)
+    lam = _point_weight(P, ui, weak=True)
     ystar = Vector.zero(q)
     for coeff, g in zip(lam.coords, P.decomposition.dual_generators):
         ystar = ystar + g.scale(coeff)
     if ystar.is_zero():
         raise InternalInvariantError("weak witness degenerated to zero")
-    _verify_argmin(P, ystar, u, "weak witness")
+    _verify_argmin(P, ystar, ui, "weak witness")
     return ystar
 
 
 def _whole_set_face(P: VLPProblem) -> Face:
     """D as its own improper face, tagged by the rows tight on every
     generator of D."""
-    geom = P.feasible_vrep
-    everything = (1 << (len(geom.points) + len(geom.rays))) - 1
-    return Face(tuple(i for i, t in enumerate(P._d_generators.tight) if t == everything), geom)
+    gens = P._d_generators
+    everything = (1 << (len(gens.points) + len(gens.rays))) - 1
+    return Face(_tag(gens.tight, everything), P.feasible_vrep)
 
 
 def face_scalarizable(P: VLPProblem, face: Face, weak: bool) -> bool:
@@ -626,12 +638,11 @@ def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -
     W's points are the int rays (Y, T, h) with h > 0 of its homogenized
     cone, straight from the DD; every row of W vanishes on W's lineality,
     so they give the same tight masks as the projected points (Y, T) / h.
-    A mask's tag is the set of D's rows whose incidence mask contains it
-    (the incidence of P._d_generators), and sorting by tag is faces()
-    order.  A mask that is not the AND of its tag's masks (all generators
-    for an empty tag), or that holds no point, is no face of D; that, and a
-    returned face whose weight the cone rejects, raises
-    InternalInvariantError.
+    A mask's tag is read off the incidence of P._d_generators by
+    polyhedron._tag, and sorting by tag is faces() order.  A mask that is
+    not the AND of its tag's masks (all generators for an empty tag), or
+    that holds no point, is no face of D; that, and a returned face whose
+    weight the cone rejects, raises InternalInvariantError.
 
     W is written from the int set-up of P: D's int generators, the int
     split of K and the image rows.  The returned faces are built from the
@@ -639,11 +650,12 @@ def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -
     needed.
 
     The face lattice is walked only when max_faces is given, and then whole
-    and before W, as the count behind FaceLimitError.
+    and before W, on the same int generators and incidence, as the count
+    behind FaceLimitError.
     """
     gens = P._d_generators
     if max_faces is not None:
-        _face_lattice(P.feasible_set, P.feasible_vrep, max_faces)
+        _face_lattice(gens, max_faces)
     W = _int_weight_space(P, weak, gens.lineality)
     img, den, dim = W.images, W.den, W.dim
     points, rays = range(W.n_points), range(W.n_points, W.n_points + W.n_rays)
@@ -669,7 +681,7 @@ def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -
     for m, v in weights.items():
         if any(o != m and o & m == m for o in weights):
             continue
-        tag = tuple(i for i, t in enumerate(tight) if t & m == m)
+        tag = _tag(tight, m)
         closure = everything
         for i in tag:
             closure &= tight[i]
@@ -755,9 +767,11 @@ def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCert
     efficient").  The witnesses are interpolated; the breakpoints of
     t -> argmin <M^T xi_t, x> partition [0, 1], and within each interval the
     argmin face is constant.  The chain takes u, then the lexicographically
-    smallest argmin vertex of each interval, then v; each surviving segment
-    is certified by the weight at the breakpoint where it starts, whose
-    argmin face contains both of its endpoints.  Every returned point and
+    smallest argmin vertex of each interval, which the breakpoint analysis
+    names among D's int generators (lp._breakpoints), then v; each
+    surviving segment is certified by the weight at the breakpoint where it
+    starts, whose argmin face contains both of its endpoints, and that is
+    re-checked by one LP over D per segment.  Every returned point and
     segment stays inside the efficient set (weakly efficient set when weak).
     """
     witness = weak_witness if weak else scalarize_witness
@@ -774,35 +788,16 @@ def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCert
         return PathCertificate((u, v), (Vector.zero(P.cone.dim),), (rat(0), rat(1)))
 
     M = P.objective
-    c0, c1 = M.tmatvec(xi0), M.tmatvec(xi1)
+    gens = P._d_generators
     try:
-        bps = _breakpoints(c0, c1, P._d_generators, P._d_rows)
+        bps, firsts = _breakpoints(M.tmatvec(xi0), M.tmatvec(xi1), gens, P._d_rows)
     except ValueError as exc:
         raise InternalInvariantError(
             "interpolated scalarizations became unsolvable"
         ) from exc
 
-    def weight_at(t: Rational) -> Vector:
-        return xi0 + (xi1 - xi0).scale(t)
-
-    chain = [u]
-    for j in range(len(bps) - 1):
-        mid = (bps[j] + bps[j + 1]) / 2
-        c = c0 + (c1 - c0).scale(mid)
-        value = _min_over_d(P, c)
-        if value is None:
-            raise InternalInvariantError(
-                "interpolated scalarization has no argmin inside the segment"
-            )
-        # the argmin face is a face of D, so its lexicographically smallest
-        # point is the first point of D's generator form that it contains;
-        # every such point satisfies D's rows, so c.p == value decides it
-        first = next((p for p in P.feasible_vrep.points if c.dot(p) == value), None)
-        if first is None:
-            raise InternalInvariantError("argmin face holds no point of D")
-        chain.append(first)
-    chain.append(v)
-    seg_weights = [weight_at(t) for t in bps]
+    chain = [u] + [_view(gens.points[k]) for k in firsts] + [v]
+    seg_weights = [xi0 + (xi1 - xi0).scale(t) for t in bps]
 
     points = [chain[0]]
     weights = []

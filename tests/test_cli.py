@@ -444,7 +444,7 @@ class TestConnect:
         assert obj["points"][0] == ["0", "0"] and obj["points"][-1] == ["1", "1"]
 
     def test_missing_midpoint_argmin_exits_3(self, triangle_file, capsys, monkeypatch):
-        # the midpoint LP over D finds no minimum
+        # the LP over D that re-verifies each segment finds no minimum
         monkeypatch.setattr(vlp, "_min_over_d", lambda P, c: None)
         code, out, err = run(
             capsys,
@@ -457,7 +457,7 @@ class TestConnect:
             "1,0",
         )
         assert code == 3 and out == ""
-        assert err == "error: interpolated scalarization has no argmin inside the segment\n"
+        assert err == "error: path segment left its argmin face\n"
 
 
 class TestCone:

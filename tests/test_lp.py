@@ -465,7 +465,7 @@ class TestKernelCases:
             ineqs=[([-1, 0], 0), ([0, -1], 0)],
         )
         c = vec([1, 2])
-        rows, scales, nvars = lp._standard_form(P)
+        rows, scales, nvars = lp._write_rows(2 * P.dim, *lp._split_rows(P))
         assert len(lp._phase_one(rows, scales, nvars).rows) == len(rows) - 1
         out = solve_lp(P, c)
         assert out == LPOutcome(LPStatus.OPTIMAL, rat(2), vec([2, 0]))
@@ -475,7 +475,7 @@ class TestKernelCases:
         # every inequality has b >= 0 and there is no equality: the slacks
         # are a feasible basis, so phase one pivots nowhere
         P = HRep.of(2, ineqs=[([1, 2], 4), ([rat(-1, 3), -1], 0), ([-1, 0], rat(5, 2))])
-        rows, scales, nvars = lp._standard_form(P)
+        rows, scales, nvars = lp._write_rows(2 * P.dim, *lp._split_rows(P))
         pivots = record_pivot_elements(monkeypatch)
         T = lp._phase_one(rows, scales, nvars)
         assert pivots == []
@@ -529,7 +529,7 @@ def test_write_rows_without_sign_constraints_keeps_the_free_layout():
     # split tableau column for column; int rows get one column per variable
     for P, _ in GOLDEN:
         rows = lp._scaled_rows(P)
-        assert lp._standard_form(P) == reference_write_rows(P.dim, *rows)
+        assert lp._write_rows(2 * P.dim, *lp._split_rows(P)) == reference_write_rows(P.dim, *rows)
         got, scales, nvars = lp._write_rows(P.dim, *rows)
         eqs, ineqs = rows
         assert nvars == P.dim + len(ineqs) and scales == [s for _, s in eqs + ineqs]

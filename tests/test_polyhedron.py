@@ -482,10 +482,11 @@ def test_combinatorial_adjacency_matches_the_rank_test(adjacency_verdicts):
 @pytest.mark.parametrize("start", range(0, len(DD_GOLDEN), DD_BLOCK))
 def test_faces_match_their_own_double_description(start, monkeypatch):
     # each face equals the DD of P with its active rows as equalities; with
-    # at most 6 rows every row subset is tried, so no face is missing either
+    # at most 6 rows every row subset is tried, so no face is missing either;
+    # faces() itself runs one double description of P
     calls = []
-    real = polyhedron.h_to_v
-    monkeypatch.setattr(polyhedron, "h_to_v", lambda P: calls.append(P) or real(P))
+    real = polyhedron._generators
+    monkeypatch.setattr(polyhedron, "_generators", lambda *rows: calls.append(rows) or real(*rows))
     for P in DD_GOLDEN[start : start + DD_BLOCK]:
         if h_to_v(P).is_empty:
             continue

@@ -86,7 +86,7 @@ def _functions(source: str) -> list:
 def test_one_simplex_core():
     # free columns, sign-constrained columns and the HRep split all run on
     # one tableau, one phase one and one simplex; the split is written as
-    # data, so the row writer has exactly two callers
+    # data, so the row writer has exactly one caller
     core = ("_Tableau", "_write_rows", "_phase_one", "_simplex")
     defined = Counter(
         (path.name, node.name)
@@ -105,4 +105,4 @@ def test_one_simplex_core():
             for call in ast.walk(node)
         )
     )
-    assert callers == ["_optimize_rows", "_standard_form"]
+    assert callers == ["_optimize_rows"]

@@ -260,7 +260,7 @@ def test_witnesses_run_no_slack_program_for_efficient_points(monkeypatch):
     assert calls == []
     with pytest.raises(NotEfficientError, match="not efficient"):
         scalarize_witness(P, V(1, 1))
-    assert calls == [V(1, 1)]
+    assert calls == [polyhedron._int_vector(V(1, 1))]
 
 
 @pytest.mark.parametrize("witness", [scalarize_witness, weak_witness])
@@ -294,7 +294,7 @@ def test_argmin_recheck_rejects_a_weight_that_misses_u(case, monkeypatch):
     make, u, ystar = ARGMIN_MISSES[case]
     P = make()
     with pytest.raises(InternalInvariantError, match="label does not scalarize"):
-        vlp._verify_argmin(P, ystar, u, "label")
+        vlp._verify_argmin(P, ystar, polyhedron._int_vector(u), "label")
     monkeypatch.setattr(vlp, "_point_weight", lambda P, u, weak: ystar)
     with pytest.raises(InternalInvariantError, match="witness does not scalarize"):
         scalarize_witness(P, u)
@@ -302,10 +302,11 @@ def test_argmin_recheck_rejects_a_weight_that_misses_u(case, monkeypatch):
 
 def test_argmin_recheck_accepts_a_weight_that_scalarizes_u():
     P = triangle_problem()
+    ints = polyhedron._int_vector
     for u in (V(0, 1), V("1/2", "1/2"), V(1, 0)):
-        vlp._verify_argmin(P, V(1, 1), u, "witness")
-    vlp._verify_argmin(P, V(1, 3), V(1, 0), "witness")
-    vlp._verify_argmin(P, V(0, 0), V("2/3", "2/3"), "witness")
+        vlp._verify_argmin(P, V(1, 1), ints(u), "witness")
+    vlp._verify_argmin(P, V(1, 3), ints(V(1, 0)), "witness")
+    vlp._verify_argmin(P, V(0, 0), ints(V("2/3", "2/3")), "witness")
 
 
 def test_connect_converts_the_feasible_set_once(monkeypatch):
@@ -325,6 +326,30 @@ def test_connect_converts_the_feasible_set_once(monkeypatch):
     connect(P, V(0, 1), V(1, 0))
     assert sum(ineqs is P._d_rows[1] for _, ineqs in calls) == 1
     assert len(calls) == 3  # and one witness region per endpoint
+
+
+def test_connect_solves_one_lp_over_d_per_segment(monkeypatch):
+    # the breakpoint analysis names each interval's argmin point, so the
+    # only LPs over D are the re-checks of the returned segments; a weak
+    # path through an empty-interior K is the straight segment, with none
+    calls = []
+    real = vlp._min_over_d
+    monkeypatch.setattr(vlp, "_min_over_d", lambda P, c: calls.append(c) or real(P, c))
+    rng = random.Random(2017)
+    segments = Counter()
+    for _ in range(30):
+        P = random_cut_box(rng)
+        for weak, test in ((False, is_efficient), (True, is_weakly_efficient)):
+            if weak and P.cone_interior_empty:
+                continue
+            ends = [u for u in P.feasible_vrep.points if test(P, u)]
+            if len(ends) < 2:
+                continue
+            calls.clear()
+            cert = connect(P, ends[0], ends[-1], weak=weak)
+            assert len(calls) == len(cert.weights)
+            segments[len(cert.weights)] += 1
+    assert segments == {1: 28, 2: 14, 3: 3}
 
 
 class TestEfficientSets:
@@ -699,6 +724,23 @@ def test_capped_sets_equal_uncapped_sets():
     assert reached == 371
 
 
+def test_capped_sets_read_the_cap_off_the_int_generators(monkeypatch):
+    # the face cap walks the lattice on D's int generators and their
+    # incidence, as W does, so a capped call that reaches W builds no
+    # rational generator form of D; the early returns of the whole set do
+    counts = count_set_work(monkeypatch)
+    reached = 0
+    for P in SET_CORPUS + [orthant_cube(4)]:
+        for routine in (efficient_set, weakly_efficient_set):
+            counts.clear()
+            Q = VLPProblem(P.objective, P.feasible_set, P.cone)
+            routine(Q, max_faces=4096)
+            if counts["W"]:
+                assert counts["lattice"] == 1 and "feasible_vrep" not in vars(Q)
+                reached += 1
+    assert reached == 363
+
+
 def interior_empty_by_lp(P):
     return not P.cone.has_nonempty_interior()
 
@@ -790,6 +832,20 @@ def assert_rows_scale(got, want):
             assert ints == [scale * x for x in a.coords + (b,)]
 
 
+def lattice_faces(P):
+    """(generator mask, geometry) of every face of D, from the face lattice
+    walk on P's int generators; the geometry takes the points and rays of
+    feasible_vrep whose bits are in the mask, and all of its lineality."""
+    geom = P.feasible_vrep
+    n_pts = len(geom.points)
+    out = []
+    for _, G in polyhedron._face_lattice(P._d_generators, None):
+        points = tuple(p for k, p in enumerate(geom.points) if G >> k & 1)
+        rays = tuple(r for k, r in enumerate(geom.rays, n_pts) if G >> k & 1)
+        out.append((G, VRep(geom.dim, points, rays, geom.lineality)))
+    return out
+
+
 def test_int_weight_regions_scale_the_rational_rows():
     checked = 0
     for P in SET_CORPUS:
@@ -797,11 +853,10 @@ def test_int_weight_regions_scale_the_rational_rows():
         if geom.is_empty:
             continue
         n_pts, n_gens = len(geom.points), len(geom.points) + len(geom.rays)
-        lattice = polyhedron._face_lattice(P.feasible_set, geom, None)
+        lattice = lattice_faces(P)
         for weak in (False, True):
             W = vlp._weight_space(P, weak, geom.lineality)
-            for active, G in lattice:
-                F = polyhedron._face(geom, active, G).geometry
+            for G, F in lattice:
                 want = reference_weight_region(P, F, weak)
                 assert_rows_scale(vlp._face_region(P, F, weak), want)
                 # the same region with generators keyed by lattice mask bit
@@ -857,7 +912,7 @@ def test_int_slack_program_matches_the_hrep_program():
     for P in SET_CORPUS:
         for u in P.feasible_vrep.points:
             for weak in (False, True):
-                got = vlp._max_slack(P, u, weak)
+                got = vlp._max_slack(P, polyhedron._int_vector(u), weak)
                 assert got in (0, None)
                 assert got == slack_program_value(P, u, weak, tangent=True, bounds=False)
                 tangent = slack_program_value(P, u, weak, tangent=True)
@@ -875,12 +930,11 @@ def test_tangent_slack_program_agrees_with_d_off_the_vertices():
         geom = P.feasible_vrep
         if geom.is_empty:
             continue
-        for active, G in polyhedron._face_lattice(P.feasible_set, geom, None):
-            F = polyhedron._face(geom, active, G).geometry
+        for _, F in lattice_faces(P):
             u = vlp._relative_interior_point(F)
             interior += u not in geom.points
             for weak in (False, True):
-                got = vlp._max_slack(P, u, weak)
+                got = vlp._max_slack(P, polyhedron._int_vector(u), weak)
                 assert (got == 0) == (slack_program_value(P, u, weak, tangent=False) == 0)
                 checked += 1
     assert (checked, interior) == (2322, 733)
@@ -939,8 +993,9 @@ def test_int_generators_stand_for_the_feasible_vrep():
     # every int generator (*g, h) is h times its feasible_vrep vector, with
     # g and h coprime, so h is the lcm of the vector's denominators, and a
     # ray's h is its leading entry; the incidence read off the DD's zero
-    # sets is _incidence of the rational VRep, which dots D's int rows with
-    # it, and a vertex's weight region is _face_region of u + lin(D)
+    # sets is the one the rational rows of D and the rational VRep give by
+    # dot products, and a vertex's weight region is _face_region of
+    # u + lin(D)
     shapes = Counter()
     for P in INT_SETUP_CORPUS:
         gens, geom = P._d_generators, P.feasible_vrep
@@ -955,11 +1010,20 @@ def test_int_generators_stand_for_the_feasible_vrep():
                 assert [v[-1] * c for c in x.coords] == list(v[:-1])
         for v in gens.rays:
             assert v[-1] == abs(next(c for c in v if c))
-        assert gens.tight == polyhedron._incidence(P.feasible_set, geom)
+        n_pts = len(geom.points)
+        assert gens.tight == tuple(
+            sum(
+                1 << k
+                for k, g in enumerate(geom.points + geom.rays)
+                if a.dot(g) == (b if k < n_pts else 0)
+            )
+            for a, b in P.feasible_set.ineq_rows()
+        )
         for u in geom.points:
             F = VRep(geom.dim, (u,), (), geom.lineality)
             for weak in (False, True):
-                assert vlp._point_region(P, u, weak) == vlp._face_region(P, F, weak)
+                ui = polyhedron._int_vector(u)
+                assert vlp._point_region(P, ui, weak) == vlp._face_region(P, F, weak)
         shapes["rays"] += bool(geom.rays)
         shapes["lineality"] += bool(geom.lineality)
         shapes["h > 1"] += any(v[-1] > 1 for v in gens.points + gens.rays + gens.lineality)
@@ -1034,11 +1098,26 @@ def rational_breakpoints(c0, c1, D):
     return out
 
 
+def rational_firsts(P, c0, c1, bps):
+    """For each interval between the breakpoints bps, the index of the
+    first point of feasible_vrep that attains the LP minimum at the
+    interval's midpoint, as connect found its chain by LP before the
+    breakpoint analysis named these points."""
+    out = []
+    for a, b in zip(bps, bps[1:]):
+        c = c0 + (c1 - c0).scale((a + b) / 2)
+        res = lp._solve(P.feasible_set, c)
+        assert res.status is LPStatus.OPTIMAL
+        out.append(next(k for k, p in enumerate(P.feasible_vrep.points) if c.dot(p) == res.value))
+    return out
+
+
 def test_int_breakpoints_match_the_rational_route():
     # random segments: each end a random integer cost or M^T w for a weight
     # w = sum r_j g_j with r_j > 0 over the dual generators, as connect
     # interpolates; both routes agree, failures included, through
-    # parametric_breakpoints and through connect's entry on P's int set-up
+    # parametric_breakpoints and through connect's entry on P's int set-up,
+    # which also names each interval's first argmin point
     rng = random.Random(2020)
     outcomes = Counter()
 
@@ -1062,6 +1141,7 @@ def test_int_breakpoints_match_the_rational_route():
             c0, c1 = cost(P), cost(P)
             want = attempt(rational_breakpoints, c0, c1, D)
             assert attempt(lp.parametric_breakpoints, c0, c1, D) == want
-            assert attempt(lp._breakpoints, c0, c1, P._d_generators, P._d_rows) == want
+            got = attempt(lp._breakpoints, c0, c1, P._d_generators, P._d_rows)
+            assert got == (None if want is None else (want, rational_firsts(P, c0, c1, want)))
             outcomes["unsolvable" if want is None else "interior %d" % min(len(want) - 2, 2)] += 1
     assert outcomes == {"unsolvable": 559, "interior 0": 533, "interior 1": 119, "interior 2": 25}
