@@ -4,7 +4,11 @@
 For every instance the script decides efficiency of a handful of feasible
 vertices along four independent routes: the direct membership program, the
 generator-based domination program, the quotient reduction, and the
-minimal-face witness system.  It stops at the first disagreement.  On a
+minimal-face witness system.  It stops at the first disagreement.  Each of
+those vertices also gets its strict and its weak witness, which must exist
+exactly for the (weakly) efficient ones, and each witness is checked
+without a solver, against the rational cone decomposition and D's
+generator form, as the path weights below are.  On a
 configurable subset of instances it also recomputes the full efficient and
 weakly efficient sets, checks that each equals the set found by testing
 every face of the feasible set, and checks that every efficient face sits
@@ -41,10 +45,13 @@ from gpolyvlp.crosscheck import (
 from gpolyvlp.instances import InstanceConfig, random_problem
 from gpolyvlp.polyhedron import contains
 from gpolyvlp.vlp import (
+    NotEfficientError,
     connect,
     efficient_set,
     is_efficient,
     is_weakly_efficient,
+    scalarize_witness,
+    weak_witness,
     weakly_efficient_set,
 )
 
@@ -103,6 +110,46 @@ def set_vertices(S) -> list:
     return out
 
 
+def weight_fault(P, w, points, weak: bool):
+    """What is wrong with the weight w as a certificate that every point in
+    points minimizes (M^T w).x over D, or None.  w must be admissible: in
+    ri(K*), or a nonzero element of K* for the weak kind, read off the
+    rational cone decomposition.  The minimum is read off D's generator
+    form.  The checks use exact dot products only, no LP."""
+    dec, geom = P.decomposition, P.feasible_vrep
+    if weak and P.cone_interior_empty:
+        # the weakly efficient set is all of D; the zero weight serves
+        admissible = w.is_zero()
+    elif weak:
+        in_dual = all(y.dot(w) == 0 for y in dec.y0_basis) and all(
+            r.dot(w) >= 0 for r in dec.k1_rays
+        )
+        admissible = in_dual and not w.is_zero()
+    else:
+        admissible = dec.ri_dual_contains(w)
+    if not admissible:
+        return f"weight {w} is not admissible"
+    c = P.objective.tmatvec(w)
+    if any(c.dot(r) < 0 for r in geom.rays) or any(c.dot(l) for l in geom.lineality):
+        return f"weight {w} is unbounded below on D"
+    low = min(c.dot(p) for p in geom.points)
+    if any(c.dot(x) != low for x in points):
+        return f"weight {w} misses the argmin"
+    return None
+
+
+def witness_fault(P, u, efficient: bool, weak: bool):
+    """What is wrong with the (weak) witness of the vertex u, whose verdict
+    is efficient, or None."""
+    try:
+        w = (weak_witness if weak else scalarize_witness)(P, u)
+    except NotEfficientError:
+        return "efficient vertex without a witness" if efficient else None
+    if not efficient:
+        return f"dominated vertex with witness {w}"
+    return weight_fault(P, w, [u], weak)
+
+
 def path_fault(P, u, v, weak: bool):
     """What is wrong with connect's path from u to v, or None.  The checks
     use exact dot products only, no LP."""
@@ -111,26 +158,10 @@ def path_fault(P, u, v, weak: bool):
         return "path does not run between the queried vertices"
     if any(not contains(P.feasible_set, x) for x in cert.points):
         return "path point outside D"
-    dec, geom = P.decomposition, P.feasible_vrep
     for i, w in enumerate(cert.weights):
-        if weak and P.cone_interior_empty:
-            # the weakly efficient set is all of D; the zero weight serves
-            admissible = w.is_zero()
-        elif weak:
-            in_dual = all(y.dot(w) == 0 for y in dec.y0_basis) and all(
-                r.dot(w) >= 0 for r in dec.k1_rays
-            )
-            admissible = in_dual and not w.is_zero()
-        else:
-            admissible = dec.ri_dual_contains(w)
-        if not admissible:
-            return f"segment {i} weight {w} is not admissible"
-        c = P.objective.tmatvec(w)
-        if any(c.dot(r) < 0 for r in geom.rays) or any(c.dot(l) for l in geom.lineality):
-            return f"segment {i} weight is unbounded below on D"
-        low = min(c.dot(p) for p in geom.points)
-        if c.dot(cert.points[i]) != low or c.dot(cert.points[i + 1]) != low:
-            return f"segment {i} leaves the argmin of its weight"
+        fault = weight_fault(P, w, cert.points[i : i + 2], weak)
+        if fault:
+            return f"segment {i}: {fault}"
     return None
 
 
@@ -138,7 +169,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     config = args.config
     rng = random.Random(args.seed)
-    verdicts = efficient = sets_checked = paths = 0
+    verdicts = efficient = witnesses = sets_checked = paths = 0
     t0 = time.perf_counter()
     for i in range(args.count):
         P = random_problem(rng, config, allow_subspace=args.allow_subspace)
@@ -156,12 +187,20 @@ def main(argv=None) -> int:
                 )
                 return 1
             verdict = routes["membership"]
-            if verdict and not is_weakly_efficient(P, u):
+            weak_verdict = is_weakly_efficient(P, u)
+            if verdict and not weak_verdict:
                 print(
                     f"efficient vertex {u} of instance {i} not weakly efficient",
                     file=sys.stderr,
                 )
                 return 1
+            for weak, ok in ((False, verdict), (True, weak_verdict)):
+                fault = witness_fault(P, u, ok, weak)
+                if fault:
+                    kind = "weak witness" if weak else "witness"
+                    print(f"{kind} of vertex {u} of instance {i}: {fault}", file=sys.stderr)
+                    return 1
+                witnesses += ok
             verdicts += 1
             efficient += verdict
         if args.sets_every > 0 and i % args.sets_every == 0:
@@ -198,6 +237,7 @@ def main(argv=None) -> int:
     print(
         f"{args.count} instances, {verdicts} vertex verdicts "
         f"({efficient} efficient) agree on all four routes, "
+        f"{witnesses} witnesses check out, "
         f"{sets_checked} set pairs match the all-faces route and nest, "
         f"{paths} connect paths check out, {elapsed:.1f}s"
     )

@@ -15,11 +15,19 @@ and reads its weight-space rows and the interior test off them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exact import Matrix, Vector, _integers, format_rational, kernel_basis, parse_rational
 from .lp import LPStatus, feasible, solve_lp
-from .polyhedron import HRep, InternalInvariantError, _cone_ints, _json_dim, _kernel_int, _view
+from .polyhedron import (
+    HRep,
+    InternalInvariantError,
+    _cone_ints,
+    _dot,
+    _json_dim,
+    _kernel_int,
+    _view,
+)
 
 __all__ = [
     "ConeH",
@@ -158,6 +166,30 @@ def _split(K: ConeH) -> tuple:
             "the pointed part of the cone kept a lineality direction"
         )
     return y0, k1
+
+
+def _dual_weight(K: ConeH, split: tuple, w: Sequence, weak: bool) -> Optional[tuple]:
+    """The dual weight y* that the int weight-space vector w stands for, as
+    (Y, s) with y* = Y / (s d) when w / d is the weight for some d > 0, or
+    None when y* is not admissible; split is K's int split (see _split).
+
+    A strict weight lives in y-space, so Y = w and s = 1.  It is admissible
+    when it lies in ri(K*): w.g == 0 for every y0 vector and w.g > 0 for
+    every k1 ray, the test of ConeDecomposition.ri_dual_contains, since the
+    positive h of g / h and d change no sign.  A weak weight lives in
+    lambda-space, y* = sum lambda_j (-n_j) over the normals n_j = N_j / s,
+    s the common denominator of all of them, so Y = -sum w_j N_j.  It is
+    admissible when it is nonzero; lambda >= 0 is a row of the weight
+    space."""
+    if not weak:
+        y0, k1 = split
+        if any(_dot(g, w) for g in y0) or any(_dot(g, w) <= 0 for g in k1):
+            return None
+        return tuple(w), 1
+    flat, s = _integers([x for n in K.normals for x in n.coords])
+    N = [flat[j * K.dim : (j + 1) * K.dim] for j in range(len(K.normals))]
+    Y = tuple([-_dot(w, col) for col in zip(*N)])
+    return (Y, s) if any(Y) else None
 
 
 def _decomposition(K: ConeH, split: tuple) -> ConeDecomposition:

@@ -40,8 +40,11 @@ incidence from the one DD of D (_d_generators, each point or ray a tuple
 integer kernel and one DD of K (_cone_split), S M (_image_rows) and
 S (-M^T n_j) over the cone normals (_weak_image_rows), an int product of
 the normals with S M.  feasible_vrep and decomposition are rational views
-of the same results, built only when asked for; the set routines read
-decomposition for their weight checks, and build no feasible_vrep.
+of the same results, built only when asked for, and the certificates and
+set routines read neither: every weight they emit is checked against the
+int split by cone._dual_weight, and a witness is worked out in ints from
+its region's int generators, with a rational built only for each
+coordinate it returns.
 
 Every LP, and the DD of every witness's weight region, is written as int
 rows straight from the set-up; membership in D is tested on the same
@@ -72,7 +75,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Optional
 
-from .cone import ConeDecomposition, ConeH, _decomposition, _split
+from .cone import ConeDecomposition, ConeH, _decomposition, _dual_weight, _split
 from .exact import ONE, ZERO, Matrix, Rational, Vector, _integers, complement_projector, rat
 from .lp import LPStatus, _breakpoints, _solve_rows
 from .polyhedron import (
@@ -85,7 +88,6 @@ from .polyhedron import (
     _echelon_int,
     _face_lattice,
     _generators,
-    _h_to_v_rows,
     _homogenized_dd,
     _int_vector,
     _scaled_rows,
@@ -155,7 +157,10 @@ class VLPProblem:
 
     @cached_property
     def decomposition(self) -> ConeDecomposition:
-        """cone.decompose of K: the rational view of _cone_split."""
+        """cone.decompose of K: the rational view of _cone_split, for the
+        CLI's cone command, projector and the independent oracles.  The
+        certificates and set routines check their weights on _cone_split
+        itself (cone._dual_weight) and never build it."""
         return _decomposition(self.cone, self._cone_split)
 
     @cached_property
@@ -491,16 +496,21 @@ def _face_region(P: VLPProblem, F: VRep, weak: bool) -> tuple:
     return _weight_region(W, range(first, mid), range(mid, len(W.images)))
 
 
-def _relative_interior_point(V: VRep) -> Vector:
-    """Mean of the points plus the sum of the rays of a canonical generator
-    form; always a relative interior point."""
-    s = Vector.zero(V.dim)
-    for p in V.points:
-        s = s + p
-    s = s.scale(rat(1, len(V.points)))
-    for r in V.rays:
-        s = s + r
-    return s
+def _relative_interior_point(gens: _Generators) -> tuple:
+    """Mean of the points plus the sum of the rays of a nonempty generator
+    form in ints, always a relative interior point, as (*g, h) standing for
+    g / h, not reduced.  With m points and L the lcm of every generator's
+    h, g is the sum of the points times L / h each plus m times that of the
+    rays, and h = m L."""
+    m = len(gens.points)
+    L = lcm(*[v[-1] for v in gens.points + gens.rays])
+    g = [0] * (len(gens.points[0]) - 1)
+    for vectors, f in ((gens.points, 1), (gens.rays, m)):
+        for v in vectors:
+            k = f * (L // v[-1])
+            # v's trailing h is past the end of g, so zip skips it
+            g = [x + k * y for x, y in zip(g, v)]
+    return (*g, m * L)
 
 
 def _point_region(P: VLPProblem, ui: tuple, weak: bool) -> tuple:
@@ -511,16 +521,17 @@ def _point_region(P: VLPProblem, ui: tuple, weak: bool) -> tuple:
     return _weight_region(W, [first], range(first + 1, len(W.images)))
 
 
-def _point_weight(P: VLPProblem, ui: tuple, weak: bool) -> Vector:
+def _point_weight(P: VLPProblem, ui: tuple, weak: bool) -> tuple:
     """The relative interior point of the weight region of u + lin(D), the
-    smallest flat of D that every weight scalarizing u scalarizes whole; u
-    comes in its int form ui (see _require_feasible).
+    smallest flat of D that every weight scalarizing u scalarizes whole, in
+    ints as _relative_interior_point gives it, read off the region's int
+    generators; u comes in its int form ui (see _require_feasible).
 
     An empty region means u is not (weakly) efficient, and that verdict is
     cross-checked by the primal slack program before NotEfficientError is
     raised: a zero slack there contradicts it."""
-    region = _h_to_v_rows(*_point_region(P, ui, weak))
-    if region.is_empty:
+    region = _generators(*_point_region(P, ui, weak))
+    if not region.points:
         if _max_slack(P, ui, weak) == 0:
             raise InternalInvariantError("no dual weight for a (weakly) efficient point")
         raise NotEfficientError("not weakly efficient" if weak else "not efficient")
@@ -554,19 +565,22 @@ def scalarize_witness(P: VLPProblem, u: Vector) -> Vector:
     efficiency test runs.  Only an empty region falls back to the slack
     program of is_efficient, which must confirm that u is dominated; then
     NotEfficientError is raised.  The result is re-verified before it is
-    returned.  Raises InfeasiblePointError when u is not in D.
+    returned; its admissibility is checked in ints on the split of K
+    (cone._dual_weight), and the one rational built is the witness itself.
+    Raises InfeasiblePointError when u is not in D.
     """
     ui = _require_feasible(P, u)
-    dec = P.decomposition
-    if dec.is_subspace:
+    split = P._cone_split
+    if not split[1]:
         # K* is the annihilator of K, a subspace equal to its own relative
         # interior; the zero functional scalarizes every feasible point.
         ystar = Vector.zero(P.cone.dim)
         _verify_argmin(P, ystar, ui, "subspace witness")
         return ystar
-    ystar = _point_weight(P, ui, weak=False)
-    if not dec.ri_dual_contains(ystar):
+    w = _point_weight(P, ui, weak=False)
+    if _dual_weight(P.cone, split, w[:-1], weak=False) is None:
         raise InternalInvariantError("witness left the relative interior of the dual")
+    ystar = _view(w)
     _verify_argmin(P, ystar, ui, "witness")
     return ystar
 
@@ -578,22 +592,22 @@ def weak_witness(P: VLPProblem, u: Vector) -> Vector:
     whole space no point is weakly efficient.  As in scalarize_witness the
     weight is sought first, and only an empty weight region runs the slack
     program of is_weakly_efficient, which must confirm the verdict before
-    NotEfficientError is raised.  Raises InfeasiblePointError when u is not
-    in D.
+    NotEfficientError is raised.  The weight y* = sum lambda_j (-n_j) over
+    the cone normals is combined, and checked to be nonzero, in ints
+    (cone._dual_weight).  Raises InfeasiblePointError when u is not in D.
     """
     ui = _require_feasible(P, u)
-    q = P.cone.dim
     if P.cone_interior_empty:
-        return Vector.zero(q)
+        return Vector.zero(P.cone.dim)
     if not P.cone.normals:
         # the interior of the whole space contains zero: u dominates itself
         raise NotEfficientError("not weakly efficient")
     lam = _point_weight(P, ui, weak=True)
-    ystar = Vector.zero(q)
-    for coeff, g in zip(lam.coords, P.decomposition.dual_generators):
-        ystar = ystar + g.scale(coeff)
-    if ystar.is_zero():
+    weight = _dual_weight(P.cone, P._cone_split, lam[:-1], weak=True)
+    if weight is None:
         raise InternalInvariantError("weak witness degenerated to zero")
+    Y, s = weight
+    ystar = _view((*Y, s * lam[-1]))
     _verify_argmin(P, ystar, ui, "weak witness")
     return ystar
 
@@ -636,13 +650,17 @@ def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -
     maximal tight masks are exactly the maximal faces.
 
     W's points are the int rays (Y, T, h) with h > 0 of its homogenized
-    cone, straight from the DD; every row of W vanishes on W's lineality,
-    so they give the same tight masks as the projected points (Y, T) / h.
-    A mask's tag is read off the incidence of P._d_generators by
-    polyhedron._tag, and sorting by tag is faces() order.  A mask that is
+    cone, straight from the DD, and each one's tight mask is its zero set
+    there, shifted past the homogenizing row and the admissibility rows:
+    the point rows and then the ray rows of W are the last rows of the DD.
+    Every row of W vanishes on W's lineality, so the zero set is that of
+    the projected point (Y, T) / h.  A mask's tag is read off the incidence
+    of P._d_generators by polyhedron._tag, and sorting by tag is faces()
+    order.  A mask that is
     not the AND of its tag's masks (all generators for an empty tag), or
     that holds no point, is no face of D; that, and a returned face whose
-    weight the cone rejects, raises InternalInvariantError.
+    weight the cone rejects (cone._dual_weight, on the int Y), raises
+    InternalInvariantError.
 
     W is written from the int set-up of P: D's int generators, the int
     split of K and the image rows.  The returned faces are built from the
@@ -666,17 +684,14 @@ def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -
     ineqs = [(a[:dim] + [0, a[dim]], s) for a, s in W.ineqs]
     ineqs += [([-x for x in img[p]] + [den, 0], den) for p in points]
     ineqs += [([-x for x in img[r]] + [0, 0], den) for r in rays]
+    # bit 0 of a DD zero set is the homogenizing row, then come W.ineqs
+    shift = 1 + len(W.ineqs)
     weights = {}  # tight mask -> the first W point (Y, T, h) with it
-    for v in _homogenized_dd(dim + 1, eqs, ineqs)[1]:
-        if v[-1] <= 0:
-            continue  # a ray of W
-        Y, T = v[:dim], v[dim]
-        mask = sum(1 << p for p in points if _dot(img[p], Y) == T * den)
-        mask += sum(1 << r for r in rays if not _dot(img[r], Y))
-        weights.setdefault(mask, v)
+    for v, zeros in _homogenized_dd(dim + 1, eqs, ineqs)[1].items():
+        if v[-1] > 0:  # not a ray of W
+            weights.setdefault(zeros >> shift, v)
     tight = gens.tight
     everything = (1 << rays.stop) - 1
-    dec = P.decomposition
     found = []
     for m, v in weights.items():
         if any(o != m and o & m == m for o in weights):
@@ -687,10 +702,7 @@ def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -
             closure &= tight[i]
         if closure != m or not m & ((1 << W.n_points) - 1):
             raise InternalInvariantError("a weight's argmin face is missing from the face lattice")
-        y = Vector(tuple([Rational(x, v[-1]) for x in v[:dim]]))
-        if weak:  # y* = sum lambda_j g_j over the dual generators
-            y = Matrix.from_rows(dec.dual_generators, P.cone.dim).tmatvec(y)
-        if y.is_zero() if weak else not dec.ri_dual_contains(y):
+        if _dual_weight(P.cone, P._cone_split, v[:dim], weak) is None:
             raise InternalInvariantError("a set weight left the admissible dual weights")
         found.append((tag, m))
     n = P.feasible_set.dim
@@ -717,7 +729,7 @@ def efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> EfficientSe
     When K is a subspace the efficient set is all of D, returned as the
     single improper face.  An infeasible D yields no faces.
     """
-    sub = P.decomposition.is_subspace
+    sub = not P._cone_split[1]
     eint = P.cone_interior_empty
     if not P._d_generators.points:
         return EfficientSet(P, SetKind.EFFICIENT, (), sub, eint)
@@ -737,7 +749,7 @@ def weakly_efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> Effi
     is weakly efficient and all of D is returned as the single improper
     face.
     """
-    sub = P.decomposition.is_subspace
+    sub = not P._cone_split[1]
     eint = P.cone_interior_empty
     kind = SetKind.WEAKLY_EFFICIENT
     if not P._d_generators.points:

@@ -1,7 +1,6 @@
 """End-to-end tests for the command line interface."""
 
 import copy
-import dataclasses
 import io
 import json
 import subprocess
@@ -15,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from gpolyvlp import cli, vlp
 from gpolyvlp.cli import main
-from gpolyvlp.cone import ConeDecomposition
 from gpolyvlp.polyhedron import InternalInvariantError
 from gpolyvlp.exact import format_rational, parse_rational
 
@@ -149,22 +147,19 @@ class TestSolve:
     def test_set_weight_rejected_by_the_cone_exits_3(
         self, kind, triangle_file, capsys, monkeypatch
     ):
-        # strict weights are re-checked by ri_dual_contains, weak ones by
-        # sum lambda_j g_j != 0 over the dual generators
-        if kind == "efficient":
-            monkeypatch.setattr(ConeDecomposition, "ri_dual_contains", lambda dec, y: False)
-        else:
-            real = vlp._decomposition
+        # every set weight is re-checked in ints by cone._dual_weight: a
+        # strict one for ri(K*), a weak one for sum lambda_j (-n_j) != 0
+        checked = []
 
-            def zero_generators(K, split):
-                dec = real(K, split)
-                zeros = tuple(g.scale(0) for g in dec.dual_generators)
-                return dataclasses.replace(dec, dual_generators=zeros)
+        def rejecting(K, split, w, weak):
+            checked.append(weak)
+            return None
 
-            monkeypatch.setattr(vlp, "_decomposition", zero_generators)
+        monkeypatch.setattr(vlp, "_dual_weight", rejecting)
         code, out, err = run(capsys, "solve", "--problem", triangle_file, "--kind", kind)
         assert code == 3 and out == ""
         assert err == "error: a set weight left the admissible dual weights\n"
+        assert checked == [kind == "weak"]
 
     def test_bad_face_cap_is_a_usage_error(self, triangle_file, capsys, monkeypatch):
         # int() accepts all of these but "many", and "0" is not positive
@@ -367,6 +362,16 @@ class TestTest:
         assert code == 3 and out == ""
         assert err == "error: forced invariant failure\n"
 
+    def test_witness_outside_ri_of_the_dual_exits_3(self, triangle_file, capsys, monkeypatch):
+        # (1, 0) is in K* of the first quadrant but not in its relative
+        # interior, and the int check on the cone's split rejects it
+        monkeypatch.setattr(vlp, "_point_weight", lambda P, u, weak: (1, 0, 1))
+        code, out, err = run(
+            capsys, "test", "--problem", triangle_file, "--point", "0,1"
+        )
+        assert code == 3 and out == ""
+        assert err == "error: witness left the relative interior of the dual\n"
+
     def test_kernel_value_error_exits_3(self, triangle_file, capsys, monkeypatch):
         # a ValueError raised by a kernel after parsing is an internal
         # failure, not bad input
@@ -442,6 +447,24 @@ class TestConnect:
         assert code == 0
         obj = json.loads(out)
         assert obj["points"][0] == ["0", "0"] and obj["points"][-1] == ["1", "1"]
+
+    def test_zero_weak_witness_exits_3(self, triangle_file, capsys, monkeypatch):
+        # test --kind weak prints a bare verdict, so the weak witness runs
+        # behind connect --weak; lambda = 0 combines to the zero weight
+        monkeypatch.setattr(vlp, "_point_weight", lambda P, u, weak: (0, 0, 1))
+        code, out, err = run(
+            capsys,
+            "connect",
+            "--problem",
+            triangle_file,
+            "--from",
+            "0,1",
+            "--to",
+            "1,0",
+            "--weak",
+        )
+        assert code == 3 and out == ""
+        assert err == "error: weak witness degenerated to zero\n"
 
     def test_missing_midpoint_argmin_exits_3(self, triangle_file, capsys, monkeypatch):
         # the LP over D that re-verifies each segment finds no minimum

@@ -251,3 +251,45 @@ def split_cones(draw):
 @given(split_cones())
 def test_int_split_matches_the_rational_route(K):
     check_int_split(K)
+
+
+# ---------------------------------------------------------------------------
+# the int admissibility check of the pipeline against the rational view
+
+
+@st.composite
+def rational_cones(draw):
+    """A cone of split_cones whose normals are scaled by drawn rationals, so
+    that they have denominators of their own."""
+    K = draw(split_cones())
+    scales = [rat(draw(st.integers(1, 4)), draw(st.integers(1, 5))) for _ in K.normals]
+    return ConeH(K.dim, tuple(n.scale(f) for n, f in zip(K.normals, scales)))
+
+
+@given(
+    rational_cones(),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    st.integers(1, 6),
+)
+def test_int_dual_weight_matches_the_rational_view(K, raw, d):
+    # the weight raw / d: as a strict weight in y-space, the int check
+    # agrees with ri_dual_contains; as a weak weight in lambda-space, the
+    # int combination is sum lambda_j g_j over the dual generators
+    dec = decompose(K)
+    split = cone._split(K)
+    w = raw[: K.dim]
+    y = Vector.of([rat(x, d) for x in w])
+    got = cone._dual_weight(K, split, w, weak=False)
+    assert (got is not None) == dec.ri_dual_contains(y)
+    assert got is None or got == (tuple(w), 1)
+    if not K.normals:
+        return
+    lam = (raw * 2)[: len(K.normals)]
+    want = Vector.zero(K.dim)
+    for x, g in zip(lam, dec.dual_generators):
+        want = want + g.scale(rat(x, d))
+    got = cone._dual_weight(K, split, lam, weak=True)
+    assert (got is None) == want.is_zero()
+    if got is not None:
+        Y, s = got
+        assert Vector.of([rat(x, s * d) for x in Y]) == want

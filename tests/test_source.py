@@ -57,6 +57,23 @@ def test_pipeline_builds_no_rational_hreps():
     assert calls == []
 
 
+def test_pipeline_reads_no_rational_cone_decomposition():
+    # every weight and witness of vlp.py is checked on the int split of K
+    # (cone._dual_weight); the rational view is built only by its own
+    # property and by projector, for the CLI and the oracles
+    views = {"decomposition", "dual_generators", "ri_dual_contains"}
+    tree = ast.parse((PACKAGE_DIR / "vlp.py").read_text(encoding="utf-8"))
+    reads = [
+        f"vlp.py:{node.lineno} {function.name} {node.attr}"
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        and function.name not in ("decomposition", "projector")
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr in views
+    ]
+    assert reads == []
+
+
 def _calls_named(source: str, name: str) -> list:
     tree = ast.parse((PACKAGE_DIR / source).read_text(encoding="utf-8"))
     return [

@@ -273,6 +273,25 @@ def test_empty_weight_region_with_zero_slack_is_an_invariant_failure(witness, mo
         witness(P, V(1, 1))
 
 
+# (witness, region point (*g, h) forced on it, invariant error it must raise)
+WITNESS_FAULTS = {
+    # (1, 0) lies in K* of the first quadrant but not in its relative
+    # interior: the k1 ray (0, 1) of the int split is orthogonal to it
+    "strict": (scalarize_witness, (1, 0, 1), "witness left the relative interior of the dual"),
+    # lambda = 0 combines the dual generators to the zero weight
+    "weak": (weak_witness, (0, 0, 1), "weak witness degenerated to zero"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_FAULTS))
+def test_witness_that_the_int_cone_check_rejects_is_an_invariant_failure(case, monkeypatch):
+    witness, point, message = WITNESS_FAULTS[case]
+    P = load_problem(str(PROBLEMS_DIR / "triangle.json"))
+    monkeypatch.setattr(vlp, "_point_weight", lambda P, u, weak: point)
+    with pytest.raises(InternalInvariantError, match=message):
+        witness(P, V(0, 1))
+
+
 def unbounded_quadrant():
     """min_K -x over the quadrant x >= 0, K the first quadrant: every weight
     in ri(K*) is unbounded below on D."""
@@ -295,7 +314,10 @@ def test_argmin_recheck_rejects_a_weight_that_misses_u(case, monkeypatch):
     P = make()
     with pytest.raises(InternalInvariantError, match="label does not scalarize"):
         vlp._verify_argmin(P, ystar, polyhedron._int_vector(u), "label")
-    monkeypatch.setattr(vlp, "_point_weight", lambda P, u, weak: ystar)
+    # _point_weight gives its weight in ints; ystar is in ri(K*), so the int
+    # admissibility check passes it on to the argmin re-check
+    ystar_ints = polyhedron._int_vector(ystar)
+    monkeypatch.setattr(vlp, "_point_weight", lambda P, u, weak: ystar_ints)
     with pytest.raises(InternalInvariantError, match="witness does not scalarize"):
         scalarize_witness(P, u)
 
@@ -832,6 +854,16 @@ def assert_rows_scale(got, want):
             assert ints == [scale * x for x in a.coords + (b,)]
 
 
+def face_generators(P, G):
+    """The int generators of P._d_generators whose bits are in the mask G,
+    and all of its lineality, with no incidence."""
+    gens = P._d_generators
+    n_pts = len(gens.points)
+    points = tuple(p for k, p in enumerate(gens.points) if G >> k & 1)
+    rays = tuple(r for k, r in enumerate(gens.rays, n_pts) if G >> k & 1)
+    return polyhedron._Generators(points, rays, gens.lineality, ())
+
+
 def lattice_faces(P):
     """(generator mask, geometry) of every face of D, from the face lattice
     walk on P's int generators; the geometry takes the points and rays of
@@ -930,14 +962,74 @@ def test_tangent_slack_program_agrees_with_d_off_the_vertices():
         geom = P.feasible_vrep
         if geom.is_empty:
             continue
-        for _, F in lattice_faces(P):
-            u = vlp._relative_interior_point(F)
+        for G, F in lattice_faces(P):
+            u = polyhedron._view(vlp._relative_interior_point(face_generators(P, G)))
             interior += u not in geom.points
             for weak in (False, True):
                 got = vlp._max_slack(P, polyhedron._int_vector(u), weak)
                 assert (got == 0) == (slack_program_value(P, u, weak, tangent=False) == 0)
                 checked += 1
     assert (checked, interior) == (2322, 733)
+
+
+def reference_relative_interior_point(V):
+    """The witness point as the rational formula reads: the mean of the
+    points plus the sum of the rays of a generator form."""
+    s = Vector.zero(V.dim)
+    for p in V.points:
+        s = s + p
+    s = s.scale(rat(1, len(V.points)))
+    for r in V.rays:
+        s = s + r
+    return s
+
+
+def test_int_relative_interior_point_matches_the_rational_formula():
+    # on every face of D and every nonempty witness region of SET_CORPUS,
+    # the int point is the rational mean of the points plus the sum of the
+    # rays, exactly
+    checked = Counter()
+    for P in SET_CORPUS:
+        geom = P.feasible_vrep
+        for G, F in lattice_faces(P):
+            got = vlp._relative_interior_point(face_generators(P, G))
+            assert polyhedron._view(got) == reference_relative_interior_point(F)
+            checked["face"] += 1
+        for u in geom.points:
+            for weak in (False, True):
+                rows = vlp._point_region(P, polyhedron._int_vector(u), weak)
+                region = polyhedron._generators(*rows)
+                if region.points:
+                    got = vlp._relative_interior_point(region)
+                    want = reference_relative_interior_point(polyhedron._vrep(rows[0], region))
+                    assert polyhedron._view(got) == want
+                    checked["region"] += 1
+    assert checked == {"face": 1161, "region": 527}
+
+
+def test_pipeline_builds_no_rational_cone_decomposition():
+    # every weight and witness is checked on the int split of K, so neither
+    # set, nor any vertex's strict or weak witness, nor a connect between
+    # the first and last vertex with a witness leaves the rational
+    # decomposition in P's cache
+    problems = [VLPProblem(P.objective, P.feasible_set, P.cone) for P in SET_CORPUS]
+    problems += [load_problem(str(path)) for path in sorted(PROBLEMS_DIR.glob("*.json"))]
+    for P in problems:
+        efficient_set(P)
+        weakly_efficient_set(P)
+        for witness, weak in ((scalarize_witness, False), (weak_witness, True)):
+            ends = []
+            for u in P.feasible_vrep.points:
+                try:
+                    witness(P, u)
+                except NotEfficientError:
+                    continue
+                ends.append(u)
+            if len(ends) >= 2:
+                connect(P, ends[0], ends[-1], weak=weak)
+        assert "_cone_split" in vars(P)
+        assert "decomposition" not in vars(P)
+    assert len(problems) == 262 + 4
 
 
 def test_int_dd_entry_matches_h_to_v_on_witness_regions():
