@@ -9,14 +9,18 @@ the optimal value is read off.  Phase one starts from the slack basis: only
 the rows without a usable slack (equalities, and inequalities with a
 negative right-hand side) take an artificial, and the phase-one simplex
 runs only when some artificial starts above zero.  Its starting basis is
-read off one transpose of the rows.
+read off one transpose of the rows.  Artificials serve only the HRep
+entry, connect's LPs over D and the oracles' weight-region programs: the
+per-point programs of vlp.py have no equality row and only zero
+right-hand sides, so phase one takes their rows as the tableau.
 
 There is one simplex with two entries.  Its core, _optimize_rows, takes
 int rows (ints [a | b], scale), the row format polyhedron._scaled_rows
-gives and the double description's int entry takes too, and gives every
-variable one column: free variables come first and are pivoted in with
-either sign of their reduced cost, never to leave the basis again; trailing
-sign-constrained variables need no -x <= 0 rows.  _solve_rows is the
+gives and the double description's int entry takes too, and a cost
+vector in the library's int form (*C, L), standing for C / L.  It gives
+every variable one column: free variables come first and are pivoted in
+with either sign of their reduced cost, never to leave the basis again;
+trailing sign-constrained variables need no -x <= 0 rows.  _solve_rows is the
 pipeline's entry: vlp.py builds its LPs (slack programs, weight regions,
 argmin checks) as int rows with no HRep in between, and reads only the
 status and the optimal value, so no point and no ray is built for it.  The
@@ -46,6 +50,7 @@ from .polyhedron import (
     _direction,
     _dot,
     _generators,
+    _int_vector,
     _scaled_rows,
 )
 
@@ -372,7 +377,8 @@ def _optimize(P: HRep, c: Vector) -> tuple:
         if c.is_zero():
             return LPOutcome(LPStatus.OPTIMAL, ZERO), None
         return LPOutcome(LPStatus.UNBOUNDED, descent_ray=(-c).normalized_direction()), None
-    out, T, enter = _optimize_rows(2 * d, eqs, ineqs, Vector(c.coords + (-c).coords), 2 * d)
+    cx, L = _integers(c.coords)
+    out, T, enter = _optimize_rows(2 * d, eqs, ineqs, (*cx, *[-v for v in cx], L), 2 * d)
     if out.status is LPStatus.UNBOUNDED:
         delta = T.direction(enter)
         ray = _direction([delta[j] - delta[d + j] for j in range(d)])
@@ -381,10 +387,11 @@ def _optimize(P: HRep, c: Vector) -> tuple:
 
 
 def _optimize_rows(
-    dim: int, eqs: Sequence, ineqs: Sequence, c: Vector, nonneg: int = 0
+    dim: int, eqs: Sequence, ineqs: Sequence, cost: Sequence, nonneg: int = 0
 ) -> tuple:
     """Phase one and phase two of min c.x over integer rows (ints [a | b],
-    scale), as _scaled_rows gives them.  The first dim - nonneg variables
+    scale), as _scaled_rows gives them, for the cost c = C / L given as the
+    int generator cost = (*C, L), L > 0.  The first dim - nonneg variables
     are free columns and the last nonneg are sign-constrained; those need at
     least one row.
 
@@ -395,16 +402,16 @@ def _optimize_rows(
     For UNBOUNDED, enter is the column that can increase forever, and c
     descends along T.direction(enter), as checked in ints.
     """
+    cx, L = cost[:-1], cost[-1]
     if not eqs and not ineqs and not nonneg:
-        if c.is_zero():
+        if not any(cx):
             return LPOutcome(LPStatus.OPTIMAL, ZERO), None, None
         return LPOutcome(LPStatus.UNBOUNDED), None, None
     rows, scales, nvars = _write_rows(dim, eqs, ineqs)
     T = _phase_one(rows, scales, nvars, dim - nonneg)
     if T is None:
         return LPOutcome(LPStatus.INFEASIBLE), None, None
-    cx, L = _integers(c.coords)
-    T.set_objective(cx + [0] * (nvars - dim))
+    T.set_objective([*cx, *[0] * (nvars - dim)])
     status, enter = _simplex(T)
     if status == "unbounded":
         if _dot(cx, T.direction(enter)) >= 0:
@@ -422,18 +429,19 @@ def _solve(P: HRep, c: Vector) -> LPOutcome:
 
 
 def _solve_rows(
-    dim: int, eqs: Sequence, ineqs: Sequence, c: Vector, nonneg: int = 0
+    dim: int, eqs: Sequence, ineqs: Sequence, cost: Sequence, nonneg: int = 0
 ) -> LPOutcome:
     """Status and optimal value of min c.x over integer rows: eqs are the
     rows a.x = b and ineqs the rows a.x <= b, each (ints [a | b], scale)
-    with scale the row's positive factor over its rational row.  Every
+    with scale the row's positive factor over its rational row, and the
+    cost c = C / L is the int generator cost = (*C, L), L > 0.  Every
     variable is one simplex column: the first dim - nonneg are free, the
     last nonneg sign-constrained, so a caller writes no -x_j <= 0 rows for
     them.  The outcome has no point and no ray; an unbounded one has passed
     the descent check in ints.  The pipeline builds its programs this way,
     with no HRep.
     """
-    return _optimize_rows(dim, eqs, ineqs, c, nonneg)[0]
+    return _optimize_rows(dim, eqs, ineqs, cost, nonneg)[0]
 
 
 def solve_lp(P: HRep, c: Vector) -> LPOutcome:
@@ -597,6 +605,6 @@ def _breakpoints(c0: Vector, c1: Vector, gens: _Generators, rows: tuple) -> tupl
 
     delta = c1 - c0
     for t in breakpoints:
-        if _solve_rows(n, *rows, c0 + delta.scale(t)).status != LPStatus.OPTIMAL:
+        if _solve_rows(n, *rows, _int_vector(c0 + delta.scale(t))).status != LPStatus.OPTIMAL:
             raise UnsolvableSegmentError("unsolvable on segment")
     return breakpoints, firsts

@@ -28,9 +28,15 @@ some d has -M d in K \\ l(K) (strict) or in int K (weak), sets closed under
 positive scaling, which holds exactly when some x in D dominates u.  They
 are cone programs, with no <= 1 rows on their slacks: bounded, with
 optimum 0, exactly when u is (weakly) efficient, and unbounded otherwise.
-d is free, one simplex column per coordinate.  The argmin re-check of a
-weight c asks whether c.d >= 0 on T_D(u), which holds exactly when u
-minimizes c.x over D.
+The argmin re-check of a weight c asks whether c.d >= 0 on T_D(u), which
+holds exactly when u minimizes c.x over D.  All of them are written in one
+equality-free frame per problem: d = B z over the kernel of D's
+equalities, B its int basis (the identity without equalities), with z
+free, one simplex column per coordinate.  D's inequality rows, the cone
+rows and M are multiplied by B once (_tangent_frame), the rows tight at u
+come from the dot products that check u against D, and every cost is an
+int vector, so no per-point program has an equality row, a right-hand side
+other than 0 or a phase one.
 
 A problem has one integer set-up, each part a cached property built on
 first use by the programs that read it, from the ints the DD cores
@@ -39,7 +45,9 @@ incidence from the one DD of D (_d_generators, each point or ray a tuple
 (*g, h) of ints standing for g / h), the split K = Y0 + K1 from one
 integer kernel and one DD of K (_cone_split), S M (_image_rows) and
 S (-M^T n_j) over the cone normals (_weak_image_rows), an int product of
-the normals with S M.  feasible_vrep and decomposition are rational views
+the normals with S M, and the frame of the tangent-cone programs
+(_tangent_frame), D's inequality rows and these rows times the int kernel
+basis of D's equalities.  feasible_vrep and decomposition are rational views
 of the same results, built only when asked for, and the certificates and
 set routines read neither: every weight they emit is checked against the
 int split by cone._dual_weight, and a witness is worked out in ints from
@@ -76,7 +84,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .cone import ConeDecomposition, ConeH, _decomposition, _dual_weight, _split
-from .exact import ONE, ZERO, Matrix, Rational, Vector, _integers, complement_projector, rat
+from .exact import Matrix, Rational, Vector, _integers, complement_projector, rat
 from .lp import LPStatus, _breakpoints, _solve_rows
 from .polyhedron import (
     Face,
@@ -90,6 +98,7 @@ from .polyhedron import (
     _generators,
     _homogenized_dd,
     _int_vector,
+    _kernel_int,
     _scaled_rows,
     _tag,
     _view,
@@ -231,6 +240,34 @@ class VLPProblem:
         return tuple([tuple([x * (S // d) for x in R]) for R, d in products]), S
 
     @cached_property
+    def _tangent_frame(self) -> tuple:
+        """The one equality-free int frame of the programs posed on tangent
+        cones of D, (width, ineqs, cone_rows, image_cols).
+
+        A direction d in the kernel of D's equality rows is written d = B z,
+        with B the int kernel basis polyhedron._kernel_int gives (the
+        identity when D has no equalities), and width the number of z
+        columns.  ineqs holds each inequality row (a | b) of _d_rows as
+        (a B, scale), in D's order; cone_rows the rows S (-M^T n_j) B of
+        _weak_image_rows, over their scale S; image_cols the columns S M B of
+        _image_rows, over theirs.  Every product is in ints."""
+        n = self.feasible_set.dim
+        eqs, ineqs = self._d_rows
+        basis = [v for _, v in _kernel_int([a[:n] for a, _ in eqs], n)]
+
+        def in_z(a) -> tuple:
+            # a may carry its right-hand side past the end of each v
+            return tuple([_dot(a, v) for v in basis])
+
+        image, _ = self._image_rows
+        return (
+            len(basis),
+            tuple([(in_z(a), scale) for a, scale in ineqs]),
+            tuple([in_z(a) for a in self._weak_image_rows[0]]),
+            tuple([tuple([_dot(a, v) for a in image]) for v in basis]),
+        )
+
+    @cached_property
     def cone_interior_empty(self) -> bool:
         """Whether K has empty topological interior, read off the int split
         K = Y0 + cone(k1 rays).  The rays lie in Y1, the orthogonal
@@ -289,42 +326,32 @@ class PathCertificate:
 
 
 def _require_feasible(P: VLPProblem, u: Vector) -> tuple:
-    """u's int form (*U, L), U / L = u with L the lcm of its denominators,
-    once u is checked to lie in D; the certificates of u take it as it is.
-    Raises InfeasiblePointError otherwise."""
+    """(ui, tight) for a point u of D: ui = (*U, L) is u's int form, U / L
+    = u with L the lcm of its denominators, and tight the indices of D's
+    inequality rows that hold with equality at u, read off the same dot
+    products that check u against D.  The certificates of u take the pair
+    as it is.  Raises InfeasiblePointError when u is not in D."""
     if u.dim != P.feasible_set.dim:
         raise InfeasiblePointError("infeasible point")
     eqs, ineqs = P._d_rows
     ui = _int_vector(u)
     U, L = ui[:-1], ui[-1]
     # row (a | b) holds at u = U / L iff a.U = b L (<= for an inequality)
-    if any(_dot(a, U) != a[-1] * L for a, _ in eqs) or any(
-        _dot(a, U) > a[-1] * L for a, _ in ineqs
-    ):
+    if any(_dot(a, U) != a[-1] * L for a, _ in eqs):
         raise InfeasiblePointError("infeasible point")
-    return ui
+    tight = []
+    for i, (a, _) in enumerate(ineqs):
+        excess = _dot(a, U) - a[-1] * L
+        if excess > 0:
+            raise InfeasiblePointError("infeasible point")
+        if not excess:
+            tight.append(i)
+    return ui, tuple(tight)
 
 
-def _tangent_rows(P: VLPProblem, ui: tuple, pad: int) -> tuple:
-    """The rows of D that cut out its tangent cone at u, T_D(u) = cone(D - u):
-    every equality and the inequalities tight at u, with their right-hand
-    sides 0.  Each is D's int row (a | b) of scale d written as (a, 0 | 0)
-    of scale d, with pad zero columns before the right-hand side; the rows
-    that are slack at u are dropped.  u must lie in D, and comes in its int
-    form ui = (*U, L) as _require_feasible gives it."""
-    n = P.feasible_set.dim
-    eqs, ineqs = P._d_rows
-    U, L = ui[:-1], ui[-1]
-    zeros = [0] * (pad + 1)
-    return (
-        [([*a[:n], *zeros], scale) for a, scale in eqs],
-        [([*a[:n], *zeros], scale) for a, scale in ineqs if _dot(a, U) == a[n] * L],
-    )
-
-
-def _max_slack(P: VLPProblem, ui: tuple, weak: bool) -> Optional[Rational]:
+def _max_slack(P: VLPProblem, at: tuple, weak: bool) -> Optional[Rational]:
     """Optimum of the slack program behind the efficiency tests, posed on
-    the tangent cone T_D(u) of the point u with int form ui (see
+    the tangent cone T_D(u) of the point u with feasible form at (see
     _require_feasible): zero exactly when u is (weakly) efficient, and None
     when the slack is unbounded, which is the other case.
 
@@ -342,22 +369,23 @@ def _max_slack(P: VLPProblem, ui: tuple, weak: bool) -> Optional[Rational]:
     closed under positive scaling: a dominating x exists exactly when a
     dominating direction d does.
 
-    (0, 0) is feasible on the slack basis, so no phase-one simplex runs.
-    d is free and the slacks are sign-constrained columns of the simplex,
-    so the program has no -s_j <= 0 rows.  The rows are written as ints
-    from P's int data: D's rows as _tangent_rows gives them, and a cone row
-    as (S (-M^T n_j), S e_j | 0) of scale S.
+    d = B z runs over the kernel of D's equalities, so the program is
+    written in P._tangent_frame: z is free, the slacks are sign-constrained
+    columns, and the rows are the tight inequalities (a B, 0 | 0) and a cone
+    row (S (-M^T n_j) B, S e_j | 0) of scale S per normal.  There is no
+    equality row and every right-hand side is 0, so (0, 0) is feasible on
+    the slack basis and no phase one runs.
     """
-    n = P.feasible_set.dim
-    k = 1 if weak else len(P.cone.normals)
-    eqs, ineqs = _tangent_rows(P, ui, k)
-    cone_rows, S = P._weak_image_rows
+    width, ineqs, cone_rows, _ = P._tangent_frame
+    S = P._weak_image_rows[1]
+    k = 1 if weak else len(cone_rows)
+    pad = (0,) * (k + 1)
+    rows = [(ineqs[i][0] + pad, ineqs[i][1]) for i in at[1]]
     for j, a in enumerate(cone_rows):
-        s = [0] * k
+        s = [0] * (k + 1)
         s[0 if weak else j] = S
-        ineqs.append(([*a, *s, 0], S))
-    c = Vector((ZERO,) * n + (-ONE,) * k)
-    out = _solve_rows(n + k, eqs, ineqs, c, k)
+        rows.append(((*a, *s), S))
+    out = _solve_rows(width + k, (), rows, (0,) * width + (-1,) * k + (1,), k)
     if out.status is LPStatus.UNBOUNDED:
         return None
     if out.status is not LPStatus.OPTIMAL or out.value != 0:
@@ -378,11 +406,11 @@ def is_efficient(P: VLPProblem, u: Vector) -> bool:
     T_D(u) finds every such x (see _max_slack).  Raises InfeasiblePointError
     when u is not in D.
     """
-    ui = _require_feasible(P, u)
+    at = _require_feasible(P, u)
     if not P.cone.normals:
         # K is the whole space, hence a subspace: nothing dominates anything.
         return True
-    return _max_slack(P, ui, weak=False) == 0
+    return _max_slack(P, at, weak=False) == 0
 
 
 def is_weakly_efficient(P: VLPProblem, u: Vector) -> bool:
@@ -395,12 +423,16 @@ def is_weakly_efficient(P: VLPProblem, u: Vector) -> bool:
     direction d, and with it a feasible x = u + e d, such that M u - M x is
     interior to K, which is closed under positive scaling (see _max_slack).
     When K has empty interior every feasible point is weakly efficient and
-    the test short-circuits to True.
+    the test short-circuits to True; when K is the whole space no point is
+    weakly efficient.
     """
-    ui = _require_feasible(P, u)
+    at = _require_feasible(P, u)
     if P.cone_interior_empty:
         return True
-    return _max_slack(P, ui, weak=True) == 0
+    if not P.cone.normals:
+        # the interior of the whole space contains zero: u dominates itself
+        return False
+    return _max_slack(P, at, weak=True) == 0
 
 
 # _WeightSpace is a plain slotted class: a dataclass generates its methods
@@ -513,39 +545,49 @@ def _relative_interior_point(gens: _Generators) -> tuple:
     return (*g, m * L)
 
 
-def _point_region(P: VLPProblem, ui: tuple, weak: bool) -> tuple:
-    """_face_region of the flat u + lin(D), with u in its int form ui (see
-    _require_feasible) and D's int lineality basis as they are."""
-    W = _int_weight_space(P, weak, (ui,) + P._d_generators.lineality)
+def _point_region(P: VLPProblem, at: tuple, weak: bool) -> tuple:
+    """_face_region of the flat u + lin(D), with u in its int form from its
+    feasible form at (see _require_feasible) and D's int lineality basis as
+    they are."""
+    W = _int_weight_space(P, weak, (at[0],) + P._d_generators.lineality)
     first = W.n_points + W.n_rays
     return _weight_region(W, [first], range(first + 1, len(W.images)))
 
 
-def _point_weight(P: VLPProblem, ui: tuple, weak: bool) -> tuple:
+def _point_weight(P: VLPProblem, at: tuple, weak: bool) -> tuple:
     """The relative interior point of the weight region of u + lin(D), the
     smallest flat of D that every weight scalarizing u scalarizes whole, in
     ints as _relative_interior_point gives it, read off the region's int
-    generators; u comes in its int form ui (see _require_feasible).
+    generators; u comes in its feasible form at (see _require_feasible).
 
     An empty region means u is not (weakly) efficient, and that verdict is
     cross-checked by the primal slack program before NotEfficientError is
     raised: a zero slack there contradicts it."""
-    region = _generators(*_point_region(P, ui, weak))
+    region = _generators(*_point_region(P, at, weak))
     if not region.points:
-        if _max_slack(P, ui, weak) == 0:
+        if _max_slack(P, at, weak) == 0:
             raise InternalInvariantError("no dual weight for a (weakly) efficient point")
         raise NotEfficientError("not weakly efficient" if weak else "not efficient")
     return _relative_interior_point(region)
 
 
-def _verify_argmin(P: VLPProblem, ystar: Vector, ui: tuple, label: str) -> None:
-    """Re-verify by an exact LP that u, a point of D with int form ui (see
-    _require_feasible), minimizes c.x over D for c = M^T ystar.  D is
-    convex, so that holds exactly when c.d >= 0 on the tangent cone
-    T_D(u): min c.d over T_D(u) is then OPTIMAL with value 0, and otherwise
-    it is unbounded below."""
-    c = P.objective.tmatvec(ystar)
-    out = _solve_rows(P.feasible_set.dim, *_tangent_rows(P, ui, 0), c)
+def _verify_argmin(P: VLPProblem, w: tuple, at: tuple, label: str) -> None:
+    """Re-verify by an exact LP that u, a point of D with feasible form at
+    (see _require_feasible), minimizes c.x over D for c = M^T y*, the weight
+    y* = Y / h given as the int generator w = (*Y, h).  D is convex, so that
+    holds exactly when c.d >= 0 on the tangent cone T_D(u): min c.d over
+    T_D(u) is then OPTIMAL with value 0, and otherwise it is unbounded
+    below.
+
+    The program is written in P._tangent_frame: with d = B z and S M the
+    image rows, c.d = Y.(S M B) z / (S h), so the cost is the int generator
+    (Y.(S M B), S h) over the free z, and the rows are the tight
+    inequalities (a B | 0)."""
+    width, ineqs, _, image_cols = P._tangent_frame
+    Y = w[:-1]
+    cost = (*[_dot(Y, col) for col in image_cols], P._image_rows[1] * w[-1])
+    rows = [(ineqs[i][0] + (0,), ineqs[i][1]) for i in at[1]]
+    out = _solve_rows(width, (), rows, cost)
     if out.status is not LPStatus.OPTIMAL or out.value != 0:
         raise InternalInvariantError(
             "%s does not scalarize its point to an argmin of D" % label
@@ -569,20 +611,18 @@ def scalarize_witness(P: VLPProblem, u: Vector) -> Vector:
     (cone._dual_weight), and the one rational built is the witness itself.
     Raises InfeasiblePointError when u is not in D.
     """
-    ui = _require_feasible(P, u)
+    at = _require_feasible(P, u)
     split = P._cone_split
     if not split[1]:
         # K* is the annihilator of K, a subspace equal to its own relative
         # interior; the zero functional scalarizes every feasible point.
-        ystar = Vector.zero(P.cone.dim)
-        _verify_argmin(P, ystar, ui, "subspace witness")
-        return ystar
-    w = _point_weight(P, ui, weak=False)
+        _verify_argmin(P, (0,) * P.cone.dim + (1,), at, "subspace witness")
+        return Vector.zero(P.cone.dim)
+    w = _point_weight(P, at, weak=False)
     if _dual_weight(P.cone, split, w[:-1], weak=False) is None:
         raise InternalInvariantError("witness left the relative interior of the dual")
-    ystar = _view(w)
-    _verify_argmin(P, ystar, ui, "witness")
-    return ystar
+    _verify_argmin(P, w, at, "witness")
+    return _view(w)
 
 
 def weak_witness(P: VLPProblem, u: Vector) -> Vector:
@@ -596,20 +636,20 @@ def weak_witness(P: VLPProblem, u: Vector) -> Vector:
     the cone normals is combined, and checked to be nonzero, in ints
     (cone._dual_weight).  Raises InfeasiblePointError when u is not in D.
     """
-    ui = _require_feasible(P, u)
+    at = _require_feasible(P, u)
     if P.cone_interior_empty:
         return Vector.zero(P.cone.dim)
     if not P.cone.normals:
         # the interior of the whole space contains zero: u dominates itself
         raise NotEfficientError("not weakly efficient")
-    lam = _point_weight(P, ui, weak=True)
+    lam = _point_weight(P, at, weak=True)
     weight = _dual_weight(P.cone, P._cone_split, lam[:-1], weak=True)
     if weight is None:
         raise InternalInvariantError("weak witness degenerated to zero")
     Y, s = weight
-    ystar = _view((*Y, s * lam[-1]))
-    _verify_argmin(P, ystar, ui, "weak witness")
-    return ystar
+    w = (*Y, s * lam[-1])
+    _verify_argmin(P, w, at, "weak witness")
+    return _view(w)
 
 
 def _whole_set_face(P: VLPProblem) -> Face:
@@ -629,7 +669,7 @@ def face_scalarizable(P: VLPProblem, face: Face, weak: bool) -> bool:
     independent oracles of crosscheck, above all the all-faces oracle
     solution_set_via_all_faces, which runs it on every face."""
     dim, eqs, ineqs = _face_region(P, face.geometry, weak)
-    return _solve_rows(dim, eqs, ineqs, Vector.zero(dim)).status is LPStatus.OPTIMAL
+    return _solve_rows(dim, eqs, ineqs, (0,) * dim + (1,)).status is LPStatus.OPTIMAL
 
 
 def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -> tuple:
@@ -766,7 +806,7 @@ def weakly_efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> Effi
 def _min_over_d(P: VLPProblem, c: Vector) -> Optional[Rational]:
     """The minimum of c.x over D, from D's int rows, or None when there is
     none."""
-    out = _solve_rows(P.feasible_set.dim, *P._d_rows, c)
+    out = _solve_rows(P.feasible_set.dim, *P._d_rows, _int_vector(c))
     return out.value if out.status is LPStatus.OPTIMAL else None
 
 

@@ -299,9 +299,9 @@ class TestTest:
         calls = []
         real = vlp._max_slack
 
-        def counting(P, u, weak):
-            calls.append(u)
-            return real(P, u, weak)
+        def counting(P, at, weak):
+            calls.append(at)
+            return real(P, at, weak)
 
         monkeypatch.setattr(vlp, "_max_slack", counting)
         code, out, _ = run(capsys, "test", "--problem", triangle_file, "--point", "0,1")
@@ -331,6 +331,24 @@ class TestTest:
             capsys, "test", "--problem", str(path), "--point", "0,1", "--kind", "weak"
         )
         assert code == 0 and json.loads(out) == {"weak": False}
+
+    def test_weak_kind_without_normals_at_a_point_with_no_tight_row(self, tmp_path, capsys):
+        # K is the whole space and D = {x1 <= 1}: (0, 0) is tight on no row
+        # of D, and the answer is the one (1, 0) gets
+        obj = {
+            "version": "1",
+            "M": [["1", "0"], ["0", "1"]],
+            "D": {"dim": 2, "eq": [[], []], "ineq": [[["1", "0"]], ["1"]]},
+            "K": {"dim": 2, "normals": []},
+        }
+        path = tmp_path / "halfplane.json"
+        path.write_text(json.dumps(obj))
+        for point in ("0,0", "1,0"):
+            code, out, err = run(
+                capsys, "test", "--problem", str(path), "--point", point, "--kind", "weak"
+            )
+            assert code == 0 and err == ""
+            assert json.loads(out) == {"weak": False}
 
     def test_point_outside_feasible_set(self, triangle_file, capsys):
         code, out, err = run(
@@ -365,7 +383,7 @@ class TestTest:
     def test_witness_outside_ri_of_the_dual_exits_3(self, triangle_file, capsys, monkeypatch):
         # (1, 0) is in K* of the first quadrant but not in its relative
         # interior, and the int check on the cone's split rejects it
-        monkeypatch.setattr(vlp, "_point_weight", lambda P, u, weak: (1, 0, 1))
+        monkeypatch.setattr(vlp, "_point_weight", lambda P, at, weak: (1, 0, 1))
         code, out, err = run(
             capsys, "test", "--problem", triangle_file, "--point", "0,1"
         )
@@ -451,7 +469,7 @@ class TestConnect:
     def test_zero_weak_witness_exits_3(self, triangle_file, capsys, monkeypatch):
         # test --kind weak prints a bare verdict, so the weak witness runs
         # behind connect --weak; lambda = 0 combines to the zero weight
-        monkeypatch.setattr(vlp, "_point_weight", lambda P, u, weak: (0, 0, 1))
+        monkeypatch.setattr(vlp, "_point_weight", lambda P, at, weak: (0, 0, 1))
         code, out, err = run(
             capsys,
             "connect",

@@ -27,7 +27,7 @@ from gpolyvlp.lp import (
     parametric_breakpoints,
     solve_lp,
 )
-from gpolyvlp.polyhedron import HRep, contains, h_to_v
+from gpolyvlp.polyhedron import HRep, _int_vector, contains, h_to_v
 
 
 def unit_square():
@@ -570,8 +570,8 @@ def test_sign_constrained_columns_match_explicit_sign_rows():
     for n, k, eqs, ineqs, c in sign_constrained_corpus():
         dim = n + k
         signs = sign_rows(n, k)
-        got, T, enter = lp._optimize_rows(dim, eqs, ineqs, c, k)
-        want = lp._solve_rows(dim, eqs, ineqs + signs, c)
+        got, T, enter = lp._optimize_rows(dim, eqs, ineqs, _int_vector(c), k)
+        want = lp._solve_rows(dim, eqs, ineqs + signs, _int_vector(c))
         assert (got.status, got.value) == (want.status, want.value)
         assert got.point is None and got.descent_ray is None
         if got.status is LPStatus.UNBOUNDED:
@@ -604,13 +604,13 @@ def test_free_columns_match_the_split_hrep_entry():
     # the int-row core pivots free columns in; the HRep entry splits every
     # variable as x+ - x-.  Status and value agree on every program.
     for P, c in GOLDEN:
-        got = lp._solve_rows(P.dim, *lp._scaled_rows(P), c)
+        got = lp._solve_rows(P.dim, *lp._scaled_rows(P), _int_vector(c))
         want = lp._solve(P, c)
         assert (got.status, got.value) == (want.status, want.value)
     statuses = Counter()
     for n, k, eqs, ineqs, c in sign_constrained_corpus():
         dim = n + k
-        got = lp._solve_rows(dim, eqs, ineqs, c, k)
+        got = lp._solve_rows(dim, eqs, ineqs, _int_vector(c), k)
         want = lp._solve(int_rows_as_hrep(dim, eqs, ineqs + sign_rows(n, k)), c)
         assert (got.status, got.value) == (want.status, want.value)
         statuses[got.status] += 1
@@ -653,7 +653,7 @@ def test_free_column_simplex_terminates_and_agrees_on_degenerate_programs(progra
         real(T, row, col)
 
     with mock.patch.object(lp._Tableau, "pivot", counting):
-        got = lp._solve_rows(dim, eqs, ineqs, c, k)
+        got = lp._solve_rows(dim, eqs, ineqs, _int_vector(c), k)
     # a free column never leaves the basis once it has entered
     assert all(pivots)
     # Bland's rule visits no basis twice in a phase: phase one, the

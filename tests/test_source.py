@@ -123,3 +123,23 @@ def test_one_simplex_core():
         )
     )
     assert callers == ["_optimize_rows"]
+
+
+def test_per_point_programs_are_written_in_ints():
+    # the slack programs and the argmin re-check take their rows and their
+    # int cost from the problem's int frame, with no rational in between
+    rational = {"Vector", "ONE", "ZERO", "tmatvec"}
+    tree = ast.parse((PACKAGE_DIR / "vlp.py").read_text(encoding="utf-8"))
+    functions = {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("_max_slack", "_verify_argmin")
+    }
+    uses = [
+        f"vlp.py:{node.lineno} {name} {ident}"
+        for name, function in functions.items()
+        for node in ast.walk(function)
+        for ident in [getattr(node, "id", None) or getattr(node, "attr", None)]
+        if isinstance(node, (ast.Name, ast.Attribute)) and ident in rational
+    ]
+    assert sorted(functions) == ["_max_slack", "_verify_argmin"] and uses == []

@@ -21,12 +21,14 @@ from gpolyvlp.crosscheck import (
     minimal_face,
     solution_set_via_all_faces,
 )
-from gpolyvlp.exact import Matrix, Vector, format_rational, rat, vec
+from gpolyvlp.exact import Matrix, Vector, format_rational, rank, rat, vec
 from gpolyvlp.instances import (
     InstanceConfig,
     first_quadrant,
+    random_cone,
     random_cut_box,
     random_problem,
+    random_vector,
     square_constant_row_problem,
     triangle_problem,
 )
@@ -123,6 +125,28 @@ class TestMembership:
             connect(P, u, v, weak=True)
         with pytest.raises(InfeasiblePointError):
             is_efficient(P, V(2, 0))
+
+    @pytest.mark.parametrize(
+        "D, points",
+        [
+            # u = (0, 0) is tight on no row, so the tangent cone has no row
+            (HRep.of(2, ineqs=[((1, 0), 1)]), [V(0, 0), V(1, 0)]),
+            # D is cut out by an equality alone, so no point has a tight row
+            (HRep.of(2, eqs=[((1, 1), 1)]), [V(0, 1), V("1/2", "1/2")]),
+            # a single point: the frame of D's equalities has no free column
+            (HRep.of(2, eqs=[((1, 0), 0), ((0, 1), 2)]), [V(0, 2)]),
+        ],
+    )
+    def test_no_point_is_weakly_efficient_for_a_cone_without_normals(self, D, points):
+        # int K = R^2 contains zero, so every point dominates itself; the
+        # weak test answers as weak_witness does, with no slack program
+        P = VLPProblem(Matrix.identity(2), D, ConeH.of(2, []))
+        for u in points:
+            assert not is_weakly_efficient(P, u)
+            assert is_efficient(P, u)
+            with pytest.raises(NotEfficientError, match="not weakly efficient"):
+                weak_witness(P, u)
+        assert weakly_efficient_set(P).faces == ()
 
     def test_halfspace_cone_orders_by_sum(self):
         square = HRep.of(2, ineqs=[((-1, 0), 0), ((0, -1), 0), ((1, 0), 1), ((0, 1), 1)])
@@ -245,9 +269,9 @@ def test_witnesses_run_no_slack_program_for_efficient_points(monkeypatch):
     calls = []
     real = vlp._max_slack
 
-    def counting(P, u, weak):
-        calls.append(u)
-        return real(P, u, weak)
+    def counting(P, at, weak):
+        calls.append(at)
+        return real(P, at, weak)
 
     monkeypatch.setattr(vlp, "_max_slack", counting)
     P = load_problem(str(PROBLEMS_DIR / "triangle.json"))
@@ -260,7 +284,7 @@ def test_witnesses_run_no_slack_program_for_efficient_points(monkeypatch):
     assert calls == []
     with pytest.raises(NotEfficientError, match="not efficient"):
         scalarize_witness(P, V(1, 1))
-    assert calls == [polyhedron._int_vector(V(1, 1))]
+    assert calls == [vlp._require_feasible(P, V(1, 1))]
 
 
 @pytest.mark.parametrize("witness", [scalarize_witness, weak_witness])
@@ -268,7 +292,7 @@ def test_empty_weight_region_with_zero_slack_is_an_invariant_failure(witness, mo
     # (1, 1) has no weight of either kind; a slack program that calls it
     # efficient contradicts the dual route
     P = load_problem(str(PROBLEMS_DIR / "triangle.json"))
-    monkeypatch.setattr(vlp, "_max_slack", lambda P, u, weak: rat(0))
+    monkeypatch.setattr(vlp, "_max_slack", lambda P, at, weak: rat(0))
     with pytest.raises(InternalInvariantError, match="no dual weight"):
         witness(P, V(1, 1))
 
@@ -287,7 +311,7 @@ WITNESS_FAULTS = {
 def test_witness_that_the_int_cone_check_rejects_is_an_invariant_failure(case, monkeypatch):
     witness, point, message = WITNESS_FAULTS[case]
     P = load_problem(str(PROBLEMS_DIR / "triangle.json"))
-    monkeypatch.setattr(vlp, "_point_weight", lambda P, u, weak: point)
+    monkeypatch.setattr(vlp, "_point_weight", lambda P, at, weak: point)
     with pytest.raises(InternalInvariantError, match=message):
         witness(P, V(0, 1))
 
@@ -313,11 +337,12 @@ def test_argmin_recheck_rejects_a_weight_that_misses_u(case, monkeypatch):
     make, u, ystar = ARGMIN_MISSES[case]
     P = make()
     with pytest.raises(InternalInvariantError, match="label does not scalarize"):
-        vlp._verify_argmin(P, ystar, polyhedron._int_vector(u), "label")
+        w, at = polyhedron._int_vector(ystar), vlp._require_feasible(P, u)
+        vlp._verify_argmin(P, w, at, "label")
     # _point_weight gives its weight in ints; ystar is in ri(K*), so the int
     # admissibility check passes it on to the argmin re-check
     ystar_ints = polyhedron._int_vector(ystar)
-    monkeypatch.setattr(vlp, "_point_weight", lambda P, u, weak: ystar_ints)
+    monkeypatch.setattr(vlp, "_point_weight", lambda P, at, weak: ystar_ints)
     with pytest.raises(InternalInvariantError, match="witness does not scalarize"):
         scalarize_witness(P, u)
 
@@ -325,10 +350,14 @@ def test_argmin_recheck_rejects_a_weight_that_misses_u(case, monkeypatch):
 def test_argmin_recheck_accepts_a_weight_that_scalarizes_u():
     P = triangle_problem()
     ints = polyhedron._int_vector
+
+    def at(u):
+        return vlp._require_feasible(P, u)
+
     for u in (V(0, 1), V("1/2", "1/2"), V(1, 0)):
-        vlp._verify_argmin(P, V(1, 1), ints(u), "witness")
-    vlp._verify_argmin(P, V(1, 3), ints(V(1, 0)), "witness")
-    vlp._verify_argmin(P, V(0, 0), ints(V("2/3", "2/3")), "witness")
+        vlp._verify_argmin(P, ints(V(1, 1)), at(u), "witness")
+    vlp._verify_argmin(P, ints(V(1, 3)), at(V(1, 0)), "witness")
+    vlp._verify_argmin(P, ints(V(0, 0)), at(V("2/3", "2/3")), "witness")
 
 
 def test_connect_converts_the_feasible_set_once(monkeypatch):
@@ -934,24 +963,35 @@ def slack_program_value(P, u, weak, tangent, bounds=True):
     return out.value
 
 
-def test_int_slack_program_matches_the_hrep_program():
-    # the int program is the tangent-cone program without the s_j <= 1
-    # rows, a cone program: its optimum is the rational cone program's, 0
-    # or unbounded (None).  A bounded cone program means a zero optimum for
-    # the bounded tangent program and for the program over all of D, the
-    # oracle for the verdict, which reads only whether the value is zero
+def slack_verdicts(cases):
+    """Run both slack programs at every point of (problem, points) cases
+    against the rational programs, and count the int verdicts."""
     verdicts = Counter()
-    for P in SET_CORPUS:
-        for u in P.feasible_vrep.points:
+    for P, points in cases:
+        for u in points:
             for weak in (False, True):
-                got = vlp._max_slack(P, polyhedron._int_vector(u), weak)
+                got = vlp._max_slack(P, vlp._require_feasible(P, u), weak)
                 assert got in (0, None)
                 assert got == slack_program_value(P, u, weak, tangent=True, bounds=False)
                 tangent = slack_program_value(P, u, weak, tangent=True)
                 over_d = slack_program_value(P, u, weak, tangent=False)
                 assert (got == 0) == (tangent == 0) == (over_d == 0)
                 verdicts["bounded" if got == 0 else "unbounded"] += 1
+    return verdicts
+
+
+def test_int_slack_program_matches_the_hrep_program():
+    # the int program is the tangent-cone program without the s_j <= 1
+    # rows, a cone program: its optimum is the rational cone program's, 0
+    # or unbounded (None).  A bounded cone program means a zero optimum for
+    # the bounded tangent program and for the program over all of D, the
+    # oracle for the verdict, which reads only whether the value is zero
+    verdicts = slack_verdicts((P, P.feasible_vrep.points) for P in SET_CORPUS)
     assert verdicts == {"bounded": 527, "unbounded": 329}
+    # the same on D's with equalities, dependent and duplicate ones, and
+    # single points, whose frames have fewer free columns than D's dimension
+    verdicts = slack_verdicts((P, points) for P, _, points in FRAME_CORPUS)
+    assert verdicts == {"bounded": 188, "unbounded": 54}
 
 
 def test_tangent_slack_program_agrees_with_d_off_the_vertices():
@@ -966,10 +1006,184 @@ def test_tangent_slack_program_agrees_with_d_off_the_vertices():
             u = polyhedron._view(vlp._relative_interior_point(face_generators(P, G)))
             interior += u not in geom.points
             for weak in (False, True):
-                got = vlp._max_slack(P, polyhedron._int_vector(u), weak)
+                got = vlp._max_slack(P, vlp._require_feasible(P, u), weak)
                 assert (got == 0) == (slack_program_value(P, u, weak, tangent=False) == 0)
                 checked += 1
     assert (checked, interior) == (2322, 733)
+
+
+def frame_corpus(count=75, seed=1818):
+    """(problem, shape, points) with equalities in D, all through one anchor
+    point: one or two drawn at random, a dependent row (a combination of
+    the others) or a duplicate row (a rational multiple of one) added, or n
+    independent rows that cut D down to the anchor, a frame with no free
+    column.  points are D's VRep points and the anchor, which need not be
+    a vertex."""
+    rng = random.Random(seed)
+    shapes = ("one", "two", "dependent", "duplicate", "point")
+    out = []
+    for i in range(count):
+        shape = shapes[i % len(shapes)]
+        n = rng.randint(2 if shape in ("two", "dependent") else 1, 3)
+        anchor = random_vector(rng, n, 2)
+
+        def draw():
+            while True:
+                a = random_vector(rng, n, 2)
+                if not a.is_zero():
+                    return a
+
+        rows = [draw() for _ in range(1 if shape in ("one", "duplicate") else 2)]
+        if shape == "dependent":
+            rows.append(rows[0] + rows[1].scale(rat(2)))
+        elif shape == "duplicate":
+            rows.append(rows[0].scale(rat(rng.choice((1, -3)), 2)))
+        elif shape == "point":
+            rows = []
+            while len(rows) < n or rank(Matrix.from_rows(rows, cols=n)) < n:
+                rows.append(draw())
+        eqs = [(a, a.dot(anchor)) for a in rows]
+        ineqs = []
+        for _ in range(rng.randint(1, 4)):
+            a = draw()
+            ineqs.append((a, a.dot(anchor) + rng.randint(0, 2)))
+        q = rng.randint(1, 2)
+        M = Matrix.of([[rng.randint(-2, 2) for _ in range(n)] for _ in range(q)], cols=n)
+        P = VLPProblem(M, HRep.of(n, eqs, ineqs), random_cone(rng, q, 3, 2))
+        points = list(P.feasible_vrep.points)
+        out.append((P, shape, points + [anchor] * (anchor not in points)))
+    return out
+
+
+FRAME_CORPUS = frame_corpus()
+
+
+def in_returned_face(E, P, u):
+    """Whether u lies in one of the faces of the set E: every row of some
+    face's tag is tight at u."""
+    rows = P.feasible_set.ineq_rows()
+    tight = {i for i, (a, b) in enumerate(rows) if a.dot(u) == b}
+    return any(set(f.active_ineq) <= tight for f in E.faces)
+
+
+def test_equality_frames_agree_with_the_oracles():
+    # the per-point programs run in the frame d = B z of D's equalities;
+    # each verdict of both kinds agrees with the all-faces set, and the
+    # strict one with the three crosscheck routes; every witness passes its
+    # re-check inside the witness call and an LP over all of D outside it
+    shapes, verdicts = Counter(), Counter()
+    for P, shape, points in FRAME_CORPUS:
+        width = P._tangent_frame[0]
+        n = P.feasible_set.dim
+        eq_rank = rank(Matrix.from_rows([a for a, _ in P.feasible_set.eq_rows()], cols=n))
+        assert width == n - eq_rank
+        shapes[shape] += 1
+        shapes["no free column"] += width == 0
+        sets = {weak: solution_set_via_all_faces(P, weak) for weak in (False, True)}
+        for u in points:
+            strict = is_efficient(P, u)
+            assert strict == (vlp._max_slack(P, vlp._require_feasible(P, u), False) == 0)
+            assert strict == (not dominated_via_generators(P, u))
+            assert strict == efficient_via_quotient(P, u)
+            assert strict == efficient_via_witness_system(P, u)
+            weak = is_weakly_efficient(P, u)
+            routes = ((False, strict, scalarize_witness), (True, weak, weak_witness))
+            for kind, verdict, witness in routes:
+                assert verdict == in_returned_face(sets[kind], P, u)
+                try:
+                    w = witness(P, u)
+                except NotEfficientError:
+                    assert not verdict
+                    continue
+                assert verdict
+                c = P.objective.tmatvec(w)
+                assert solve_lp(P.feasible_set, c).value == c.dot(u)
+                verdicts["weak witness" if kind else "witness"] += 1
+            verdicts["points"] += 1
+    assert shapes == {
+        "one": 15,
+        "two": 15,
+        "dependent": 15,
+        "duplicate": 15,
+        "point": 15,
+        "no free column": 36,
+    }
+    assert verdicts == {"points": 121, "witness": 94, "weak witness": 94}
+
+
+def cut_box_with_equality(rng):
+    """random_cut_box with one random equality through the center of the
+    cube, which stays feasible."""
+    P = random_cut_box(rng)
+    a = Vector.zero(3)
+    while a.is_zero():
+        a = random_vector(rng, 3, 2)
+    center = Vector.of([rat(1, 2)] * 3)
+    D = HRep.of(3, [(a, a.dot(center))], P.feasible_set.ineq_rows())
+    return VLPProblem(P.objective, D, P.cone)
+
+
+def test_per_point_programs_have_no_equality_row_and_no_artificial(monkeypatch):
+    # every slack program and argmin re-check is written in the frame of
+    # D's equalities, over the tangent cone: it reaches the LP core with no
+    # equality row and only zero right-hand sides, so phase one takes its
+    # rows as the tableau, with no artificial column and no pivot
+    caller, seen = [], Counter()
+    real_optimize, real_phase_one = lp._optimize_rows, lp._phase_one
+
+    def within(name, real):
+        def wrapper(*args, **kwargs):
+            caller.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                caller.pop()
+
+        return wrapper
+
+    def optimize(dim, eqs, ineqs, cost, nonneg=0):
+        if caller:
+            assert not eqs and all(ints[dim] == 0 for ints, _ in ineqs)
+            seen[caller[-1]] += 1
+        return real_optimize(dim, eqs, ineqs, cost, nonneg)
+
+    def phase_one(rows, scales, nvars, free=0):
+        in_phase_one.append(True)
+        try:
+            T = real_phase_one(rows, scales, nvars, free)
+        finally:
+            in_phase_one.pop()
+        if caller:
+            assert T is not None and T.rows is rows and T.ncols == nvars
+        return T
+
+    def pivot(T, row, col):
+        assert not (caller and in_phase_one)
+        real_pivot(T, row, col)
+
+    in_phase_one, real_pivot = [], lp._Tableau.pivot
+    for name in ("_max_slack", "_verify_argmin"):
+        monkeypatch.setattr(vlp, name, within(name, getattr(vlp, name)))
+    monkeypatch.setattr(lp, "_optimize_rows", optimize)
+    monkeypatch.setattr(lp, "_phase_one", phase_one)
+    monkeypatch.setattr(lp._Tableau, "pivot", pivot)
+    rng = random.Random(1717)
+    problems = [VLPProblem(P.objective, P.feasible_set, P.cone) for P in SET_CORPUS]
+    problems += [load_problem(str(path)) for path in sorted(PROBLEMS_DIR.glob("*.json"))]
+    problems += [cut_box_with_equality(rng) for _ in range(30)]
+    with_eqs = 0
+    for P in problems:
+        with_eqs += bool(P.feasible_set.eq_rows())
+        for u in P.feasible_vrep.points:
+            is_efficient(P, u)
+            is_weakly_efficient(P, u)
+            for witness in (scalarize_witness, weak_witness):
+                try:
+                    witness(P, u)
+                except NotEfficientError:
+                    pass
+    assert (len(problems), with_eqs) == (296, 158)
+    assert seen == {"_max_slack": 1392, "_verify_argmin": 536}
 
 
 def reference_relative_interior_point(V):
@@ -997,7 +1211,7 @@ def test_int_relative_interior_point_matches_the_rational_formula():
             checked["face"] += 1
         for u in geom.points:
             for weak in (False, True):
-                rows = vlp._point_region(P, polyhedron._int_vector(u), weak)
+                rows = vlp._point_region(P, vlp._require_feasible(P, u), weak)
                 region = polyhedron._generators(*rows)
                 if region.points:
                     got = vlp._relative_interior_point(region)
@@ -1114,8 +1328,8 @@ def test_int_generators_stand_for_the_feasible_vrep():
         for u in geom.points:
             F = VRep(geom.dim, (u,), (), geom.lineality)
             for weak in (False, True):
-                ui = polyhedron._int_vector(u)
-                assert vlp._point_region(P, ui, weak) == vlp._face_region(P, F, weak)
+                at = vlp._require_feasible(P, u)
+                assert vlp._point_region(P, at, weak) == vlp._face_region(P, F, weak)
         shapes["rays"] += bool(geom.rays)
         shapes["lineality"] += bool(geom.lineality)
         shapes["h > 1"] += any(v[-1] > 1 for v in gens.points + gens.rays + gens.lineality)
