@@ -8,17 +8,17 @@ minimal-face witness system.  It stops at the first disagreement.  Each of
 those vertices also gets its strict and its weak witness, which must exist
 exactly for the (weakly) efficient ones, and each witness is checked
 without a solver, against the rational cone decomposition and D's
-generator form, as the path weights below are.  On a
-configurable subset of instances it also recomputes the full efficient and
-weakly efficient sets, checks that each equals the set found by testing
-every face of the feasible set, and checks that every efficient face sits
-inside some weakly efficient face.  On those instances it also connects the
-first and the last vertex of each set, when it has two, and checks the path
-without a solver: every point lies in D by exact row checks, every segment
-weight is admissible (in ri(K*), or a nonzero element of K* for the weak
-kind), and both ends of every segment attain the minimum of (M^T w).x over
-D, read off D's generator form.  All arithmetic is exact, so a clean run certifies
-thousands of zero-tolerance agreements.
+generator form, as the path weights below are.  On every instance with two
+decided vertices of a kind, efficient or weakly efficient, it connects the
+first and the last of them and checks the path without a solver: every
+point lies in D by exact row checks, every segment weight is admissible (in
+ri(K*), or a nonzero element of K* for the weak kind), and both ends of
+every segment attain the minimum of (M^T w).x over D, read off D's
+generator form.  On a configurable subset of instances it also recomputes
+the full efficient and weakly efficient sets, checks that each equals the
+set found by testing every face of the feasible set, and checks that every
+efficient face sits inside some weakly efficient face.  All arithmetic is
+exact, so a clean run certifies thousands of zero-tolerance agreements.
 
 Usage:
     python3 scripts/random_sweep.py --count 200 --seed 90210
@@ -101,15 +101,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-def set_vertices(S) -> list:
-    """The vertices of D in the faces of the set S, in order of first
-    appearance."""
-    out = []
-    for f in S.faces:
-        out += [p for p in f.geometry.points if p not in out]
-    return out
-
-
 def weight_fault(P, w, points, weak: bool):
     """What is wrong with the weight w as a certificate that every point in
     points minimizes (M^T w).x over D, or None.  w must be admissible: in
@@ -173,6 +164,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     for i in range(args.count):
         P = random_problem(rng, config, allow_subspace=args.allow_subspace)
+        ends = {False: [], True: []}  # the decided vertices of each kind
         for u in P.feasible_vrep.points[: args.vertices]:
             routes = {
                 "membership": is_efficient(P, u),
@@ -201,8 +193,19 @@ def main(argv=None) -> int:
                     print(f"{kind} of vertex {u} of instance {i}: {fault}", file=sys.stderr)
                     return 1
                 witnesses += ok
+                if ok:
+                    ends[weak].append(u)
             verdicts += 1
             efficient += verdict
+        for weak, found in ends.items():
+            if len(found) < 2:
+                continue
+            fault = path_fault(P, found[0], found[-1], weak)
+            if fault:
+                kind = "weakly efficient" if weak else "efficient"
+                print(f"{kind} path of instance {i}: {fault}", file=sys.stderr)
+                return 1
+            paths += 1
         if args.sets_every > 0 and i % args.sets_every == 0:
             E = efficient_set(P)
             W = weakly_efficient_set(P)
@@ -223,15 +226,6 @@ def main(argv=None) -> int:
                         file=sys.stderr,
                     )
                     return 1
-            for S, weak in ((E, False), (W, True)):
-                ends = set_vertices(S)
-                if len(ends) < 2:
-                    continue
-                fault = path_fault(P, ends[0], ends[-1], weak)
-                if fault:
-                    print(f"{S.kind.value} path of instance {i}: {fault}", file=sys.stderr)
-                    return 1
-                paths += 1
             sets_checked += 1
     elapsed = time.perf_counter() - t0
     print(

@@ -52,6 +52,8 @@ __all__ = ["main"]
 
 PROBLEM_VERSION = "1"
 DEFAULT_MAX_FACES = 4096
+# options that take a point, whose first coordinate may be negative
+POINT_OPTIONS = ("--point", "--from", "--to")
 
 
 class CLIError(Exception):
@@ -272,13 +274,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="test one feasible point for efficiency")
     common(p)
-    p.add_argument("--point", required=True, help='e.g. "1/2,1/2"')
+    p.add_argument("--point", required=True, help='e.g. "1/2,1/2" or "-1,2"')
     p.add_argument("--kind", choices=["efficient", "weak"], default="efficient")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("connect", help="path certificate between efficient points")
     common(p)
-    p.add_argument("--from", dest="start", required=True, help="first endpoint")
+    p.add_argument("--from", dest="start", required=True, help='first endpoint, e.g. "-1,2"')
     p.add_argument("--to", dest="end", required=True, help="second endpoint")
     p.add_argument("--weak", action="store_true", help="connect inside the weakly efficient set")
     p.set_defaults(func=cmd_connect)
@@ -286,13 +288,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cone", help="inspect the ordering cone")
     common(p)
     p.add_argument("op", choices=["dual", "lineality", "decompose", "ri-test"])
-    p.add_argument("--point", help="query vector for ri-test")
+    p.add_argument("--point", help='query vector for ri-test, e.g. "-1,2"')
     p.set_defaults(func=cmd_cone)
     return parser
 
 
+def _attach_point_values(argv: list) -> list:
+    """argv with every point option whose value starts with a minus sign
+    and a digit joined to that value as one --opt=value token.  argparse
+    reads a separate "-1,2" as an option, not as the value of --point;
+    attached, it is the value.  Every other token stays as it is, so a
+    point option with no value still fails to parse."""
+    out = []
+    for token in argv:
+        if out and out[-1] in POINT_OPTIONS and re.match("-[0-9]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_attach_point_values(argv))
     try:
         return args.func(args)
     except (

@@ -10,9 +10,10 @@ the rows without a usable slack (equalities, and inequalities with a
 negative right-hand side) take an artificial, and the phase-one simplex
 runs only when some artificial starts above zero.  Its starting basis is
 read off one transpose of the rows.  Artificials serve only the HRep
-entry, connect's LPs over D and the oracles' weight-region programs: the
-per-point programs of vlp.py have no equality row and only zero
-right-hand sides, so phase one takes their rows as the tableau.
+entry, parametric_breakpoints' checks and the oracles' weight-region
+programs: every program of vlp.py's certificates, connect's included,
+has no equality row and only zero right-hand sides, so phase one takes
+its rows as the tableau.
 
 There is one simplex with two entries.  Its core, _optimize_rows, takes
 int rows (ints [a | b], scale), the row format polyhedron._scaled_rows
@@ -29,10 +30,12 @@ HRep entry, _solve and solve_lp, writes the split x = x+ - x- as data: rows
 its tableau is the split one, and reads a certified descent ray off the
 entering column of an unbounded program.  solve_lp adds a lexicographic
 refinement on top, so its optimal points are canonical.  Exact breakpoint
-analysis of objectives moving along a segment sits on top of both: it
-reads the candidate breakpoints off the int generators of the double
-description, names the first argmin point of each interval among them, and
-checks each breakpoint it returns with an LP.
+analysis of objectives moving along a segment needs no simplex: it reads
+the candidate breakpoints off the int generators of the double
+description, with the costs in the same int form, and names the first
+argmin point of each interval among them.  parametric_breakpoints
+re-checks each breakpoint with an LP over the polyhedron; vlp.connect
+certifies its own on tangent cones instead.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import Rational, Vector, ZERO, _integers, rat
+from .exact import Rational, Vector, ZERO, _integers
 from .polyhedron import (
     HRep,
     InternalInvariantError,
@@ -510,24 +513,36 @@ def parametric_breakpoints(c0: Vector, c1: Vector, P: HRep) -> list:
     Returns the sorted rational list starting with 0 and ending with 1; on
     the open interval between consecutive entries the argmin face is one
     fixed face.  The problem must be solvable (finite optimum) for every t
-    in [0, 1], otherwise UnsolvableSegmentError is raised.
+    in [0, 1], otherwise UnsolvableSegmentError is raised.  The breakpoints
+    come from the int analysis of _breakpoints, and each is re-checked by
+    an LP over P.
     """
     if c0.dim != P.dim or c1.dim != P.dim:
         raise ValueError("objective dimension differs from ambient dimension")
     rows = _scaled_rows(P)
-    return _breakpoints(c0, c1, _generators(P.dim, *rows), rows)[0]
+    grid, _ = _breakpoints(_int_vector(c0), _int_vector(c1), _generators(P.dim, *rows))
+    breakpoints = [Rational(num, den) for num, den in grid]
+    delta = c1 - c0
+    for t in breakpoints:
+        if _solve_rows(P.dim, *rows, _int_vector(c0 + delta.scale(t))).status != LPStatus.OPTIMAL:
+            raise UnsolvableSegmentError("unsolvable on segment")
+    return breakpoints
 
 
-def _breakpoints(c0: Vector, c1: Vector, gens: _Generators, rows: tuple) -> tuple:
-    """parametric_breakpoints over a polyhedron P, given its int generators
-    gens = polyhedron._generators of P and its int rows = _scaled_rows(P).
-    Returns (breakpoints, firsts): the list parametric_breakpoints returns,
-    and for each of its open intervals the index in gens.points of the
-    first point of P's generator form in the interval's argmin face, the
-    lexicographically smallest argmin point, since the points are sorted.
+def _breakpoints(c0: tuple, c1: tuple, gens: _Generators) -> tuple:
+    """The breakpoint analysis behind parametric_breakpoints, in ints, for
+    the costs c0 = C0 / L0 and c1 = C1 / L1 given as int generators
+    (*C0, L0) and (*C1, L1), over a polyhedron P given by its int
+    generators gens = polyhedron._generators of P.  Returns (grid, firsts):
+    the breakpoints as reduced int pairs (num, den), den > 0, from (0, 1)
+    to (1, 1), and for each open interval between them the index in
+    gens.points of the first point of P's generator form in the
+    interval's argmin face, the lexicographically smallest argmin point,
+    since the points are sorted.  No LP runs: parametric_breakpoints
+    re-checks the breakpoints over P, and vlp.connect certifies them on
+    tangent cones.
 
-    Everything but the breakpoints themselves is worked out in ints.  With
-    c0 = C0 / L and c1 = C1 / L over one denominator, Dc = C1 - C0, and the
+    With both costs brought to one denominator L, Dc = C1 - C0, and the
     points g / h of P brought to the lcm H of their h, the objective value
     of a point along the segment is (A0 + t A1) / (L H) with
     A0 = (H / h) C0.g and A1 = (H / h) Dc.g, so two points' lines cross at
@@ -537,14 +552,17 @@ def _breakpoints(c0: Vector, c1: Vector, gens: _Generators, rows: tuple) -> tupl
     (num, den) with den > 0.  The argmin points and the rays tight on the
     argmin are constant between consecutive crossings, so each open
     interval is classified at its midpoint, by the signs of den (A0 + t A1)
-    and of the ray products in ints; one rational is built per breakpoint.
+    and of the ray products in ints.  The t where the objective is bounded
+    below on P form a closed interval, so an unbounded t in [0, 1] shows on
+    an open interval next to it, and UnsolvableSegmentError is raised
+    there.
     """
     if not gens.points:
         raise UnsolvableSegmentError("unsolvable on segment")
-    n = c0.dim
-    flat, _ = _integers(c0.coords + c1.coords)
-    C0 = flat[:n]
-    Dc = [y - x for x, y in zip(C0, flat[n:])]
+    L = math.lcm(c0[-1], c1[-1])
+    f0, f1 = L // c0[-1], L // c1[-1]
+    C0 = [x * f0 for x in c0[:-1]]
+    Dc = [y * f1 - x for x, y in zip(C0, c1[:-1])]
     H = math.lcm(*[v[-1] for v in gens.points])
     lines = []
     for v in gens.points:
@@ -596,15 +614,10 @@ def _breakpoints(c0: Vector, c1: Vector, gens: _Generators, rows: tuple) -> tupl
         if sig is None:
             raise UnsolvableSegmentError("unsolvable on segment")
         sigs.append(sig)
-    breakpoints, firsts = [rat(0)], [sigs[0][0][0]]
+    breakpoints, firsts = [grid[0]], [sigs[0][0][0]]
     for k in range(1, len(grid) - 1):
         if sigs[k - 1] != sigs[k]:
-            breakpoints.append(Rational(*grid[k]))
+            breakpoints.append(grid[k])
             firsts.append(sigs[k][0][0])
-    breakpoints.append(rat(1))
-
-    delta = c1 - c0
-    for t in breakpoints:
-        if _solve_rows(n, *rows, _int_vector(c0 + delta.scale(t))).status != LPStatus.OPTIMAL:
-            raise UnsolvableSegmentError("unsolvable on segment")
+    breakpoints.append(grid[-1])
     return breakpoints, firsts

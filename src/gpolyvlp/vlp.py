@@ -29,7 +29,8 @@ positive scaling, which holds exactly when some x in D dominates u.  They
 are cone programs, with no <= 1 rows on their slacks: bounded, with
 optimum 0, exactly when u is (weakly) efficient, and unbounded otherwise.
 The argmin re-check of a weight c asks whether c.d >= 0 on T_D(u), which
-holds exactly when u minimizes c.x over D.  All of them are written in one
+holds exactly when u minimizes c.x over D; it certifies the witnesses and
+the breakpoints of connect's paths.  All of them are written in one
 equality-free frame per problem: d = B z over the kernel of D's
 equalities, B its int basis (the identity without equalities), with z
 free, one simplex column per coordinate.  D's inequality rows, the cone
@@ -70,9 +71,16 @@ row/generator incidence; no face lattice is walked unless a cap on it is
 asked for, and then on the same incidence.  W's points stay the int rays
 of its homogenized cone, and the weight-space images of D's generators are
 int products of the image rows with D's int generators, over one common
-denominator.  connect's breakpoints are worked out over the same int
-generators, and so is its chain: the breakpoint analysis names the first
-argmin point of each interval, so connect solves no LP to find it.
+denominator.
+
+connect solves no LP over D either.  Its weights stay the int generators
+of the endpoint witnesses and of their interpolations, its costs are int
+products with the image rows, and its breakpoints are worked out over D's
+int generators, which also name the first argmin point of each interval.
+The path is certified in the tangent-cone frame: the witnesses' re-checks
+cover t = 0 and t = 1, one argmin re-check per interior breakpoint covers
+the point named there, and every segment's other end is compared by an
+exact int dot product.
 """
 
 from __future__ import annotations
@@ -99,6 +107,7 @@ from .polyhedron import (
     _homogenized_dd,
     _int_vector,
     _kernel_int,
+    _primitive,
     _scaled_rows,
     _tag,
     _view,
@@ -328,13 +337,20 @@ class PathCertificate:
 def _require_feasible(P: VLPProblem, u: Vector) -> tuple:
     """(ui, tight) for a point u of D: ui = (*U, L) is u's int form, U / L
     = u with L the lcm of its denominators, and tight the indices of D's
-    inequality rows that hold with equality at u, read off the same dot
-    products that check u against D.  The certificates of u take the pair
-    as it is.  Raises InfeasiblePointError when u is not in D."""
+    inequality rows that hold with equality at u (see _feasible_form).  The
+    certificates of u take the pair as it is.  Raises InfeasiblePointError
+    when u is not in D."""
     if u.dim != P.feasible_set.dim:
         raise InfeasiblePointError("infeasible point")
+    return _feasible_form(P, _int_vector(u))
+
+
+def _feasible_form(P: VLPProblem, ui: tuple) -> tuple:
+    """_require_feasible of the point given by its int form ui = (*U, L),
+    L > 0: (ui, tight), with tight read off the same dot products that
+    check U / L against D.  Raises InfeasiblePointError when it is not in
+    D."""
     eqs, ineqs = P._d_rows
-    ui = _int_vector(u)
     U, L = ui[:-1], ui[-1]
     # row (a | b) holds at u = U / L iff a.U = b L (<= for an inequality)
     if any(_dot(a, U) != a[-1] * L for a, _ in eqs):
@@ -611,18 +627,25 @@ def scalarize_witness(P: VLPProblem, u: Vector) -> Vector:
     (cone._dual_weight), and the one rational built is the witness itself.
     Raises InfeasiblePointError when u is not in D.
     """
+    return _view(_strict_witness(P, u)[1])
+
+
+def _strict_witness(P: VLPProblem, u: Vector) -> tuple:
+    """scalarize_witness in ints: (at, w), with at the feasible form of u
+    (see _require_feasible) and w = (*Y, h) the verified witness Y / h."""
     at = _require_feasible(P, u)
     split = P._cone_split
     if not split[1]:
         # K* is the annihilator of K, a subspace equal to its own relative
         # interior; the zero functional scalarizes every feasible point.
-        _verify_argmin(P, (0,) * P.cone.dim + (1,), at, "subspace witness")
-        return Vector.zero(P.cone.dim)
+        w = (0,) * P.cone.dim + (1,)
+        _verify_argmin(P, w, at, "subspace witness")
+        return at, w
     w = _point_weight(P, at, weak=False)
     if _dual_weight(P.cone, split, w[:-1], weak=False) is None:
         raise InternalInvariantError("witness left the relative interior of the dual")
     _verify_argmin(P, w, at, "witness")
-    return _view(w)
+    return at, w
 
 
 def weak_witness(P: VLPProblem, u: Vector) -> Vector:
@@ -636,9 +659,16 @@ def weak_witness(P: VLPProblem, u: Vector) -> Vector:
     the cone normals is combined, and checked to be nonzero, in ints
     (cone._dual_weight).  Raises InfeasiblePointError when u is not in D.
     """
+    return _view(_weak_witness(P, u)[1])
+
+
+def _weak_witness(P: VLPProblem, u: Vector) -> tuple:
+    """weak_witness in ints: (at, w), with at the feasible form of u (see
+    _require_feasible) and w = (*Y, h) the weight Y / h, verified unless it
+    is the zero weight of an empty-interior K."""
     at = _require_feasible(P, u)
     if P.cone_interior_empty:
-        return Vector.zero(P.cone.dim)
+        return at, (0,) * P.cone.dim + (1,)
     if not P.cone.normals:
         # the interior of the whole space contains zero: u dominates itself
         raise NotEfficientError("not weakly efficient")
@@ -649,7 +679,7 @@ def weak_witness(P: VLPProblem, u: Vector) -> Vector:
     Y, s = weight
     w = (*Y, s * lam[-1])
     _verify_argmin(P, w, at, "weak witness")
-    return _view(w)
+    return at, w
 
 
 def _whole_set_face(P: VLPProblem) -> Face:
@@ -803,13 +833,6 @@ def weakly_efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> Effi
     return EfficientSet(P, kind, _maximal_scalarizable(P, weak=True, max_faces=max_faces), sub, eint)
 
 
-def _min_over_d(P: VLPProblem, c: Vector) -> Optional[Rational]:
-    """The minimum of c.x over D, from D's int rows, or None when there is
-    none."""
-    out = _solve_rows(P.feasible_set.dim, *P._d_rows, _int_vector(c))
-    return out.value if out.status is LPStatus.OPTIMAL else None
-
-
 def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCertificate:
     """A piecewise-linear path from u to v inside the (weakly) efficient set.
 
@@ -820,16 +843,27 @@ def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCert
     t -> argmin <M^T xi_t, x> partition [0, 1], and within each interval the
     argmin face is constant.  The chain takes u, then the lexicographically
     smallest argmin vertex of each interval, which the breakpoint analysis
-    names among D's int generators (lp._breakpoints), then v; each
-    surviving segment is certified by the weight at the breakpoint where it
-    starts, whose argmin face contains both of its endpoints, and that is
-    re-checked by one LP over D per segment.  Every returned point and
+    names among D's int generators (lp._breakpoints), then v.  Each
+    surviving segment carries the weight at the breakpoint where it starts,
+    whose argmin face contains both of its endpoints.
+
+    No LP runs over D.  The witnesses put u in the argmin at t = 0 and v at
+    t = 1, and at each interior breakpoint one cone program on the tangent
+    cone (_verify_argmin) puts the point named for the interval that starts
+    there in the argmin.  So every segment has one endpoint certified at
+    its weight, and the other is in the argmin exactly when it has the same
+    objective value, an exact int comparison.  Every returned point and
     segment stays inside the efficient set (weakly efficient set when weak).
+
+    Everything is worked out in ints: the weights are the int generators
+    (*Y, h) of the witnesses and their interpolations, each cost is
+    Y.(S M) over S h from P._image_rows, and the points are int forms; only
+    the returned points, weights and breakpoints are made rational.
     """
-    witness = weak_witness if weak else scalarize_witness
+    witness = _weak_witness if weak else _strict_witness
     try:
-        xi0 = witness(P, u)
-        xi1 = xi0 if u == v else witness(P, v)
+        at_u, xi0 = witness(P, u)
+        at_v, xi1 = (at_u, xi0) if u == v else witness(P, v)
     except NotEfficientError as exc:
         raise NotEfficientError("endpoint not efficient") from exc
     if u == v:
@@ -837,31 +871,52 @@ def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCert
     if weak and P.cone_interior_empty:
         # The weakly efficient set is all of D, which is convex: the straight
         # segment is a valid path and the zero weight scalarizes it trivially.
-        return PathCertificate((u, v), (Vector.zero(P.cone.dim),), (rat(0), rat(1)))
+        return PathCertificate((u, v), (_view(xi0),), (rat(0), rat(1)))
 
-    M = P.objective
+    rows, S = P._image_rows
+    cols = list(zip(*rows))
+
+    def cost(w: tuple) -> tuple:
+        # M^T (Y / h) as the int generator (*Y.(S M), S h); w's trailing h
+        # is past the end of each column, so _dot skips it
+        return (*[_dot(w, col) for col in cols], S * w[-1])
+
     gens = P._d_generators
     try:
-        bps, firsts = _breakpoints(M.tmatvec(xi0), M.tmatvec(xi1), gens, P._d_rows)
+        grid, firsts = _breakpoints(cost(xi0), cost(xi1), gens)
     except ValueError as exc:
         raise InternalInvariantError(
             "interpolated scalarizations became unsolvable"
         ) from exc
 
-    chain = [u] + [_view(gens.points[k]) for k in firsts] + [v]
-    seg_weights = [xi0 + (xi1 - xi0).scale(t) for t in bps]
+    # xi_t at t = num / den, den > 0, in ints
+    (*Y0, h0), (*Y1, h1) = xi0, xi1
+    weights = [
+        _primitive([(den - num) * h1 * a + num * h0 * b for a, b in zip(Y0, Y1)] + [den * h0 * h1])
+        for num, den in grid
+    ]
+    # each interior breakpoint starts an interval, whose named point must
+    # be an argmin of the breakpoint's weight
+    for w, k in zip(weights[1:-1], firsts[1:]):
+        try:
+            at = _feasible_form(P, gens.points[k])
+        except InfeasiblePointError as exc:
+            raise InternalInvariantError("a path point left D") from exc
+        _verify_argmin(P, w, at, "path weight")
 
-    points = [chain[0]]
-    weights = []
-    for i in range(1, len(chain)):
-        if chain[i] == points[-1]:
+    chain = [at_u[0]] + [gens.points[k] for k in firsts] + [at_v[0]]
+    points, path_weights = [chain[0]], []
+    for a, b, w in zip(chain, chain[1:], weights):
+        if b == points[-1]:
             continue
-        points.append(chain[i])
-        weights.append(seg_weights[i - 1])
-
-    for i, w in enumerate(weights):
-        c = M.tmatvec(w)
-        value = _min_over_d(P, c)
-        if value is None or c.dot(points[i]) != value or c.dot(points[i + 1]) != value:
+        # int forms (*X, L): c.a = c.b exactly when C.A Lb = C.B La
+        C = cost(w)
+        if _dot(C, a) * b[-1] != _dot(C, b) * a[-1]:
             raise InternalInvariantError("path segment left its argmin face")
-    return PathCertificate(tuple(points), tuple(weights), tuple(bps))
+        points.append(b)
+        path_weights.append(w)
+    return PathCertificate(
+        tuple([_view(x) for x in points]),
+        tuple([_view(w) for w in path_weights]),
+        tuple([Rational(num, den) for num, den in grid]),
+    )

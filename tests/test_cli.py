@@ -484,9 +484,41 @@ class TestConnect:
         assert code == 3 and out == ""
         assert err == "error: weak witness degenerated to zero\n"
 
+    @staticmethod
+    def name_corner_for_interval(monkeypatch, k):
+        # the breakpoint analysis names the dominated corner (1, 1) as the
+        # argmin point of interval k; the triangle path has intervals
+        # [0, 1/2] and [1/2, 1]
+        real = vlp._breakpoints
+
+        def wrong(c0, c1, gens):
+            grid, firsts = real(c0, c1, gens)
+            firsts[k] = gens.points.index((1, 1, 1))
+            return grid, firsts
+
+        monkeypatch.setattr(vlp, "_breakpoints", wrong)
+
     def test_missing_midpoint_argmin_exits_3(self, triangle_file, capsys, monkeypatch):
-        # the LP over D that re-verifies each segment finds no minimum
-        monkeypatch.setattr(vlp, "_min_over_d", lambda P, c: None)
+        # the cone program at the interior breakpoint 1/2 finds that the
+        # point named for the interval starting there is no argmin
+        self.name_corner_for_interval(monkeypatch, 1)
+        code, out, err = run(
+            capsys,
+            "connect",
+            "--problem",
+            triangle_file,
+            "--from",
+            "0,1",
+            "--to",
+            "1,0",
+        )
+        assert code == 3 and out == ""
+        assert err == "error: path weight does not scalarize its point to an argmin of D\n"
+
+    def test_segment_off_its_argmin_exits_3(self, triangle_file, capsys, monkeypatch):
+        # the first segment starts at u, which its witness certifies at
+        # t = 0; the corner named for [0, 1/2] has another objective value
+        self.name_corner_for_interval(monkeypatch, 0)
         code, out, err = run(
             capsys,
             "connect",
@@ -499,6 +531,71 @@ class TestConnect:
         )
         assert code == 3 and out == ""
         assert err == "error: path segment left its argmin face\n"
+
+
+# TRIANGLE moved by (-2, 0): vertices (-2, 1), (-1, 0) and (-1, 1)
+SHIFTED_TRIANGLE = dict(
+    TRIANGLE,
+    D={"dim": 2, "ineq": [[["-1", "-1"], ["1", "0"], ["0", "1"]], ["1", "-1", "1"]]},
+)
+
+# (separate form, attached form, output) of a point with a negative first
+# coordinate; the problem file goes after the command words
+NEGATIVE_POINTS = {
+    "test": (
+        ["test", "--point", "-2,1"],
+        ["test", "--point=-2,1"],
+        {"efficient": True, "witness": ["3", "2"]},
+    ),
+    "connect": (
+        ["connect", "--from", "-1,0", "--to", "-2,1"],
+        ["connect", "--from=-1,0", "--to=-2,1"],
+        {
+            "points": [["-1", "0"], ["-2", "1"]],
+            "weights": [["5/2", "5/2"]],
+            "breakpoints": ["0", "1/2", "1"],
+        },
+    ),
+    "cone ri-test": (
+        ["cone", "ri-test", "--point", "-1,2"],
+        ["cone", "ri-test", "--point=-1,2"],
+        {"contains": False},
+    ),
+}
+
+
+class TestNegativeCoordinates:
+    @staticmethod
+    def with_problem(argv, path):
+        words = 2 if argv[0] == "cone" else 1
+        return argv[:words] + ["--problem", path] + argv[words:]
+
+    @pytest.mark.parametrize("case", sorted(NEGATIVE_POINTS))
+    def test_separate_and_attached_values_parse_alike(self, case, tmp_path, capsys):
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps(SHIFTED_TRIANGLE))
+        separate, attached, want = NEGATIVE_POINTS[case]
+        for argv in (separate, attached):
+            code, out, err = run(capsys, *self.with_problem(argv, str(path)))
+            assert (code, err) == (0, "")
+            assert json.loads(out) == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "--point"],
+            ["test", "--point", "--kind", "weak"],
+            ["connect", "--from", "-1,0", "--to"],
+            ["connect", "--from", "--to", "-2,1"],
+            ["cone", "ri-test", "--point"],
+        ],
+    )
+    def test_missing_value_is_a_usage_error(self, argv, triangle_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.with_problem(argv, triangle_file))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "expected one argument" in captured.err
 
 
 class TestCone:

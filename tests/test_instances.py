@@ -80,7 +80,9 @@ def test_sweep_small_run_is_clean(sweep, capsys):
 
 def test_sweep_with_two_equalities_is_clean(sweep, capsys):
     # D's with up to two equalities, so the equality frame of the per-point
-    # programs is swept against the independent routes
+    # programs and of connect's checks is swept against the independent
+    # routes
     assert sweep.main(["--count", "30", "--seed", "7", "--max-eqs", "2"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("30 instances, ") and "3 set pairs" in out
+    assert "7 connect paths" in out

@@ -125,21 +125,38 @@ def test_one_simplex_core():
     assert callers == ["_optimize_rows"]
 
 
+def _names_used(source: str, functions: tuple, idents: set) -> list:
+    """Where the bodies of the named top-level functions of source refer to
+    a name or an attribute in idents, nested functions included; the
+    signatures' annotations are not read."""
+    tree = ast.parse((PACKAGE_DIR / source).read_text(encoding="utf-8"))
+    found = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in functions
+    }
+    assert sorted(found) == sorted(functions)
+    return [
+        f"{source}:{node.lineno} {name} {ident}"
+        for name, function in found.items()
+        for statement in function.body
+        for node in ast.walk(statement)
+        for ident in [getattr(node, "id", None) or getattr(node, "attr", None)]
+        if isinstance(node, (ast.Name, ast.Attribute)) and ident in idents
+    ]
+
+
 def test_per_point_programs_are_written_in_ints():
     # the slack programs and the argmin re-check take their rows and their
     # int cost from the problem's int frame, with no rational in between
     rational = {"Vector", "ONE", "ZERO", "tmatvec"}
-    tree = ast.parse((PACKAGE_DIR / "vlp.py").read_text(encoding="utf-8"))
-    functions = {
-        node.name: node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name in ("_max_slack", "_verify_argmin")
-    }
-    uses = [
-        f"vlp.py:{node.lineno} {name} {ident}"
-        for name, function in functions.items()
-        for node in ast.walk(function)
-        for ident in [getattr(node, "id", None) or getattr(node, "attr", None)]
-        if isinstance(node, (ast.Name, ast.Attribute)) and ident in rational
-    ]
-    assert sorted(functions) == ["_max_slack", "_verify_argmin"] and uses == []
+    assert _names_used("vlp.py", ("_max_slack", "_verify_argmin"), rational) == []
+
+
+def test_connect_is_written_in_ints():
+    # connect interpolates the witnesses' int weights, builds its costs from
+    # the int image rows and certifies its path on tangent cones: no
+    # rational objective, no rational point scaled back to ints, and no LP
+    # over D
+    banned = {"tmatvec", "Vector", "_int_vector", "_min_over_d"}
+    assert _names_used("vlp.py", ("connect",), banned) == []

@@ -33,7 +33,7 @@ from gpolyvlp.instances import (
     triangle_problem,
 )
 from gpolyvlp.lp import LPStatus, UnsolvableSegmentError, argmin_face, solve_lp
-from gpolyvlp.polyhedron import FaceLimitError, HRep, VRep, faces, h_to_v, vrep_contains
+from gpolyvlp.polyhedron import FaceLimitError, HRep, VRep, contains, faces, h_to_v, vrep_contains
 from gpolyvlp.vlp import (
     InfeasiblePointError,
     InternalInvariantError,
@@ -379,15 +379,37 @@ def test_connect_converts_the_feasible_set_once(monkeypatch):
     assert len(calls) == 3  # and one witness region per endpoint
 
 
-def test_connect_solves_one_lp_over_d_per_segment(monkeypatch):
-    # the breakpoint analysis names each interval's argmin point, so the
-    # only LPs over D are the re-checks of the returned segments; a weak
-    # path through an empty-interior K is the straight segment, with none
-    calls = []
-    real = vlp._min_over_d
-    monkeypatch.setattr(vlp, "_min_over_d", lambda P, c: calls.append(c) or real(P, c))
+def test_connect_runs_one_cone_program_per_interior_breakpoint(monkeypatch):
+    # the witnesses certify the ends of the path at t = 0 and t = 1, and
+    # each interior breakpoint gets one argmin check on the tangent cone of
+    # its named point: connect reaches the LP core only with cone programs
+    # (no equality row, zero right-hand sides, the rows as the tableau and
+    # no phase-one pivot), one per witness and one per interior
+    # breakpoint, none per segment; a weak path through an empty-interior K
+    # is the straight segment
+    programs, in_phase_one = [], []
+    real_optimize, real_phase_one, real_pivot = lp._optimize_rows, lp._phase_one, lp._Tableau.pivot
+
+    def optimize(dim, eqs, ineqs, cost, nonneg=0):
+        assert not eqs and all(ints[dim] == 0 for ints, _ in ineqs)
+        programs.append(dim)
+        return real_optimize(dim, eqs, ineqs, cost, nonneg)
+
+    def phase_one(rows, scales, nvars, free=0):
+        in_phase_one.append(True)
+        try:
+            T = real_phase_one(rows, scales, nvars, free)
+        finally:
+            in_phase_one.pop()
+        assert T is not None and T.rows is rows and T.ncols == nvars
+        return T
+
+    def pivot(T, row, col):
+        assert not in_phase_one
+        real_pivot(T, row, col)
+
     rng = random.Random(2017)
-    segments = Counter()
+    segments, interior = Counter(), 0
     for _ in range(30):
         P = random_cut_box(rng)
         for weak, test in ((False, is_efficient), (True, is_weakly_efficient)):
@@ -396,11 +418,19 @@ def test_connect_solves_one_lp_over_d_per_segment(monkeypatch):
             ends = [u for u in P.feasible_vrep.points if test(P, u)]
             if len(ends) < 2:
                 continue
-            calls.clear()
-            cert = connect(P, ends[0], ends[-1], weak=weak)
-            assert len(calls) == len(cert.weights)
+            programs.clear()
+            with monkeypatch.context() as m:
+                m.setattr(lp, "_optimize_rows", optimize)
+                m.setattr(lp, "_phase_one", phase_one)
+                m.setattr(lp._Tableau, "pivot", pivot)
+                cert = connect(P, ends[0], ends[-1], weak=weak)
+            # the two witnesses' re-checks and one per interior breakpoint
+            breakpoints = len(cert.breakpoints) - 2
+            assert len(programs) == 2 + breakpoints
+            interior += breakpoints
             segments[len(cert.weights)] += 1
     assert segments == {1: 28, 2: 14, 3: 3}
+    assert interior == 48
 
 
 class TestEfficientSets:
@@ -1186,6 +1216,64 @@ def test_per_point_programs_have_no_equality_row_and_no_artificial(monkeypatch):
     assert seen == {"_max_slack": 1392, "_verify_argmin": 536}
 
 
+def test_connect_paths_pass_the_lp_oracle_over_d():
+    # connect checks its paths on tangent cones and by int value
+    # comparisons; an LP over all of D (solve_lp on the HRep) is the
+    # oracle: every path point lies in D, every segment weight puts both
+    # ends of its segment in the argmin, and the weight at every
+    # breakpoint, interpolated from the two witnesses, is solvable, on the
+    # set corpus, the problem files, cut boxes with and without an equality
+    # and the equality frames, strict and weak
+    rng = random.Random(1919)
+    corpus = [("sets", P, P.feasible_vrep.points) for P in SET_CORPUS]
+    corpus += [
+        ("files", P, P.feasible_vrep.points)
+        for P in (load_problem(str(path)) for path in sorted(PROBLEMS_DIR.glob("*.json")))
+    ]
+    boxes = [random_cut_box(rng) for _ in range(30)] + [cut_box_with_equality(rng) for _ in range(30)]
+    corpus += [("boxes", P, P.feasible_vrep.points) for P in boxes]
+    corpus += [("frames", P, points) for P, _, points in FRAME_CORPUS]
+    tally = {}
+    for name, P, points in corpus:
+        P = VLPProblem(P.objective, P.feasible_set, P.cone)
+        D = P.feasible_set
+        for weak, witness in ((False, scalarize_witness), (True, weak_witness)):
+            ends = []
+            for u in points:
+                try:
+                    ends.append((u, witness(P, u)))
+                except NotEfficientError:
+                    pass
+            if len(ends) < 2:
+                continue
+            (u, xi0), (v, xi1) = ends[0], ends[-1]
+            cert = connect(P, u, v, weak=weak)
+            assert cert.points[0] == u and cert.points[-1] == v
+            assert all(contains(D, x) for x in cert.points)
+            for i, w in enumerate(cert.weights):
+                c = P.objective.tmatvec(w)
+                out = solve_lp(D, c)
+                assert out.status is LPStatus.OPTIMAL
+                assert c.dot(cert.points[i]) == out.value == c.dot(cert.points[i + 1])
+            for t in cert.breakpoints:
+                c = P.objective.tmatvec(xi0 + (xi1 - xi0).scale(t))
+                assert solve_lp(D, c).status is LPStatus.OPTIMAL
+            key = name, "weak" if weak else "strict"
+            paths, segments, interior = tally.get(key, (0, 0, 0))
+            tally[key] = paths + 1, segments + len(cert.weights), interior + len(cert.breakpoints) - 2
+    # (paths, segments, interior breakpoints) per corpus and kind
+    assert tally == {
+        ("sets", "strict"): (35, 36, 10),
+        ("sets", "weak"): (42, 42, 4),
+        ("files", "strict"): (3, 3, 1),
+        ("files", "weak"): (3, 3, 1),
+        ("boxes", "strict"): (42, 51, 47),
+        ("boxes", "weak"): (51, 66, 39),
+        ("frames", "strict"): (20, 20, 4),
+        ("frames", "weak"): (20, 20, 4),
+    }
+
+
 def reference_relative_interior_point(V):
     """The witness point as the rational formula reads: the mean of the
     points plus the sum of the rays of a generator form."""
@@ -1422,10 +1510,12 @@ def test_int_breakpoints_match_the_rational_route():
     # random segments: each end a random integer cost or M^T w for a weight
     # w = sum r_j g_j with r_j > 0 over the dual generators, as connect
     # interpolates; both routes agree, failures included, through
-    # parametric_breakpoints and through connect's entry on P's int set-up,
-    # which also names each interval's first argmin point
+    # parametric_breakpoints and through connect's entry, the int analysis
+    # on P's int generators with int costs and no LP, which gives the
+    # breakpoints as int pairs and names each interval's first argmin point
     rng = random.Random(2020)
     outcomes = Counter()
+    ints = polyhedron._int_vector
 
     def cost(P):
         if rng.random() < 0.5 or not P.cone.normals:
@@ -1447,7 +1537,9 @@ def test_int_breakpoints_match_the_rational_route():
             c0, c1 = cost(P), cost(P)
             want = attempt(rational_breakpoints, c0, c1, D)
             assert attempt(lp.parametric_breakpoints, c0, c1, D) == want
-            got = attempt(lp._breakpoints, c0, c1, P._d_generators, P._d_rows)
+            got = attempt(lp._breakpoints, ints(c0), ints(c1), P._d_generators)
+            if got is not None:
+                got = [rat(*t) for t in got[0]], got[1]
             assert got == (None if want is None else (want, rational_firsts(P, c0, c1, want)))
             outcomes["unsolvable" if want is None else "interior %d" % min(len(want) - 2, 2)] += 1
     assert outcomes == {"unsolvable": 559, "interior 0": 533, "interior 1": 119, "interior 2": 25}
