@@ -15,7 +15,8 @@ point lies in D by exact row checks, every segment weight is admissible (in
 ri(K*), or a nonzero element of K* for the weak kind), and both ends of
 every segment attain the minimum of (M^T w).x over D, read off D's
 generator form.  On a configurable subset of instances it also recomputes
-the full efficient and weakly efficient sets, checks that each equals the
+the full efficient and weakly efficient sets, capped as `gpoly-vlp solve`
+caps them (cli.DEFAULT_MAX_FACES), checks that each equals the
 set found by testing every face of the feasible set, and checks that every
 efficient face sits inside some weakly efficient face.  All arithmetic is
 exact, so a clean run certifies thousands of zero-tolerance agreements.
@@ -36,6 +37,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from gpolyvlp.cli import DEFAULT_MAX_FACES
 from gpolyvlp.crosscheck import (
     dominated_via_generators,
     efficient_via_quotient,
@@ -207,8 +209,8 @@ def main(argv=None) -> int:
                 return 1
             paths += 1
         if args.sets_every > 0 and i % args.sets_every == 0:
-            E = efficient_set(P)
-            W = weakly_efficient_set(P)
+            E = efficient_set(P, max_faces=DEFAULT_MAX_FACES)
+            W = weakly_efficient_set(P, max_faces=DEFAULT_MAX_FACES)
             for S, weak in ((E, False), (W, True)):
                 if S != solution_set_via_all_faces(P, weak):
                     print(

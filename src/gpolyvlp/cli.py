@@ -16,8 +16,10 @@ Errors are reported on stderr with a JSON path when they come from the
 problem file.  Exit codes are chosen by error type: 0 success, 2 input
 errors (parse, dimension, an infeasible or inefficient point, an empty
 polyhedron), 3 internal failures (violated invariants and any other
-ValueError raised after parsing), 4 face enumeration larger than
-GPOLY_MAX_FACES (default 4096).
+ValueError raised after parsing), 4 a face search past its cap.  solve
+caps the rays that the double description of the weight polyhedron holds
+at any step, not the faces of D, at GPOLY_MAX_FACES (default 4096), the
+name kept from when it counted D's faces.
 """
 
 from __future__ import annotations

@@ -71,7 +71,8 @@ class EmptyPolyhedronError(ValueError):
 
 
 class FaceLimitError(RuntimeError):
-    """Raised when face enumeration exceeds the configured cap."""
+    """Raised when a face search exceeds its cap: on faces() the faces of
+    the lattice, on the set routines the rays held by W's DD (_dd)."""
 
 
 class InternalInvariantError(RuntimeError):
@@ -293,7 +294,7 @@ def _cone_ints(dim: int, eq_rows: Sequence, ineq_rows: Sequence) -> tuple:
     return _echelon_basis(lin), tuple([r for r, _ in rays])
 
 
-def _dd(dim: int, eq_rows: Sequence, ineq_rows: Sequence) -> tuple:
+def _dd(dim: int, eq_rows: Sequence, ineq_rows: Sequence, cap: Optional[int] = None) -> tuple:
     """The integer core of the double description: generators of the cone
     {z : e.z = 0, a.z <= 0} for int rows e in eq_rows and a in ineq_rows.
 
@@ -325,6 +326,10 @@ def _dd(dim: int, eq_rows: Sequence, ineq_rows: Sequence) -> tuple:
     rays p and n is tight exactly on zeros[p] & zeros[n] plus the new row.
     Adjacency is decided combinatorially on that common zero set (see
     _adjacent): no rank is computed.
+
+    cap, when given, bounds the rays held, where the method blows up (Avis,
+    Bremner & Seidel 1997): they are counted after each cut of L and each
+    positive ray's combinations, never per pair; more raise FaceLimitError.
     """
     eqs = [_primitive(e) for e in eq_rows]
     ineqs = [_primitive(a) for a in ineq_rows]
@@ -359,6 +364,8 @@ def _dd(dim: int, eq_rows: Sequence, ineq_rows: Sequence) -> tuple:
                 moved.setdefault(onto(r), z | bit)
             moved.setdefault(r0, bit - 1)
             rays = moved
+            if cap is not None and len(rays) > cap:
+                raise FaceLimitError(f"face search exceeded the cap of {cap} rays")
             continue
 
         old = list(rays.items())
@@ -370,7 +377,6 @@ def _dd(dim: int, eq_rows: Sequence, ineq_rows: Sequence) -> tuple:
         neg = [k for k, v in enumerate(vals) if v < 0]
         zeros = [z for _, z in old]
         rays = {r: z | bit if v == 0 else z for (r, z), v in zip(old, vals) if v <= 0}
-        combos = []
         for p in pos:
             rp, vp, zp = old[p][0], vals[p], zeros[p]
             for n in neg:
@@ -379,9 +385,9 @@ def _dd(dim: int, eq_rows: Sequence, ineq_rows: Sequence) -> tuple:
                     continue
                 vn = vals[n]
                 r_new = _primitive([vp * x - vn * y for x, y in zip(old[n][0], rp)])
-                combos.append((r_new, common | bit))
-        for r, z in combos:
-            rays.setdefault(r, z)
+                rays.setdefault(r_new, common | bit)
+            if cap is not None and len(rays) > cap:
+                raise FaceLimitError(f"face search exceeded the cap of {cap} rays")
 
     lin = [l for _, l in L]
     gens = list(rays) + lin
@@ -673,15 +679,16 @@ def _vrep(d: int, gens: _Generators) -> VRep:
     )
 
 
-def _homogenized_dd(d: int, eqs: Sequence, ineqs: Sequence) -> tuple:
+def _homogenized_dd(d: int, eqs: Sequence, ineqs: Sequence, cap: Optional[int] = None) -> tuple:
     """_dd of the homogenization of {x : a.x = b for eqs, a.x <= b for
     ineqs}, int rows as _h_to_v_rows takes them: the cone of (x, t) with
-    rows [a | -b] and -t <= 0.  Returns (lineality, rays) as _dd does; a
-    ray r with r[-1] > 0 stands for the point r[:-1] / r[-1] modulo the
-    lineality, one with r[-1] == 0 for a ray of the set."""
+    rows [a | -b] and -t <= 0, its rays capped by cap as _dd caps them.
+    Returns (lineality, rays) as _dd does; a ray r with r[-1] > 0 stands
+    for the point r[:-1] / r[-1] modulo the lineality, one with r[-1] == 0
+    for a ray of the set."""
     eq_lift = [[*e[:d], -e[d]] for e, _ in eqs]
     ineq_lift = [[0] * d + [-1]] + [[*a[:d], -a[d]] for a, _ in ineqs]
-    return _dd(d + 1, eq_lift, ineq_lift)
+    return _dd(d + 1, eq_lift, ineq_lift, cap)
 
 
 def v_to_h(V: VRep) -> HRep:

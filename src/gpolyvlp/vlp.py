@@ -67,11 +67,11 @@ off one DD of the lifted weight polyhedron W of pairs (y, t) with y
 admissible and t <= y.M x on D: each point of W is tight on exactly the
 generators of its argmin face.  The maximal tight masks are the maximal
 faces of the set.  Each is tagged, and checked to be a face, from D's
-row/generator incidence; no face lattice is walked unless a cap on it is
-asked for, and then on the same incidence.  W's points stay the int rays
-of its homogenized cone, and the weight-space images of D's generators are
-int products of the image rows with D's int generators, over one common
-denominator.
+row/generator incidence; no face lattice is walked.  A face cap bounds the
+rays that W's DD holds, where the method's blow-up lives, and not D's
+faces.  W's points stay the int rays of its homogenized cone, and the
+weight-space images of D's generators are int products of the image rows
+with D's int generators, over one common denominator.
 
 connect solves no LP over D either.  Its weights stay the int generators
 of the endpoint witnesses and of their interpolations, its costs are int
@@ -102,7 +102,6 @@ from .polyhedron import (
     _Generators,
     _dot,
     _echelon_int,
-    _face_lattice,
     _generators,
     _homogenized_dd,
     _int_vector,
@@ -682,14 +681,6 @@ def _weak_witness(P: VLPProblem, u: Vector) -> tuple:
     return at, w
 
 
-def _whole_set_face(P: VLPProblem) -> Face:
-    """D as its own improper face, tagged by the rows tight on every
-    generator of D."""
-    gens = P._d_generators
-    everything = (1 << (len(gens.points) + len(gens.rays))) - 1
-    return Face(_tag(gens.tight, everything), P.feasible_vrep)
-
-
 def face_scalarizable(P: VLPProblem, face: Face, weak: bool) -> bool:
     """Whether some admissible dual weight scalarizes the whole face into the
     argmin over D.  Strict efficiency draws weights from the relative
@@ -737,13 +728,11 @@ def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -
     rational views of their own generators only; feasible_vrep is not
     needed.
 
-    The face lattice is walked only when max_faces is given, and then whole
-    and before W, on the same int generators and incidence, as the count
-    behind FaceLimitError.
+    No face lattice is walked.  max_faces, when given, caps the rays that
+    W's DD holds at any step (polyhedron._dd), and more raise
+    FaceLimitError.
     """
     gens = P._d_generators
-    if max_faces is not None:
-        _face_lattice(gens, max_faces)
     W = _int_weight_space(P, weak, gens.lineality)
     img, den, dim = W.images, W.den, W.dim
     points, rays = range(W.n_points), range(W.n_points, W.n_points + W.n_rays)
@@ -757,7 +746,7 @@ def _maximal_scalarizable(P: VLPProblem, weak: bool, max_faces: Optional[int]) -
     # bit 0 of a DD zero set is the homogenizing row, then come W.ineqs
     shift = 1 + len(W.ineqs)
     weights = {}  # tight mask -> the first W point (Y, T, h) with it
-    for v, zeros in _homogenized_dd(dim + 1, eqs, ineqs)[1].items():
+    for v, zeros in _homogenized_dd(dim + 1, eqs, ineqs, max_faces)[1].items():
         if v[-1] > 0:  # not a ray of W
             weights.setdefault(zeros >> shift, v)
     tight = gens.tight
@@ -793,44 +782,43 @@ def efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> EfficientSe
     union of such faces is the whole efficient set.  The maximal ones are
     read off one DD of the lifted weight polyhedron (geometric duality,
     Heyde & Loehne 2008; see _maximal_scalarizable), with no LP per face;
-    the answer is the same as testing every face.  max_faces caps the
-    number of faces of D (FaceLimitError): when it is given, the whole face
-    lattice is enumerated to count them, and otherwise no lattice is built.
-    When K is a subspace the efficient set is all of D, returned as the
-    single improper face.  An infeasible D yields no faces.
+    the answer is the same as testing every face.  max_faces caps the rays
+    that DD holds, not D's faces: more raise FaceLimitError, and a cap that
+    does not trip changes nothing.  When K is a subspace the efficient set
+    is all of D, the single improper face; an infeasible D yields no faces.
     """
-    sub = not P._cone_split[1]
-    eint = P.cone_interior_empty
-    if not P._d_generators.points:
-        return EfficientSet(P, SetKind.EFFICIENT, (), sub, eint)
-    if sub:
-        return EfficientSet(P, SetKind.EFFICIENT, (_whole_set_face(P),), True, eint)
-    found = _maximal_scalarizable(P, weak=False, max_faces=max_faces)
-    return EfficientSet(P, SetKind.EFFICIENT, found, False, eint)
+    return _solution_set(P, False, max_faces)
 
 
 def weakly_efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> EfficientSet:
     """The weakly efficient set of P as a tuple of maximal faces of D.
 
     Weights come from K* \\ {0}, normalized as convex combinations of the
-    dual generators, and the maximal faces are read off one DD of the
-    lifted weight polyhedron as in efficient_set (geometric duality, Heyde
-    & Loehne 2008).  When the interior of K is empty every feasible point
-    is weakly efficient and all of D is returned as the single improper
-    face.
+    dual generators; the faces and max_faces are as in efficient_set.  All
+    of D is weakly efficient when the interior of K is empty, and no point
+    is when K is the whole space, whose interior holds 0.
     """
+    return _solution_set(P, True, max_faces)
+
+
+def _solution_set(P: VLPProblem, weak: bool, max_faces: Optional[int]) -> EfficientSet:
+    """The body of efficient_set, and of weakly_efficient_set when weak.
+    Its early returns run no DD of W and are tried in order: D empty;
+    strict and K a subspace; weak and int K empty; weak and K = R^q."""
+    gens = P._d_generators
     sub = not P._cone_split[1]
     eint = P.cone_interior_empty
-    kind = SetKind.WEAKLY_EFFICIENT
-    if not P._d_generators.points:
-        return EfficientSet(P, kind, (), sub, eint)
-    if eint:
-        return EfficientSet(P, kind, (_whole_set_face(P),), sub, True)
-    if not P.cone.normals:
-        # K is the whole space, whose interior contains zero: every point is
-        # strictly dominated by itself and the weakly efficient set is empty.
-        return EfficientSet(P, kind, (), sub, eint)
-    return EfficientSet(P, kind, _maximal_scalarizable(P, weak=True, max_faces=max_faces), sub, eint)
+    kind = SetKind.WEAKLY_EFFICIENT if weak else SetKind.EFFICIENT
+    if not gens.points:
+        found = ()
+    elif (eint if weak else sub):
+        everything = (1 << (len(gens.points) + len(gens.rays))) - 1
+        found = (Face(_tag(gens.tight, everything), P.feasible_vrep),)
+    elif weak and not P.cone.normals:
+        found = ()
+    else:
+        found = _maximal_scalarizable(P, weak, max_faces)
+    return EfficientSet(P, kind, found, sub, eint)
 
 
 def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCertificate:

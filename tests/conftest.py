@@ -33,9 +33,9 @@ def adjacency_verdicts(monkeypatch):
     rows = {}
     real_dd, real_adjacent = polyhedron._dd, polyhedron._adjacent
 
-    def dd(dim, eq_rows, ineq_rows):
+    def dd(dim, eq_rows, ineq_rows, cap=None):
         rows["eqs"], rows["ineqs"] = list(eq_rows), list(ineq_rows)
-        return real_dd(dim, eq_rows, ineq_rows)
+        return real_dd(dim, eq_rows, ineq_rows, cap)
 
     def rank(mask):
         tight = [list(a) for j, a in enumerate(rows["ineqs"]) if mask >> j & 1]

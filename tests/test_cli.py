@@ -49,6 +49,35 @@ needs_digit_limit = pytest.mark.skipif(
 )
 
 
+def orthant_cube_doc(n):
+    """The unit n-cube with identity objective, ordered by the orthant."""
+    unit = [[str(int(i == j)) for j in range(n)] for i in range(n)]
+    neg = [[str(-int(i == j)) for j in range(n)] for i in range(n)]
+    return {
+        "version": "1",
+        "M": unit,
+        "D": {"dim": n, "ineq": [neg + unit, ["0"] * n + ["1"] * n]},
+        "K": {"dim": n, "normals": neg},
+    }
+
+
+def tangent_cut_doc(k):
+    """D cut out of R^3 by the tangent planes of x y z = 1 at
+    (a, b, 1 / (a b)), a, b = 1..k, b x + a y + a^2 b^2 z >= 3 a b, with
+    identity objective ordered by the orthant: W's DD holds more rays
+    than D has rows."""
+    pairs = [(a, b) for a in range(1, k + 1) for b in range(1, k + 1)]
+    doc = orthant_cube_doc(3)
+    doc["D"] = {
+        "dim": 3,
+        "ineq": [
+            [[str(-b), str(-a), str(-a * a * b * b)] for a, b in pairs],
+            [str(-3 * a * b) for a, b in pairs],
+        ],
+    }
+    return doc
+
+
 @pytest.fixture
 def triangle_file(tmp_path):
     path = tmp_path / "triangle.json"
@@ -122,6 +151,37 @@ class TestSolve:
         code, out, err = run(capsys, "solve", "--problem", triangle_file)
         assert code == 4 and out == ""
         assert "face" in err
+
+    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("kind", ["efficient", "weak"])
+    def test_large_orthant_cubes_answer_at_the_default_cap(
+        self, n, kind, tmp_path, capsys, monkeypatch
+    ):
+        # 3^n faces, more than the default cap of 4096, but W's DD holds at
+        # most n + 2 rays: the strict set is the origin vertex, the weak set
+        # the n facets through it
+        monkeypatch.delenv("GPOLY_MAX_FACES", raising=False)
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps(orthant_cube_doc(n)))
+        code, out, _ = run(capsys, "solve", "--problem", str(path), "--kind", kind)
+        assert code == 0
+        tags = [f["active_ineq"] for f in json.loads(out)["faces"]]
+        assert tags == ([list(range(n))] if kind == "efficient" else [[i] for i in range(n)])
+
+    @pytest.mark.parametrize("kind", ["efficient", "weak"])
+    def test_weight_polyhedron_blow_up_exits_4(self, kind, tmp_path, capsys, monkeypatch):
+        # 16 rows: W's DD holds up to 46 rays (strict) and 24 (weak), past
+        # a cap of 16; the default cap answers with the 16 facets
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps(tangent_cut_doc(4)))
+        monkeypatch.setenv("GPOLY_MAX_FACES", "16")
+        code, out, err = run(capsys, "solve", "--problem", str(path), "--kind", kind)
+        assert code == 4 and out == ""
+        assert "face" in err
+        monkeypatch.delenv("GPOLY_MAX_FACES")
+        code, out, _ = run(capsys, "solve", "--problem", str(path), "--kind", kind)
+        assert code == 0
+        assert [f["active_ineq"] for f in json.loads(out)["faces"]] == [[i] for i in range(16)]
 
     @pytest.mark.parametrize("kind", ["efficient", "weak"])
     def test_argmin_face_missing_from_the_lattice_exits_3(

@@ -532,6 +532,17 @@ def test_large_row_scalings_keep_conversions():
         assert encode_conversions(Q) == encode_conversions(P)
 
 
+def test_dd_cap_bounds_the_rays_held_at_any_step():
+    # the square's cone holds its 4 vertices before x + y <= 1 cuts (1, 1)
+    # off and leaves 3: a cap of 4, the peak, changes nothing, 3 trips
+    rows = [([-1, 0, 0], 1), ([0, -1, 0], 1), ([1, 0, 1], 1), ([0, 1, 1], 1), ([1, 1, 1], 1)]
+    lin, rays = polyhedron._homogenized_dd(2, [], rows)
+    assert not lin and len(rays) == 3
+    assert polyhedron._homogenized_dd(2, [], rows, 4) == (lin, rays)
+    with pytest.raises(FaceLimitError, match="face"):
+        polyhedron._homogenized_dd(2, [], rows, 3)
+
+
 def test_one_projection_per_double_description(monkeypatch):
     # rays are reduced modulo an integer echelon basis of the lineality space
     # during the method and projected orthogonally to it once, on output, in
@@ -543,8 +554,8 @@ def test_one_projection_per_double_description(monkeypatch):
         events.append(("project", bool(lin)))
         return real_project(vectors, lin)
 
-    def dd(dim, eq_rows, ineq_rows):
-        lin, rays = real_dd(dim, eq_rows, ineq_rows)
+    def dd(dim, eq_rows, ineq_rows, cap=None):
+        lin, rays = real_dd(dim, eq_rows, ineq_rows, cap)
         events.append(("dd", bool(lin)))
         return lin, rays
 

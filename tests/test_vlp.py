@@ -671,18 +671,17 @@ def test_pruned_sets_match_all_faces_oracle():
     assert sum(P.cone_interior_empty for P in SET_CORPUS) == 95
     assert sum(bool(P.feasible_vrep.lineality) for P in SET_CORPUS) == 43
     assert sum(P.feasible_set.eq_lhs.rows > 0 for P in SET_CORPUS) == 128
+    # a cap of 3 bounds the rays of W's DD, not D's faces: a capped call
+    # either trips or answers as the all-faces oracle does uncapped
     capped = 0
     for P in SET_CORPUS:
         for routine, weak in ((efficient_set, False), (weakly_efficient_set, True)):
-            assert routine(P) == solution_set_via_all_faces(P, weak)
+            want = solution_set_via_all_faces(P, weak)
+            assert routine(P) == want
             got = _capped(routine, P, max_faces=3)
-            want = _capped(solution_set_via_all_faces, P, weak, max_faces=3)
-            if got != "cap" and (got.empty_interior if weak else got.subspace_cone):
-                # the main route answers these without enumerating faces
-                continue
-            assert got == want
+            assert got in ("cap", want)
             capped += got == "cap"
-    assert capped == 168
+    assert capped == 91
 
 
 def test_combinatorial_adjacency_matches_the_rank_test_on_d_and_w(adjacency_verdicts):
@@ -699,22 +698,25 @@ def test_combinatorial_adjacency_matches_the_rank_test_on_d_and_w(adjacency_verd
 
 def count_set_work(monkeypatch):
     """Count, per name, the DDs of D (polyhedron._generators, which h_to_v
-    runs too), the face lattices, the DDs of the weight polyhedron W
-    (vlp._homogenized_dd) and the LPs that the set routines run.  LPs are
-    counted at lp._optimize_rows, which every LP runs, the phase-one test
-    of ConeH.has_nonempty_interior included."""
+    runs too), the face-lattice walks (polyhedron._face_lattice, which
+    faces() runs), the DDs of the weight polyhedron W (vlp._homogenized_dd)
+    and the LPs that the set routines run.  LPs are counted at
+    lp._optimize_rows, which every LP runs, the phase-one test of
+    ConeH.has_nonempty_interior included."""
     counts = Counter()
 
     def counting(name, real):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         return wrapper
 
     monkeypatch.setattr(polyhedron, "_generators", counting("D", polyhedron._generators))
     monkeypatch.setattr(vlp, "_generators", counting("D", vlp._generators))
-    monkeypatch.setattr(vlp, "_face_lattice", counting("lattice", vlp._face_lattice))
+    monkeypatch.setattr(
+        polyhedron, "_face_lattice", counting("lattice", polyhedron._face_lattice)
+    )
     monkeypatch.setattr(vlp, "_homogenized_dd", counting("W", vlp._homogenized_dd))
     monkeypatch.setattr(lp, "_optimize_rows", counting("LP", lp._optimize_rows))
     return counts
@@ -723,8 +725,8 @@ def count_set_work(monkeypatch):
 def test_set_routines_run_one_dd_of_d_and_at_most_one_of_w(monkeypatch):
     # a call that gets past the early returns (empty D, subspace K,
     # empty-interior K for weak sets, no normals) reads its answer off one
-    # DD of W, and walks D's face lattice only to count it against a cap.
-    # No set call runs an LP, the interior test included.
+    # DD of W, capped or not, and walks no face lattice.  No set call runs
+    # an LP, the interior test included.
     counts = count_set_work(monkeypatch)
     reached = 0
     for P in SET_CORPUS[:50] + [orthant_cube(4)]:
@@ -734,7 +736,7 @@ def test_set_routines_run_one_dd_of_d_and_at_most_one_of_w(monkeypatch):
                 routine(VLPProblem(P.objective, P.feasible_set, P.cone), max_faces=cap)
                 assert counts["D"] == 1 and counts["LP"] == 0
                 assert counts["W"] <= 1
-                assert counts["lattice"] == (0 if cap is None else counts["W"])
+                assert counts["lattice"] == 0
                 reached += counts["W"]
     assert reached == 2 * 67
 
@@ -747,15 +749,15 @@ def test_set_routines_run_one_dd_of_d_and_at_most_one_of_w(monkeypatch):
     ],
 )
 def test_orthant_cube_sets_read_one_dd_of_w(routine, tags, monkeypatch):
-    # 81 faces, and no LP for any of them; the lattice is walked only for
-    # the capped call
+    # 81 faces, and no LP or lattice walk for any of them; the capped call
+    # does the same work, and a cap of 6 = n + 2 rays is enough for W
     counts = count_set_work(monkeypatch)
     E = routine(orthant_cube(4))
     assert counts == {"D": 1, "W": 1}
     assert [f.active_ineq for f in E.faces] == tags
     counts.clear()
-    assert routine(orthant_cube(4), max_faces=81) == E
-    assert counts == {"D": 1, "lattice": 1, "W": 1}
+    assert routine(orthant_cube(4), max_faces=6) == E
+    assert counts == {"D": 1, "W": 1}
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -785,30 +787,55 @@ def test_cut_box_sets_match_all_faces_oracle():
     assert 4 * multi >= calls
 
 
+def smallest_cap(routine, P):
+    """(end, cap): the number of rays W's DD ends with, and the smallest
+    max_faces with which routine(P) does not trip, counted up from end, the
+    rays it holds last; None when the call reads no DD of W."""
+    real, held = vlp._homogenized_dd, []
+
+    def recording(*args):
+        out = real(*args)
+        held.append(len(out[1]))
+        return out
+
+    vlp._homogenized_dd = recording
+    try:
+        routine(P)
+    finally:
+        vlp._homogenized_dd = real
+    if not held:
+        return None
+    cap = held[0]
+    while _capped(routine, P, max_faces=cap) == "cap":
+        cap += 1
+    return held[0], cap
+
+
 def test_capped_sets_equal_uncapped_sets():
-    # a cap that does not trip changes nothing; one face fewer trips it on
-    # every call that gets past the early returns, a single-point D with a
-    # cap of 0 included (the improper face counts against the cap)
-    reached = 0
+    # the cap bounds the rays that W's DD holds: the smallest cap that does
+    # not trip returns the uncapped answer, and one less trips, on every call
+    # that gets past the early returns.  On 88 of them the DD holds more
+    # rays on its way than it ends with
+    reached = total = grew = 0
     for P in SET_CORPUS + [orthant_cube(n) for n in range(2, 7)]:
-        count = 0 if P.feasible_vrep.is_empty else len(faces(P.feasible_set))
-        for routine, weak in ((efficient_set, False), (weakly_efficient_set, True)):
-            assert routine(P, max_faces=count) == routine(P)
-            if weak:
-                early = P.cone_interior_empty or not P.cone.normals
-            else:
-                early = P.decomposition.is_subspace
-            if count < 1 or early:
+        for routine in (efficient_set, weakly_efficient_set):
+            found = smallest_cap(routine, P)
+            if found is None:
+                assert routine(P, max_faces=1) == routine(P)
                 continue
-            assert _capped(routine, P, max_faces=count - 1) == "cap"
+            end, cap = found
+            assert routine(P, max_faces=cap) == routine(P)
+            assert _capped(routine, P, max_faces=cap - 1) == "cap"
             reached += 1
-    assert reached == 371
+            total += cap
+            grew += cap > end
+    assert (reached, total, grew) == (371, 1118, 88)
 
 
 def test_capped_sets_read_the_cap_off_the_int_generators(monkeypatch):
-    # the face cap walks the lattice on D's int generators and their
-    # incidence, as W does, so a capped call that reaches W builds no
-    # rational generator form of D; the early returns of the whole set do
+    # the cap is read off the int rays of W's DD, so a capped call that
+    # reaches W walks no lattice and builds no rational generator form of
+    # D; the early returns of the whole set do
     counts = count_set_work(monkeypatch)
     reached = 0
     for P in SET_CORPUS + [orthant_cube(4)]:
@@ -816,10 +843,40 @@ def test_capped_sets_read_the_cap_off_the_int_generators(monkeypatch):
             counts.clear()
             Q = VLPProblem(P.objective, P.feasible_set, P.cone)
             routine(Q, max_faces=4096)
+            assert counts["lattice"] == 0
             if counts["W"]:
-                assert counts["lattice"] == 1 and "feasible_vrep" not in vars(Q)
+                assert "feasible_vrep" not in vars(Q)
                 reached += 1
     assert reached == 363
+
+
+def tangent_cut(k):
+    """D cut out of R^3 by the k^2 tangent planes of x y z = 1 at
+    (a, b, 1 / (a b)), a, b = 1..k, each b x + a y + a^2 b^2 z >= 3 a b,
+    with identity objective ordered by the orthant.  Every row is a facet
+    with a positive inward normal, so every facet is efficient, and W's DD
+    holds more rays than D has rows."""
+    rows = [
+        ((-b, -a, -a * a * b * b), -3 * a * b) for a in range(1, k + 1) for b in range(1, k + 1)
+    ]
+    neg = [tuple(-int(i == j) for j in range(3)) for i in range(3)]
+    return VLPProblem(Matrix.identity(3), HRep.of(3, ineqs=rows), ConeH.of(3, neg))
+
+
+@pytest.mark.parametrize(
+    "routine, weak, peak", [(efficient_set, False, 46), (weakly_efficient_set, True, 24)]
+)
+def test_weight_polyhedron_blow_up_trips_the_cap(routine, weak, peak):
+    # 16 rows and 68 faces of D; W's DD holds up to 46 rays (strict) and 24
+    # (weak), against n + 2 on the orthant n-cube.  A cap of 16 trips both,
+    # and the default cap answers as testing every face does
+    P = tangent_cut(4)
+    with pytest.raises(FaceLimitError, match="face"):
+        routine(P, max_faces=16)
+    assert smallest_cap(routine, P)[1] == peak
+    E = routine(P, max_faces=4096)
+    assert [f.active_ineq for f in E.faces] == [(i,) for i in range(16)]
+    assert E == solution_set_via_all_faces(P, weak)
 
 
 def interior_empty_by_lp(P):
