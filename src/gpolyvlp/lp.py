@@ -10,10 +10,10 @@ the rows without a usable slack (equalities, and inequalities with a
 negative right-hand side) take an artificial, and the phase-one simplex
 runs only when some artificial starts above zero.  Its starting basis is
 read off one transpose of the rows.  Artificials serve only the HRep
-entry, parametric_breakpoints' checks and the oracles' weight-region
-programs: every program of vlp.py's certificates, connect's included,
-has no equality row and only zero right-hand sides, so phase one takes
-its rows as the tableau.
+entries (solve_lp, feasible, argmin_face and parametric_breakpoints'
+checks) and the oracles' weight-region programs: every program of vlp.py's
+certificates, connect's included, has no equality row and only zero
+right-hand sides, so phase one takes its rows as the tableau.
 
 There is one simplex with two entries.  Its core, _optimize_rows, takes
 int rows (ints [a | b], scale), the row format polyhedron._scaled_rows
@@ -21,19 +21,21 @@ gives and the double description's int entry takes too, and a cost
 vector in the library's int form (*C, L), standing for C / L.  It gives
 every variable one column: free variables come first and are pivoted in
 with either sign of their reduced cost, never to leave the basis again;
-trailing sign-constrained variables need no -x <= 0 rows.  _solve_rows is the
-pipeline's entry: vlp.py builds its LPs (slack programs, weight regions,
-argmin checks) as int rows with no HRep in between, and reads only the
-status and the optimal value, so no point and no ray is built for it.  The
-HRep entry, _solve and solve_lp, writes the split x = x+ - x- as data: rows
-[a | -a | b] over 2 dim sign-constrained variables with cost (c, -c), so
-its tableau is the split one, and reads a certified descent ray off the
-entering column of an unbounded program.  solve_lp adds a lexicographic
-refinement on top, so its optimal points are canonical.  Exact breakpoint
-analysis of objectives moving along a segment needs no simplex: it reads
-the candidate breakpoints off the int generators of the double
-description, with the costs in the same int form, and names the first
-argmin point of each interval among them.  parametric_breakpoints
+trailing sign-constrained variables need no -x <= 0 rows.  _solve_rows is
+the value-only entry: vlp.py builds its LPs (slack programs, weight
+regions, argmin checks) as int rows with no HRep in between, and feasible,
+argmin_face and parametric_breakpoints hand it an HRep's _scaled_rows with
+every variable free.  They read only the status and the optimal value,
+which every optimal basis shares, so no point and no ray is built for
+them.  solve_lp, the entry that returns a point, writes the split
+x = x+ - x- as data: rows [a | -a | b] over 2 dim sign-constrained
+variables with cost (c, -c), so its tableau is the split one, and reads a
+certified descent ray off the entering column of an unbounded program.  It
+adds a lexicographic refinement on top, so its optimal points are
+canonical.  Exact breakpoint analysis of objectives moving along a segment
+needs no simplex: it reads the candidate breakpoints off the int generators
+of the double description, with the costs in the same int form, and names
+the first argmin point of each interval among them.  parametric_breakpoints
 re-checks each breakpoint with an LP over the polyhedron; vlp.connect
 certifies its own on tangent cones instead.
 """
@@ -355,40 +357,6 @@ def _phase_one(rows: list, scales: list, nvars: int, free: int = 0) -> Optional[
     return T
 
 
-def _extract_point(T: _Tableau, dim: int) -> Vector:
-    """x = x+ - x- at the basic solution of a split tableau."""
-    z = T.values()
-    return Vector(tuple([Rational(z[j] - z[dim + j], T.det) for j in range(dim)]))
-
-
-def _optimize(P: HRep, c: Vector) -> tuple:
-    """Phase one and phase two of min c.x over an HRep: (outcome, tableau).
-
-    The HRep is written as data over x = x+ - x-: rows [a | -a | b] over 2
-    dim sign-constrained variables, cost (c, -c) (see _split_rows).  The
-    outcome has no point; for OPTIMAL its value is c at the basic optimal
-    point, and for UNBOUNDED it carries the descent ray, read off the
-    entering column as x+ - x-.  The tableau is the optimal one, or None
-    when there is none to refine (no optimum, or P is the whole space).
-    """
-    if c.dim != P.dim:
-        raise ValueError("objective dimension differs from ambient dimension")
-    d = P.dim
-    eqs, ineqs = _split_rows(P)
-    if not eqs and not ineqs:
-        # whole space: bounded only for the zero objective
-        if c.is_zero():
-            return LPOutcome(LPStatus.OPTIMAL, ZERO), None
-        return LPOutcome(LPStatus.UNBOUNDED, descent_ray=(-c).normalized_direction()), None
-    cx, L = _integers(c.coords)
-    out, T, enter = _optimize_rows(2 * d, eqs, ineqs, (*cx, *[-v for v in cx], L), 2 * d)
-    if out.status is LPStatus.UNBOUNDED:
-        delta = T.direction(enter)
-        ray = _direction([delta[j] - delta[d + j] for j in range(d)])
-        return LPOutcome(LPStatus.UNBOUNDED, descent_ray=ray), None
-    return out, T
-
-
 def _optimize_rows(
     dim: int, eqs: Sequence, ineqs: Sequence, cost: Sequence, nonneg: int = 0
 ) -> tuple:
@@ -424,13 +392,6 @@ def _optimize_rows(
     return LPOutcome(LPStatus.OPTIMAL, Rational(_dot(cx, T.values()), L * T.det)), T, None
 
 
-def _solve(P: HRep, c: Vector) -> LPOutcome:
-    """Minimize c.x over an HRep for the status, the optimal value and the
-    descent ray only: solve_lp without the lexicographic refinement, so the
-    outcome has no point.  Status, value and ray are solve_lp's."""
-    return _optimize(P, c)[0]
-
-
 def _solve_rows(
     dim: int, eqs: Sequence, ineqs: Sequence, cost: Sequence, nonneg: int = 0
 ) -> LPOutcome:
@@ -450,23 +411,35 @@ def _solve_rows(
 def solve_lp(P: HRep, c: Vector) -> LPOutcome:
     """Minimize c.x over an HRep, exactly and deterministically.
 
-    The optimal point is canonical: after the two phases of _solve the
-    simplex is re-run restricted to the optimal face, minimizing one
-    coordinate after another, so whenever the optimal face has a
-    lexicographically smallest point that is the point returned.  A
+    The HRep is written as data over x = x+ - x-: rows [a | -a | b] over 2
+    dim sign-constrained variables, cost (c, -c) (see _split_rows).  An
+    unbounded program comes with a certified descent ray, read off the
+    entering column as x+ - x-.  The optimal point is canonical: after the
+    two phases the simplex is re-run restricted to the optimal face,
+    minimizing one coordinate after another, so whenever the optimal face
+    has a lexicographically smallest point that is the point returned.  A
     coordinate stage that is unbounded below on the face is skipped (the
     outcome stays deterministic, Bland's rule leaves nothing to chance).
-    Unbounded problems come with a certified descent ray.  Callers that read
-    only the status or the value use _solve.
+    Callers that read only the status or the value use _solve_rows.
     """
-    out, T = _optimize(P, c)
+    if c.dim != P.dim:
+        raise ValueError("objective dimension differs from ambient dimension")
+    d = P.dim
+    eqs, ineqs = _split_rows(P)
+    if not eqs and not ineqs:
+        # whole space: bounded only for the zero objective, where every
+        # point is optimal and the origin is the canonical pick
+        if c.is_zero():
+            return LPOutcome(LPStatus.OPTIMAL, ZERO, Vector.zero(d))
+        return LPOutcome(LPStatus.UNBOUNDED, descent_ray=(-c).normalized_direction())
+    cx, L = _integers(c.coords)
+    out, T, enter = _optimize_rows(2 * d, eqs, ineqs, (*cx, *[-v for v in cx], L), 2 * d)
+    if out.status is LPStatus.UNBOUNDED:
+        delta = T.direction(enter)
+        ray = _direction([delta[j] - delta[d + j] for j in range(d)])
+        return LPOutcome(LPStatus.UNBOUNDED, descent_ray=ray)
     if out.status is not LPStatus.OPTIMAL:
         return out
-    d = P.dim
-    if T is None:
-        # the whole space under the zero objective: every point is optimal
-        # and the origin is the canonical pick
-        return LPOutcome(LPStatus.OPTIMAL, ZERO, Vector.zero(d))
 
     # lexicographic refinement: freeze out every column whose reduced cost
     # is positive (those stay nonbasic on the optimal face), then minimize
@@ -482,14 +455,15 @@ def solve_lp(P: HRep, c: Vector) -> LPOutcome:
         if status == "optimal":
             frozen.update(j for j in range(nvars) if T.obj[j] > 0)
         # an unbounded stage adds no freezes; later coordinates still resolve
-    point = _extract_point(T, d)
+    z = T.values()
+    point = Vector(tuple([Rational(z[j] - z[d + j], T.det) for j in range(d)]))
     if c.dot(point) != out.value:
         raise InternalInvariantError("lexicographic refinement left the optimal face")
     return LPOutcome(LPStatus.OPTIMAL, out.value, point)
 
 
 def feasible(P: HRep) -> bool:
-    return _solve(P, Vector.zero(P.dim)).status == LPStatus.OPTIMAL
+    return _solve_rows(P.dim, *_scaled_rows(P), (0,) * P.dim + (1,)).status == LPStatus.OPTIMAL
 
 
 def argmin_face(P: HRep, c: Vector) -> HRep:
@@ -497,7 +471,9 @@ def argmin_face(P: HRep, c: Vector) -> HRep:
 
     Raises NoArgminError when the problem is infeasible or unbounded.
     """
-    out = _solve(P, c)
+    if c.dim != P.dim:
+        raise ValueError("objective dimension differs from ambient dimension")
+    out = _solve_rows(P.dim, *_scaled_rows(P), _int_vector(c))
     if out.status != LPStatus.OPTIMAL:
         raise NoArgminError("no argmin")
     return P.with_extra_eqs([(c, out.value)])

@@ -7,13 +7,17 @@ whole subspaces) need no special casing anywhere above this module.  Rows
 are scaled to primitive integer vectors once; rays are primitive integer
 representatives modulo the lineality space, kept reduced against an integer
 echelon basis of it.  The core has two int entries: _cone_ints for a cone,
-behind dd_cone, and _generators for a polyhedron, which takes int rows
-[a | b] as _scaled_rows and the pipeline write them, behind h_to_v.  Both
-keep their output in ints: rays are projected orthogonally to the
-lineality space by integer steps, and every generator is a tuple (*g, h)
-of ints that stands for the rational vector g / h.  A rational view
-(dd_cone, _vrep) divides each coordinate once, so a caller that needs ints
-reads them off the DD without a round trip through rationals.
+behind dd_cone and v_to_h, and _generators for a polyhedron, which takes
+int rows [a | b] as _scaled_rows and the pipeline write them, behind
+h_to_v.  Both keep their output in ints: rays are projected orthogonally
+to the lineality space by integer steps, and every generator is a tuple
+(*g, h) of ints that stands for the rational vector g / h.  A rational
+view (dd_cone, _vrep) divides each coordinate once, so a caller that needs
+ints reads them off the DD without a round trip through rationals.
+v_to_h writes the polar cone's rows in ints, reduces its facet rows modulo
+the implicit equalities in ints and divides once per output coordinate,
+and assemble_vrep projects with the same integer steps, so no conversion
+eliminates or projects in rationals.
 
 Faces and DD adjacency are both decided by incidence, which rows are tight
 on which generators: the DD carries each ray's zero set as a bitmask, and
@@ -37,12 +41,9 @@ from .exact import (
     Rational,
     Vector,
     _integers,
-    complement_projector,
     format_rational,
     parse_rational,
     rank,
-    rat,
-    rref,
 )
 
 __all__ = [
@@ -546,33 +547,26 @@ def _in_order(items: list) -> list:
 # conversions
 
 
-def _lift(v: Vector, last) -> Vector:
-    return Vector(v.coords + (rat(last),))
-
-
 def assemble_vrep(dim: int, points: list, rays: list, lineality: list) -> VRep:
     """Light canonical assembly: echelon lineality basis, generators projected
     orthogonal to it, rays normalized, duplicates dropped, everything sorted.
-    Does not remove hull-redundant generators; see canonical_vrep for that."""
-    basis = (
-        rref(Matrix.from_rows(lineality, cols=dim)).row_vectors() if lineality else []
-    )
-    proj = complement_projector(basis, dim) if basis else None
-    pts = [proj.matvec(p) if proj else p for p in points]
-    rs = []
-    for r in rays:
-        if proj:
-            r = proj.matvec(r)
-        if r.is_zero():
-            continue
-        rs.append(r.normalized_direction())
-    pts = sorted(set(p.coords for p in pts))
-    rs = sorted(set(r.coords for r in rs))
+    Does not remove hull-redundant generators; see canonical_vrep for that.
+
+    The projection runs in ints, as in _generators: a point g / h is
+    projected as the ray (g, h) against the lineality lifted with a 0, so
+    its last entry stays a positive multiple of h."""
+    basis = _echelon_basis([_integers(l.coords)[0] for l in lineality])
+    echelon = [e[:-1] for e in basis]
+    lifted = [e + (0,) for e in echelon]
+    pts = _project([_int_vector(p) for p in points], lifted)
+    rs = _project([_integers(r.coords)[0] for r in rays], echelon)
+    pts = sorted(set(_view(p).coords for p in pts))
+    rs = sorted(set(_direction(r).coords for r in rs if any(r)))
     return VRep(
         dim,
         tuple(Vector(p) for p in pts),
         tuple(Vector(r) for r in rs),
-        tuple(basis),
+        tuple([_view(e) for e in basis]),
     )
 
 
@@ -697,51 +691,52 @@ def v_to_h(V: VRep) -> HRep:
     Implicit equalities surface as the polar's lineality, so the inequality
     rows returned are exactly the facets; rows supported only at infinity are
     recognized by never being tight at an input point and dropped.
+
+    The polar cone's rows are the generators in ints, a point g / h as
+    (g, h) and a ray or lineality vector as (g, 0), and _cone_ints gives its
+    generators in ints.  The equality rows are the integer echelon form of
+    the polar's lineality with its last entry negated, and each facet row
+    is reduced modulo them and scaled to a +-1 leading coefficient in ints;
+    the one rational step is the division of each output coordinate.
     """
     d = V.dim
     if V.is_empty:
         return HRep.infeasible(d)
-    polar_eqs = [_lift(w, 0) for w in V.lineality]
-    polar_ineqs = [_lift(u, 1) for u in V.points] + [_lift(r, 0) for r in V.rays]
-    lin, rays = dd_cone(d + 1, polar_eqs, polar_ineqs)
+    points = [_int_vector(u) for u in V.points]
+    polar_eqs = [[*_integers(w.coords)[0], 0] for w in V.lineality]
+    polar_ineqs = points + [[*_integers(r.coords)[0], 0] for r in V.rays]
+    lin, rays = _cone_ints(d + 1, polar_eqs, polar_ineqs)
 
-    eq_aug = []
-    for s in lin:
-        eq_aug.append(list(s.coords[:-1]) + [-s.coords[-1]])
-    eq_vecs: list = []  # augmented (lhs | rhs) rows in echelon form
-    if eq_aug:
-        for row in rref(Matrix.of(eq_aug, cols=d + 1)).row_vectors():
-            if Vector(row.coords[:-1]).is_zero():
-                raise InternalInvariantError(
-                    "inconsistent implicit equalities for a nonempty set"
-                )
-            eq_vecs.append(row)
-    eq_rows = [(Vector(r.coords[:-1]), r.coords[-1]) for r in eq_vecs]
+    # an int generator (*g, h) ends in g's last entry, the polar's eta, then h
+    equalities = _echelon_int([[*s[:d], -s[d]] for s in lin])
+    if any(c == d for c, _ in equalities):
+        raise InternalInvariantError("inconsistent implicit equalities for a nonempty set")
+    eq_rows = [_row(e + (e[c],), d) for c, e in sorted(equalities)]
 
     ineq_rows = []
     for g in rays:
-        y = Vector(g.coords[:-1])
-        eta = g.coords[-1]
-        if y.is_zero():
+        g = g[:-1]
+        if not any(g[:d]):
             continue
-        if not any(y.dot(u) + eta == 0 for u in V.points):
+        if not any(_dot(g, u) == 0 for u in points):
             continue  # supporting only the recession part, no facet of the set
-        # reduce modulo the equality rows so pivot coordinates drop out,
-        # then scale to a +-1 leading coefficient
-        aug = Vector(y.coords + (-eta,))
-        for e in eq_vecs:
-            c = aug.coords[e.first_nonzero()]
-            if c != 0:
-                aug = aug - e.scale(c)
-        lhs = Vector(aug.coords[:-1])
-        i = lhs.first_nonzero()
-        if i is None:
+        # reduce modulo the equality rows so pivot coordinates drop out
+        aug = [*g[:d], -g[d]]
+        for c, e in equalities:
+            f = aug[c]
+            if f:
+                aug = [e[c] * x - f * y for x, y in zip(aug, e)]
+        if not any(aug[:d]):
             raise InternalInvariantError("facet row vanished modulo the equality rows")
-        lead = lhs.coords[i]
-        f = 1 / (lead if lead > 0 else -lead)
-        ineq_rows.append((lhs.scale(f), aug.coords[-1] * f))
+        ineq_rows.append(_row(tuple(aug) + (_lead(aug),), d))
     ineq_rows.sort(key=lambda rb: (rb[0].coords, rb[1]))
     return HRep.of(d, eq_rows, ineq_rows)
+
+
+def _row(v: tuple, d: int) -> tuple:
+    """The row (a, b) of the int generator v = (*a, b, h), a rational view."""
+    coords = _view(v).coords
+    return Vector(coords[:d]), coords[d]
 
 
 def canonical_vrep(V: VRep) -> VRep:

@@ -18,7 +18,13 @@ argmin over D certifies u by itself, so scalarize_witness, weak_witness and
 connect run no efficiency test of their own; only an empty weight region
 runs the primal slack program of is_efficient / is_weakly_efficient, to
 confirm that u is dominated.  No LP here reads an optimal point, so all of
-them run through the value-only lp._solve_rows.
+them run through the value-only lp._solve_rows.  Both kinds share one
+body: _efficient behind the two tests, and _witness behind the two
+witnesses and connect.  Where K alone decides every point of D (_trivial:
+strict and K a subspace, all; weak and int K empty, all; weak and K = R^q,
+none), the tests run no program, the witness is the zero weight, verified
+by the same argmin re-check as any other, and the set routines return all
+of D or nothing.
 
 The certificates of a point u are posed on the tangent cone
 T_D(u) = cone(D - u), cut out by D's equalities and the inequalities tight
@@ -411,21 +417,19 @@ def _max_slack(P: VLPProblem, at: tuple, weak: bool) -> Optional[Rational]:
 def is_efficient(P: VLPProblem, u: Vector) -> bool:
     """Exact efficiency test.
 
-    Maximizes the total slack sum s_j subject to d in the tangent cone
-    T_D(u) = cone(D - u), s_j >= 0 and <n_j, -M d> <= -s_j for every cone
-    normal n_j.  The program is a cone: u is efficient exactly when its
-    optimum is zero, and otherwise the slack is unbounded.  Any positive
-    slack exhibits a direction d, and with it a feasible x = u + e d, such
-    that M u - M x lies in K but outside the lineality space of K.  K minus
-    its lineality space is closed under positive scaling, so looking along
-    T_D(u) finds every such x (see _max_slack).  Raises InfeasiblePointError
-    when u is not in D.
+    When K is a linear subspace, K minus its lineality space is empty, so
+    nothing dominates anything and every point of D is efficient, with no
+    program.  Otherwise it maximizes the total slack sum s_j subject to d in
+    the tangent cone T_D(u) = cone(D - u), s_j >= 0 and <n_j, -M d> <= -s_j
+    for every cone normal n_j.  The program is a cone: u is efficient
+    exactly when its optimum is zero, and otherwise the slack is unbounded.
+    Any positive slack exhibits a direction d, and with it a feasible
+    x = u + e d, such that M u - M x lies in K but outside the lineality
+    space of K.  K minus its lineality space is closed under positive
+    scaling, so looking along T_D(u) finds every such x (see _max_slack).
+    Raises InfeasiblePointError when u is not in D.
     """
-    at = _require_feasible(P, u)
-    if not P.cone.normals:
-        # K is the whole space, hence a subspace: nothing dominates anything.
-        return True
-    return _max_slack(P, at, weak=False) == 0
+    return _efficient(P, u, weak=False)
 
 
 def is_weakly_efficient(P: VLPProblem, u: Vector) -> bool:
@@ -441,13 +445,29 @@ def is_weakly_efficient(P: VLPProblem, u: Vector) -> bool:
     the test short-circuits to True; when K is the whole space no point is
     weakly efficient.
     """
-    at = _require_feasible(P, u)
+    return _efficient(P, u, weak=True)
+
+
+def _trivial(P: VLPProblem, weak: bool) -> Optional[bool]:
+    """The verdict that K alone gives every point of D, or None when it
+    takes a program: strict and K a subspace, every point is efficient (K
+    has no direction outside its lineality); weak and int K empty, every
+    point is weakly efficient; weak and K = R^q, none is, since u
+    dominates itself through 0 in int K."""
+    if not weak:
+        return True if not P._cone_split[1] else None
     if P.cone_interior_empty:
         return True
-    if not P.cone.normals:
-        # the interior of the whole space contains zero: u dominates itself
-        return False
-    return _max_slack(P, at, weak=True) == 0
+    return False if not P.cone.normals else None
+
+
+def _efficient(P: VLPProblem, u: Vector, weak: bool) -> bool:
+    """The body of is_efficient, and of is_weakly_efficient when weak."""
+    at = _require_feasible(P, u)
+    verdict = _trivial(P, weak)
+    if verdict is not None:
+        return verdict
+    return _max_slack(P, at, weak) == 0
 
 
 # _WeightSpace is a plain slotted class: a dataclass generates its methods
@@ -462,8 +482,8 @@ class _WeightSpace:
     eqs and ineqs are these admissibility rows, each (ints [a | b], scale).
     images holds the int weight-space row of M v (see VLPProblem._image_rows
     and _weak_image_rows) for D's points, then D's rays, then the extra
-    vectors of _weight_space, keyed by that index, all over the one common
-    denominator den.
+    generators of _int_weight_space, keyed by that index, all over the one
+    common denominator den.
     """
 
     __slots__ = ("dim", "eqs", "ineqs", "images", "den", "n_points", "n_rays")
@@ -472,12 +492,6 @@ class _WeightSpace:
         self.dim, self.eqs, self.ineqs = dim, eqs, ineqs
         self.images, self.den = images, den
         self.n_points, self.n_rays = n_points, n_rays
-
-
-def _weight_space(P: VLPProblem, weak: bool, extra: tuple) -> _WeightSpace:
-    """_int_weight_space with the rational vectors in extra as int
-    generators."""
-    return _int_weight_space(P, weak, tuple([_int_vector(v) for v in extra]))
 
 
 def _int_weight_space(P: VLPProblem, weak: bool, extra: tuple) -> _WeightSpace:
@@ -536,8 +550,9 @@ def _weight_region(W: _WeightSpace, points: list, dirs: list) -> tuple:
 
 
 def _face_region(P: VLPProblem, F: VRep, weak: bool) -> tuple:
-    """_weight_region of the face F of D, given by its generators."""
-    W = _weight_space(P, weak, F.points + F.rays + F.lineality)
+    """_weight_region of the face F of D, given by its rational generators,
+    each taken as an int generator."""
+    W = _int_weight_space(P, weak, tuple([_int_vector(v) for v in F.generators()]))
     first = W.n_points + W.n_rays
     mid = first + len(F.points)
     return _weight_region(W, range(first, mid), range(mid, len(W.images)))
@@ -617,7 +632,9 @@ def scalarize_witness(P: VLPProblem, u: Vector) -> Vector:
     weight region of u: the functionals that vanish on the lineality of K,
     are at least 1 on every extreme ray of its pointed part, and put u in
     the argmin over D.  The region lies in Y1 already, so no projection is
-    needed.  The witness is sought first: by the efficiency criterion a
+    needed.  When K is a subspace, K* is the annihilator of K, a subspace
+    equal to its own relative interior, and the zero functional is the
+    witness.  The witness is sought first: by the efficiency criterion a
     verified witness certifies efficiency by itself, so no separate
     efficiency test runs.  Only an empty region falls back to the slack
     program of is_efficient, which must confirm that u is dominated; then
@@ -626,25 +643,7 @@ def scalarize_witness(P: VLPProblem, u: Vector) -> Vector:
     (cone._dual_weight), and the one rational built is the witness itself.
     Raises InfeasiblePointError when u is not in D.
     """
-    return _view(_strict_witness(P, u)[1])
-
-
-def _strict_witness(P: VLPProblem, u: Vector) -> tuple:
-    """scalarize_witness in ints: (at, w), with at the feasible form of u
-    (see _require_feasible) and w = (*Y, h) the verified witness Y / h."""
-    at = _require_feasible(P, u)
-    split = P._cone_split
-    if not split[1]:
-        # K* is the annihilator of K, a subspace equal to its own relative
-        # interior; the zero functional scalarizes every feasible point.
-        w = (0,) * P.cone.dim + (1,)
-        _verify_argmin(P, w, at, "subspace witness")
-        return at, w
-    w = _point_weight(P, at, weak=False)
-    if _dual_weight(P.cone, split, w[:-1], weak=False) is None:
-        raise InternalInvariantError("witness left the relative interior of the dual")
-    _verify_argmin(P, w, at, "witness")
-    return at, w
+    return _view(_witness(P, u, weak=False)[1])
 
 
 def weak_witness(P: VLPProblem, u: Vector) -> Vector:
@@ -658,26 +657,34 @@ def weak_witness(P: VLPProblem, u: Vector) -> Vector:
     the cone normals is combined, and checked to be nonzero, in ints
     (cone._dual_weight).  Raises InfeasiblePointError when u is not in D.
     """
-    return _view(_weak_witness(P, u)[1])
+    return _view(_witness(P, u, weak=True)[1])
 
 
-def _weak_witness(P: VLPProblem, u: Vector) -> tuple:
-    """weak_witness in ints: (at, w), with at the feasible form of u (see
-    _require_feasible) and w = (*Y, h) the weight Y / h, verified unless it
-    is the zero weight of an empty-interior K."""
+def _witness(P: VLPProblem, u: Vector, weak: bool) -> tuple:
+    """scalarize_witness in ints, or weak_witness when weak: (at, w), with
+    at the feasible form of u (see _require_feasible) and w = (*Y, h) the
+    verified weight Y / h.  Where K decides every point (_trivial), the
+    weight is zero, and it is verified as any other."""
     at = _require_feasible(P, u)
-    if P.cone_interior_empty:
-        return at, (0,) * P.cone.dim + (1,)
-    if not P.cone.normals:
-        # the interior of the whole space contains zero: u dominates itself
+    label = "weak witness" if weak else "witness"
+    verdict = _trivial(P, weak)
+    if verdict is False:
         raise NotEfficientError("not weakly efficient")
-    lam = _point_weight(P, at, weak=True)
-    weight = _dual_weight(P.cone, P._cone_split, lam[:-1], weak=True)
+    if verdict:
+        w = (0,) * P.cone.dim + (1,)
+        _verify_argmin(P, w, at, "zero " + label)
+        return at, w
+    region_point = _point_weight(P, at, weak)
+    weight = _dual_weight(P.cone, P._cone_split, region_point[:-1], weak)
     if weight is None:
-        raise InternalInvariantError("weak witness degenerated to zero")
+        raise InternalInvariantError(
+            "weak witness degenerated to zero"
+            if weak
+            else "witness left the relative interior of the dual"
+        )
     Y, s = weight
-    w = (*Y, s * lam[-1])
-    _verify_argmin(P, w, at, "weak witness")
+    w = (*Y, s * region_point[-1])
+    _verify_argmin(P, w, at, label)
     return at, w
 
 
@@ -803,22 +810,19 @@ def weakly_efficient_set(P: VLPProblem, max_faces: Optional[int] = None) -> Effi
 
 def _solution_set(P: VLPProblem, weak: bool, max_faces: Optional[int]) -> EfficientSet:
     """The body of efficient_set, and of weakly_efficient_set when weak.
-    Its early returns run no DD of W and are tried in order: D empty;
-    strict and K a subspace; weak and int K empty; weak and K = R^q."""
+    Its early returns run no DD of W: D empty, or a K that decides every
+    point of D (_trivial), which gives all of D or nothing."""
     gens = P._d_generators
-    sub = not P._cone_split[1]
-    eint = P.cone_interior_empty
+    verdict = _trivial(P, weak)
     kind = SetKind.WEAKLY_EFFICIENT if weak else SetKind.EFFICIENT
-    if not gens.points:
+    if not gens.points or verdict is False:
         found = ()
-    elif (eint if weak else sub):
+    elif verdict:
         everything = (1 << (len(gens.points) + len(gens.rays))) - 1
         found = (Face(_tag(gens.tight, everything), P.feasible_vrep),)
-    elif weak and not P.cone.normals:
-        found = ()
     else:
         found = _maximal_scalarizable(P, weak, max_faces)
-    return EfficientSet(P, kind, found, sub, eint)
+    return EfficientSet(P, kind, found, not P._cone_split[1], P.cone_interior_empty)
 
 
 def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCertificate:
@@ -848,15 +852,14 @@ def connect(P: VLPProblem, u: Vector, v: Vector, weak: bool = False) -> PathCert
     Y.(S M) over S h from P._image_rows, and the points are int forms; only
     the returned points, weights and breakpoints are made rational.
     """
-    witness = _weak_witness if weak else _strict_witness
     try:
-        at_u, xi0 = witness(P, u)
-        at_v, xi1 = (at_u, xi0) if u == v else witness(P, v)
+        at_u, xi0 = _witness(P, u, weak)
+        at_v, xi1 = (at_u, xi0) if u == v else _witness(P, v, weak)
     except NotEfficientError as exc:
         raise NotEfficientError("endpoint not efficient") from exc
     if u == v:
         return PathCertificate((u,), (), (rat(0), rat(1)))
-    if weak and P.cone_interior_empty:
+    if weak and _trivial(P, weak):
         # The weakly efficient set is all of D, which is convex: the straight
         # segment is a valid path and the zero weight scalarizes it trivially.
         return PathCertificate((u, v), (_view(xi0),), (rat(0), rat(1)))

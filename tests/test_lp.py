@@ -380,16 +380,19 @@ def test_golden_unmoved_outcomes(golden_outcomes):
 
 
 def test_value_only_core_matches_solve_lp():
-    # the refinement moves only the point: status, value and descent ray
-    # come from the two phases alone
+    # feasible and argmin_face read the status and the value off the
+    # value-only entry, over the HRep's scaled rows with every variable
+    # free; both are solve_lp's, whose split tableau reads the point
     for P, c in GOLDEN:
-        core, full = lp._solve(P, c), solve_lp(P, c)
-        assert core.point is None
-        assert (core.status, core.value, core.descent_ray) == (
-            full.status,
-            full.value,
-            full.descent_ray,
-        )
+        core, full = lp._solve_rows(P.dim, *lp._scaled_rows(P), _int_vector(c)), solve_lp(P, c)
+        assert core.point is None and core.descent_ray is None
+        assert (core.status, core.value) == (full.status, full.value)
+        assert feasible(P) == (full.status is not LPStatus.INFEASIBLE)
+        if full.status is LPStatus.OPTIMAL:
+            assert argmin_face(P, c) == P.with_extra_eqs([(c, full.value)])
+        else:
+            with pytest.raises(NoArgminError):
+                argmin_face(P, c)
 
 
 @pytest.mark.parametrize("start", range(0, len(GOLDEN), GOLDEN_BLOCK))
@@ -605,13 +608,13 @@ def test_free_columns_match_the_split_hrep_entry():
     # variable as x+ - x-.  Status and value agree on every program.
     for P, c in GOLDEN:
         got = lp._solve_rows(P.dim, *lp._scaled_rows(P), _int_vector(c))
-        want = lp._solve(P, c)
+        want = solve_lp(P, c)
         assert (got.status, got.value) == (want.status, want.value)
     statuses = Counter()
     for n, k, eqs, ineqs, c in sign_constrained_corpus():
         dim = n + k
         got = lp._solve_rows(dim, eqs, ineqs, _int_vector(c), k)
-        want = lp._solve(int_rows_as_hrep(dim, eqs, ineqs + sign_rows(n, k)), c)
+        want = solve_lp(int_rows_as_hrep(dim, eqs, ineqs + sign_rows(n, k)), c)
         assert (got.status, got.value) == (want.status, want.value)
         statuses[got.status] += 1
     assert statuses == {
@@ -660,5 +663,5 @@ def test_free_column_simplex_terminates_and_agrees_on_degenerate_programs(progra
     # drive-out of the artificials and phase two stay under this count
     m = len(eqs) + len(ineqs)
     assert len(pivots) <= 2 * math.comb(dim + len(ineqs) + m, m) + m
-    want = lp._solve(int_rows_as_hrep(dim, eqs, ineqs + sign_rows(n, k)), c)
+    want = solve_lp(int_rows_as_hrep(dim, eqs, ineqs + sign_rows(n, k)), c)
     assert (got.status, got.value) == (want.status, want.value)

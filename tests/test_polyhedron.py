@@ -546,7 +546,7 @@ def test_dd_cap_bounds_the_rays_held_at_any_step():
 def test_one_projection_per_double_description(monkeypatch):
     # rays are reduced modulo an integer echelon basis of the lineality space
     # during the method and projected orthogonally to it once, on output, in
-    # ints; the rational projector never runs in a conversion
+    # ints (polyhedron.py imports no rational projector: see test_source.py)
     events = []
     real_project, real_dd = polyhedron._project, polyhedron._dd
 
@@ -559,9 +559,6 @@ def test_one_projection_per_double_description(monkeypatch):
         events.append(("dd", bool(lin)))
         return lin, rays
 
-    monkeypatch.setattr(
-        polyhedron, "complement_projector", lambda basis, dim: events.append(("rational", dim))
-    )
     monkeypatch.setattr(polyhedron, "_project", project)
     monkeypatch.setattr(polyhedron, "_dd", dd)
     with_lineality = []

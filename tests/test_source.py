@@ -42,6 +42,20 @@ def test_scalars_are_read_through_the_backend_neutral_api():
     assert imports == ["exact.py"]
 
 
+def test_conversions_import_no_rational_elimination():
+    # h_to_v, v_to_h and assemble_vrep eliminate and project on the int
+    # double description core; exact.py's rational routines stay for the
+    # oracles and the cone views
+    tree = ast.parse((PACKAGE_DIR / "polyhedron.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported.isdisjoint({"rref", "complement_projector", "solve_linear", "kernel_basis"})
+
+
 def test_pipeline_builds_no_rational_hreps():
     # every LP and every weight region of vlp.py is written as int rows
     # from the problem's int data: no HRep.of, and no argmin_face, which

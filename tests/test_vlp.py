@@ -33,7 +33,16 @@ from gpolyvlp.instances import (
     triangle_problem,
 )
 from gpolyvlp.lp import LPStatus, UnsolvableSegmentError, argmin_face, solve_lp
-from gpolyvlp.polyhedron import FaceLimitError, HRep, VRep, contains, faces, h_to_v, vrep_contains
+from gpolyvlp.polyhedron import (
+    FaceLimitError,
+    HRep,
+    VRep,
+    contains,
+    faces,
+    h_to_v,
+    v_to_h,
+    vrep_contains,
+)
 from gpolyvlp.vlp import (
     InfeasiblePointError,
     InternalInvariantError,
@@ -125,6 +134,32 @@ class TestMembership:
             connect(P, u, v, weak=True)
         with pytest.raises(InfeasiblePointError):
             is_efficient(P, V(2, 0))
+
+    def test_pointed_cone_with_empty_interior(self):
+        # K = {y : y1 = 0, y2 <= 0} has empty interior and is no subspace:
+        # every point is weakly efficient with the zero weight, and the
+        # strict verdicts are the top edge's, tagged by the row y <= 1
+        square = HRep.of(2, ineqs=[((-1, 0), 0), ((0, -1), 0), ((1, 0), 1), ((0, 1), 1)])
+        P = VLPProblem(Matrix.identity(2), square, ConeH.of(2, [(1, 0), (-1, 0), (0, 1)]))
+        assert P.cone_interior_empty and not P.decomposition.is_subspace
+        verdicts = []
+        for u in P.feasible_vrep.points:
+            assert is_weakly_efficient(P, u)
+            assert weak_witness(P, u) == Vector.zero(2)
+            verdicts.append(is_efficient(P, u))
+            assert verdicts[-1] == (not dominated_via_generators(P, u))
+        assert verdicts == [False, True, False, True]
+        weak = weakly_efficient_set(P)
+        assert weak == solution_set_via_all_faces(P, weak=True)
+        assert [(f.active_ineq, f.geometry) for f in weak.faces] == [((), P.feasible_vrep)]
+        strict = efficient_set(P)
+        assert strict == solution_set_via_all_faces(P, weak=False)
+        assert [f.active_ineq for f in strict.faces] == [(3,)]
+        assert strict.faces[0].geometry.points == (V(0, 1), V(1, 1))
+        cert = connect(P, V(0, 0), V(1, 1), weak=True)
+        assert cert.points == (V(0, 0), V(1, 1))
+        assert cert.weights == (Vector.zero(2),)
+        assert cert.breakpoints == (rat(0), rat(1))
 
     @pytest.mark.parametrize(
         "D, points",
@@ -659,6 +694,17 @@ def test_solution_set_golden_digest():
     assert digest == "34f9c9b9abc7724ff09c1b23fd03951801f8c7532c093c18f9a3f7f83b5b1a2b"
 
 
+def test_image_sets_and_feasible_conversions_digest():
+    # the projected image (map_polyhedron -> assemble_vrep -> canonical_vrep)
+    # and the halfspace form of D's generators, which no set digest reads
+    problems = [VLPProblem(P.objective, P.feasible_set, P.cone) for P in SET_CORPUS]
+    doc = [[P.image_set.to_json_obj(), v_to_h(P.feasible_vrep).to_json_obj()] for P in problems]
+    assert (len(doc), sum(bool(image["lineality"]) for image, _ in doc)) == (262, 60)
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "007c640d922cbc014c42b311167044706bfb7c2244f8bc781c5332d69f2f2f49"
+
+
 def _capped(routine, *args, **kwargs):
     try:
         return routine(*args, **kwargs)
@@ -1002,8 +1048,9 @@ def test_int_weight_regions_scale_the_rational_rows():
             continue
         n_pts, n_gens = len(geom.points), len(geom.points) + len(geom.rays)
         lattice = lattice_faces(P)
+        lineality = tuple([polyhedron._int_vector(l) for l in geom.lineality])
         for weak in (False, True):
-            W = vlp._weight_space(P, weak, geom.lineality)
+            W = vlp._int_weight_space(P, weak, lineality)
             for G, F in lattice:
                 want = reference_weight_region(P, F, weak)
                 assert_rows_scale(vlp._face_region(P, F, weak), want)
@@ -1043,7 +1090,7 @@ def slack_program_value(P, u, weak, tangent, bounds=True):
         ineqs.append((row(zero_x, -Vector.unit(k, j)), rat(0)))
         if bounds:
             ineqs.append((row(zero_x, Vector.unit(k, j)), rat(1)))
-    out = lp._solve(HRep.of(n + k, eqs, ineqs), row(zero_x, Vector.of([-1] * k)))
+    out = solve_lp(HRep.of(n + k, eqs, ineqs), row(zero_x, Vector.of([-1] * k)))
     if out.status is LPStatus.UNBOUNDED and not bounds:
         return None
     assert out.status is LPStatus.OPTIMAL
@@ -1270,7 +1317,9 @@ def test_per_point_programs_have_no_equality_row_and_no_artificial(monkeypatch):
                 except NotEfficientError:
                     pass
     assert (len(problems), with_eqs) == (296, 158)
-    assert seen == {"_max_slack": 1392, "_verify_argmin": 536}
+    # no slack program on a subspace K (strict) or an empty-interior K
+    # (weak), whose verdicts K decides; the zero weight of either is verified
+    assert seen == {"_max_slack": 1282, "_verify_argmin": 696}
 
 
 def test_connect_paths_pass_the_lp_oracle_over_d():
@@ -1557,7 +1606,7 @@ def rational_firsts(P, c0, c1, bps):
     out = []
     for a, b in zip(bps, bps[1:]):
         c = c0 + (c1 - c0).scale((a + b) / 2)
-        res = lp._solve(P.feasible_set, c)
+        res = solve_lp(P.feasible_set, c)
         assert res.status is LPStatus.OPTIMAL
         out.append(next(k for k, p in enumerate(P.feasible_vrep.points) if c.dot(p) == res.value))
     return out
