@@ -4,11 +4,13 @@
 For every instance the script decides efficiency of a handful of feasible
 vertices along four independent routes: the direct membership program, the
 generator-based domination program, the quotient reduction, and the
-minimal-face witness system.  It stops at the first disagreement.  Each of
-those vertices also gets its strict and its weak witness, which must exist
-exactly for the (weakly) efficient ones, and each witness is checked
-without a solver, against the rational cone decomposition and D's
-generator form, as the path weights below are.  On every instance with two
+minimal-face witness system.  It stops at the first disagreement.  Each
+slack program that the tests run at those vertices, of both kinds, is
+solved once more on the general simplex, which must give the status of the
+cone core that the tests use.  Each of those vertices also gets its strict
+and its weak witness, which must exist exactly for the (weakly) efficient
+ones, and each witness is checked without a solver, against the rational
+cone decomposition and D's generator form, as the path weights below are.  On every instance with two
 decided vertices of a kind, efficient or weakly efficient, it connects the
 first and the last of them and checks the path without a solver: every
 point lies in D by exact row checks, every segment weight is admissible (in
@@ -45,9 +47,13 @@ from gpolyvlp.crosscheck import (
     solution_set_via_all_faces,
 )
 from gpolyvlp.instances import InstanceConfig, random_problem
+from gpolyvlp.lp import LPStatus, _cone_descent, _solve_rows
 from gpolyvlp.polyhedron import contains
 from gpolyvlp.vlp import (
     NotEfficientError,
+    _require_feasible,
+    _slack_program,
+    _trivial,
     connect,
     efficient_set,
     is_efficient,
@@ -101,6 +107,21 @@ def parse_args(argv=None) -> argparse.Namespace:
     except ValueError as exc:
         ap.error(f"invalid instance sizes: {exc}")
     return args
+
+
+def slack_statuses(P, u, weak: bool):
+    """The status of the slack program of u, of one kind, on the cone core
+    that the efficiency tests run and on the general simplex
+    (lp._solve_rows, every column free, the slacks' signs written as rows
+    -s <= 0), or None where K decides u and no program runs."""
+    if _trivial(P, weak) is not None:
+        return None
+    free, rows, cost = _slack_program(P, _require_feasible(P, u), weak)
+    n = len(cost)
+    core = LPStatus.OPTIMAL if _cone_descent(free, rows, cost) is None else LPStatus.UNBOUNDED
+    signs = [[0] * j + [-1] + [0] * (n - j - 1) for j in range(free, n)]
+    general = _solve_rows(n, (), [([*a, 0], 1) for a in rows + signs], (*cost, 1))
+    return core, general.status
 
 
 def weight_fault(P, w, points, weak: bool):
@@ -162,7 +183,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     config = args.config
     rng = random.Random(args.seed)
-    verdicts = efficient = witnesses = sets_checked = paths = 0
+    verdicts = efficient = witnesses = sets_checked = paths = slacks = 0
     t0 = time.perf_counter()
     for i in range(args.count):
         P = random_problem(rng, config, allow_subspace=args.allow_subspace)
@@ -188,6 +209,19 @@ def main(argv=None) -> int:
                     file=sys.stderr,
                 )
                 return 1
+            for weak in (False, True):
+                statuses = slack_statuses(P, u, weak)
+                if statuses is None:
+                    continue
+                if statuses[0] != statuses[1]:
+                    kind = "weak slack" if weak else "slack"
+                    print(
+                        f"{kind} program of vertex {u} of instance {i}: cone core "
+                        f"{statuses[0].value}, general simplex {statuses[1].value}",
+                        file=sys.stderr,
+                    )
+                    return 1
+                slacks += 1
             for weak, ok in ((False, verdict), (True, weak_verdict)):
                 fault = witness_fault(P, u, ok, weak)
                 if fault:
@@ -233,6 +267,7 @@ def main(argv=None) -> int:
     print(
         f"{args.count} instances, {verdicts} vertex verdicts "
         f"({efficient} efficient) agree on all four routes, "
+        f"{slacks} slack programs agree on the cone core and the general simplex, "
         f"{witnesses} witnesses check out, "
         f"{sets_checked} set pairs match the all-faces route and nest, "
         f"{paths} connect paths check out, {elapsed:.1f}s"

@@ -11,31 +11,43 @@ negative right-hand side) take an artificial, and the phase-one simplex
 runs only when some artificial starts above zero.  Its starting basis is
 read off one transpose of the rows.  Artificials serve only the HRep
 entries (solve_lp, feasible, argmin_face and parametric_breakpoints'
-checks) and the oracles' weight-region programs: every program of vlp.py's
-certificates, connect's included, has no equality row and only zero
-right-hand sides, so phase one takes its rows as the tableau.
+checks) and the oracles' weight-region programs: vlp.py's argmin
+re-checks have no equality row and only zero right-hand sides, so phase
+one takes their rows as the tableau.
 
-There is one simplex with two entries.  Its core, _optimize_rows, takes
+The general simplex has two entries.  Its core, _optimize_rows, takes
 int rows (ints [a | b], scale), the row format polyhedron._scaled_rows
 gives and the double description's int entry takes too, and a cost
 vector in the library's int form (*C, L), standing for C / L.  It gives
 every variable one column: free variables come first and are pivoted in
 with either sign of their reduced cost, never to leave the basis again;
 trailing sign-constrained variables need no -x <= 0 rows.  _solve_rows is
-the value-only entry: vlp.py builds its LPs (slack programs, weight
-regions, argmin checks) as int rows with no HRep in between, and feasible,
-argmin_face and parametric_breakpoints hand it an HRep's _scaled_rows with
-every variable free.  They read only the status and the optimal value,
-which every optimal basis shares, so no point and no ray is built for
-them.  solve_lp, the entry that returns a point, writes the split
-x = x+ - x- as data: rows [a | -a | b] over 2 dim sign-constrained
-variables with cost (c, -c), so its tableau is the split one, and reads a
-certified descent ray off the entering column of an unbounded program.  It
-adds a lexicographic refinement on top, so its optimal points are
-canonical.  Exact breakpoint analysis of objectives moving along a segment
-needs no simplex: it reads the candidate breakpoints off the int generators
-of the double description, with the costs in the same int form, and names
-the first argmin point of each interval among them.  parametric_breakpoints
+the value-only entry, every variable free: vlp.py builds its argmin
+re-checks and weight regions as int rows with no HRep in between, and
+feasible, argmin_face and parametric_breakpoints hand it an HRep's
+_scaled_rows.  They read only the status and the optimal value, which
+every optimal basis shares, so no point and no ray is built for them.
+solve_lp, the entry that returns a point, writes the split x = x+ - x- as
+data: rows [a | -a | b] over 2 dim sign-constrained variables with cost
+(c, -c), so its tableau is the split one, and reads a certified descent
+ray off the entering column of an unbounded program.  It adds a
+lexicographic refinement on top, so its optimal points are canonical.
+
+Homogeneous cone programs, min c.x over {x : a.x <= 0} with free and
+sign-constrained columns, have their own simplex, _cone_descent: the
+slack basis is feasible and every pivot degenerate, so it runs Bland's
+phase two alone on a condensed int tableau whose rows are scaled one by
+one, with no right-hand side, no common denominator, no row writer, no
+phase one and no LPOutcome.  It answers "bounded, optimum 0" with a dual
+certificate checked in ints, or with a descending edge direction.  The
+efficiency tests' slack programs run on it.  vlp.py's argmin re-checks,
+cone programs too, stay on the general simplex on purpose: a weight that
+a double description found is then re-checked by a second LP code.
+
+Exact breakpoint analysis of objectives moving along a segment needs no
+simplex: it reads the candidate breakpoints off the int generators of the
+double description, with the costs in the same int form, and names the
+first argmin point of each interval among them.  parametric_breakpoints
 re-checks each breakpoint with an LP over the polyhedron; vlp.connect
 certifies its own on tangent cones instead.
 """
@@ -392,20 +404,117 @@ def _optimize_rows(
     return LPOutcome(LPStatus.OPTIMAL, Rational(_dot(cx, T.values()), L * T.det)), T, None
 
 
-def _solve_rows(
-    dim: int, eqs: Sequence, ineqs: Sequence, cost: Sequence, nonneg: int = 0
-) -> LPOutcome:
+def _solve_rows(dim: int, eqs: Sequence, ineqs: Sequence, cost: Sequence) -> LPOutcome:
     """Status and optimal value of min c.x over integer rows: eqs are the
     rows a.x = b and ineqs the rows a.x <= b, each (ints [a | b], scale)
     with scale the row's positive factor over its rational row, and the
     cost c = C / L is the int generator cost = (*C, L), L > 0.  Every
-    variable is one simplex column: the first dim - nonneg are free, the
-    last nonneg sign-constrained, so a caller writes no -x_j <= 0 rows for
-    them.  The outcome has no point and no ray; an unbounded one has passed
-    the descent check in ints.  The pipeline builds its programs this way,
-    with no HRep.
+    variable is one free simplex column.  The outcome has no point and no
+    ray; an unbounded one has passed the descent check in ints.  The
+    pipeline builds its programs this way, with no HRep.
     """
-    return _optimize_rows(dim, eqs, ineqs, cost, nonneg)[0]
+    return _optimize_rows(dim, eqs, ineqs, cost)[0]
+
+
+# ---------------------------------------------------------------------------
+# homogeneous cone programs
+#
+# min c.x over the cone {x : a.x <= 0}: every right-hand side is 0, so the
+# slack basis is feasible, every basic solution is the origin and every
+# pivot is degenerate.  All ratios tie at 0, so the ratio test reduces to
+# Bland's tie-break, and no row's scale is ever compared with another's:
+# each row keeps its own positive scale, divided out by its gcd after each
+# elimination, with no common denominator and no right-hand-side column.
+# The tableau is condensed, one column per nonbasic variable: row i is the
+# equation s_i x_B(i) + sum_j row_i[j] x_N(j) = 0, with its scale s_i > 0
+# stored last, and the objective row, alpha c.x = sum_j obj[j] x_N(j),
+# carries alpha > 0 last.  Variables are labelled 0..n-1, and the slack of
+# row i is n + i.
+
+
+def _cone_descent(free: int, rows: Sequence, cost: Sequence) -> Optional[list]:
+    """Phase two of min cost.x over {x : a.x <= 0 for a in rows}, started
+    on the slack basis, in ints: the first free variables are free columns
+    and the rest are >= 0.  rows are int vectors and cost an int vector,
+    all of one length; positive scalings of either change nothing.
+
+    Returns None when the program is bounded, so its optimum is 0, or an
+    int direction d of an unbounded edge: every a.d <= 0, d >= 0 on the
+    sign-constrained columns and cost.d < 0.  Both answers are checked in
+    ints: d must descend, and a bounded answer must carry its dual
+    certificate.  That is y >= 0, the slacks' reduced costs, with the
+    variables' reduced costs, which are >= 0 and 0 on the free columns,
+    equal to alpha cost + y.A; then cost.x >= 0 on the whole cone.
+
+    Bland's rule picks the entering variable (lowest eligible label; a free
+    one is eligible with either sign of its reduced cost, and enters
+    decreasing when it is positive) and the leaving row (lowest basic label
+    among the rows of sign-constrained basic variables with an entry of the
+    entering sign), which rules out cycling; a free variable never leaves
+    once it has entered.
+    """
+    n = len(cost)
+    tab = [[*a, 1] for a in rows]
+    basic = list(range(n, n + len(tab)))
+    nonbasic = list(range(n))
+    obj = [*cost, 1]
+    while True:
+        enter = None
+        for c, label in enumerate(nonbasic):
+            v = obj[c]
+            if (v < 0 or (v and label < free)) and (enter is None or label < nonbasic[enter]):
+                enter = c
+        if enter is None:
+            break
+        sign = 1 if obj[enter] < 0 else -1
+        leave = None
+        for r, (b, row) in enumerate(zip(basic, tab)):
+            if row[enter] * sign > 0 and b >= free and (leave is None or b < basic[leave]):
+                leave = r
+        if leave is None:
+            # x_N(enter) moves by sign L and x_B(i) by -sign row_i[enter] L / s_i,
+            # with L the lcm of the s_i that move; slacks are not returned
+            steps = [(b, row[-1], row[enter]) for b, row in zip(basic, tab) if row[enter] and b < n]
+            L = math.lcm(*[s for _, s, _ in steps])
+            d = [0] * n
+            if nonbasic[enter] < n:
+                d[nonbasic[enter]] = sign * L
+            for b, s, a in steps:
+                d[b] = -sign * a * (L // s)
+            if _dot(cost, d) >= 0:
+                raise InternalInvariantError("unbounded edge of a cone program does not descend")
+            return d
+        prow = tab[leave] if sign > 0 else [-v for v in tab[leave]]
+        p, s = prow[enter], prow[-1]
+        # eliminating x_N(enter) from another row, times p, puts -f s in
+        # the column that x_B(leave) takes over, and p times its scale last
+        elim = prow[:]
+        elim[enter] = p + s
+        elim[-1] = 0
+        for r, row in enumerate(tab):
+            f = row[enter]
+            if f and r != leave:
+                new = [p * v - f * w for v, w in zip(row, elim)]
+                g = math.gcd(*new)
+                tab[r] = new if g == 1 else [v // g for v in new]
+        f = obj[enter]
+        obj = [p * v - f * w for v, w in zip(obj, elim)]
+        g = math.gcd(*obj)
+        if g > 1:
+            obj = [v // g for v in obj]
+        prow[enter], prow[-1] = s, p
+        tab[leave] = prow
+        basic[leave], nonbasic[enter] = nonbasic[enter], basic[leave]
+    # the reduced costs by label, 0 on the basic ones
+    reduced = [0] * (n + len(tab))
+    for label, v in zip(nonbasic, obj):
+        reduced[label] = v
+    y, alpha = reduced[n:], obj[-1]
+    cols = zip(*rows) if rows else [()] * n
+    certified = all(v - _dot(y, col) == alpha * c for v, col, c in zip(reduced, cols, cost))
+    if not certified:
+        raise InternalInvariantError("bounded cone program without a zero-optimum certificate")
+    return None
 
 
 def solve_lp(P: HRep, c: Vector) -> LPOutcome:

@@ -17,14 +17,17 @@ Witnesses come first.  By the efficiency criterion a verified weight
 argmin over D certifies u by itself, so scalarize_witness, weak_witness and
 connect run no efficiency test of their own; only an empty weight region
 runs the primal slack program of is_efficient / is_weakly_efficient, to
-confirm that u is dominated.  No LP here reads an optimal point, so all of
-them run through the value-only lp._solve_rows.  Both kinds share one
-body: _efficient behind the two tests, and _witness behind the two
-witnesses and connect.  Where K alone decides every point of D (_trivial:
-strict and K a subspace, all; weak and int K empty, all; weak and K = R^q,
-none), the tests run no program, the witness is the zero weight, verified
-by the same argmin re-check as any other, and the set routines return all
-of D or nothing.
+confirm that u is dominated.  No LP here reads an optimal point.  The
+slack programs run on lp._cone_descent, the simplex for homogeneous cone
+programs; the argmin re-checks run on the general value-only
+lp._solve_rows, so a weight that a DD found is re-checked by a second LP
+code.  Both kinds share one body: _efficient behind the two tests, and
+_witness behind the two witnesses and connect.  Where K alone decides
+every point of D (_trivial: strict and K a subspace, all; weak and int K
+empty, all; weak and K = R^q, none), the tests run no program, the
+witness is the zero weight, whose argmin re-check is an int test that
+its cost is constant on D (_verify_constant), and the set routines
+return all of D or nothing.
 
 The certificates of a point u are posed on the tangent cone
 T_D(u) = cone(D - u), cut out by D's equalities and the inequalities tight
@@ -99,7 +102,7 @@ from typing import Optional
 
 from .cone import ConeDecomposition, ConeH, _decomposition, _dual_weight, _split
 from .exact import Matrix, Rational, Vector, _integers, complement_projector, rat
-from .lp import LPStatus, _breakpoints, _solve_rows
+from .lp import LPStatus, _breakpoints, _cone_descent, _solve_rows
 from .polyhedron import (
     Face,
     HRep,
@@ -370,10 +373,10 @@ def _feasible_form(P: VLPProblem, ui: tuple) -> tuple:
     return ui, tuple(tight)
 
 
-def _max_slack(P: VLPProblem, at: tuple, weak: bool) -> Optional[Rational]:
+def _max_slack(P: VLPProblem, at: tuple, weak: bool) -> Optional[int]:
     """Optimum of the slack program behind the efficiency tests, posed on
     the tangent cone T_D(u) of the point u with feasible form at (see
-    _require_feasible): zero exactly when u is (weakly) efficient, and None
+    _require_feasible): 0 exactly when u is (weakly) efficient, and None
     when the slack is unbounded, which is the other case.
 
     Variables are (d, s) with d in T_D(u) and <n_j, -M d> <= -s_j for every
@@ -381,8 +384,7 @@ def _max_slack(P: VLPProblem, at: tuple, weak: bool) -> Optional[Rational]:
     s_j >= 0; the weak program shares one slack t >= 0 between all normals.
     The objective maximizes the total slack.  Every row is homogeneous, so
     the feasible set is a cone: a feasible point with a positive slack
-    scales without bound, and otherwise the optimum is 0.  A bounded
-    program with a nonzero optimum raises InternalInvariantError.
+    scales without bound, and otherwise the optimum is 0.
 
     This is the program over x in D in the shifted variables d = x - u,
     with D's rows that are slack at u dropped.  D is convex, so every d in
@@ -390,28 +392,35 @@ def _max_slack(P: VLPProblem, at: tuple, weak: bool) -> Optional[Rational]:
     closed under positive scaling: a dominating x exists exactly when a
     dominating direction d does.
 
+    The program (_slack_program) is a homogeneous cone program, so it runs
+    on lp._cone_descent: phase two from the slack basis, with no
+    right-hand side and no common denominator.  That core checks both of
+    its answers in ints, the descent of an unbounded edge and the dual
+    certificate of the zero optimum, and raises InternalInvariantError
+    when either fails.
+    """
+    return 0 if _cone_descent(*_slack_program(P, at, weak)) is None else None
+
+
+def _slack_program(P: VLPProblem, at: tuple, weak: bool) -> tuple:
+    """_max_slack's program as (free, rows, cost) for lp._cone_descent.
+
     d = B z runs over the kernel of D's equalities, so the program is
     written in P._tangent_frame: z is free, the slacks are sign-constrained
-    columns, and the rows are the tight inequalities (a B, 0 | 0) and a cone
-    row (S (-M^T n_j) B, S e_j | 0) of scale S per normal.  There is no
-    equality row and every right-hand side is 0, so (0, 0) is feasible on
-    the slack basis and no phase one runs.
+    columns, and the rows are the tight inequalities (a B, 0) and a cone
+    row (S (-M^T n_j) B, S e_j) of scale S per normal, all <= 0.  The cost
+    is -1 on every slack.
     """
     width, ineqs, cone_rows, _ = P._tangent_frame
     S = P._weak_image_rows[1]
     k = 1 if weak else len(cone_rows)
-    pad = (0,) * (k + 1)
-    rows = [(ineqs[i][0] + pad, ineqs[i][1]) for i in at[1]]
+    pad = (0,) * k
+    rows = [ineqs[i][0] + pad for i in at[1]]
     for j, a in enumerate(cone_rows):
-        s = [0] * (k + 1)
+        s = [0] * k
         s[0 if weak else j] = S
-        rows.append(((*a, *s), S))
-    out = _solve_rows(width + k, (), rows, (0,) * width + (-1,) * k + (1,), k)
-    if out.status is LPStatus.UNBOUNDED:
-        return None
-    if out.status is not LPStatus.OPTIMAL or out.value != 0:
-        raise InternalInvariantError("slack program on the tangent cone has no zero optimum")
-    return out.value
+        rows.append((*a, *s))
+    return width, rows, (0,) * width + (-1,) * k
 
 
 def is_efficient(P: VLPProblem, u: Vector) -> bool:
@@ -624,6 +633,19 @@ def _verify_argmin(P: VLPProblem, w: tuple, at: tuple, label: str) -> None:
         )
 
 
+def _verify_constant(P: VLPProblem, w: tuple, label: str) -> None:
+    """Re-verify in ints that c = M^T y*, for the weight y* = Y / h given
+    as the int generator w = (*Y, h), is constant on D, so that every point
+    of D minimizes c.x over D.  c is constant on D exactly when c.d = 0 on
+    the kernel of D's equalities, d = B z, that is when the cost row
+    Y.(S M B) of _verify_argmin's program is zero.  It stands for that
+    program where its answer is fixed: for the zero weight, which _witness
+    gives where K decides every point, min c.d over T_D(u) is 0 whatever u
+    is, and u has passed _require_feasible already."""
+    if any(_dot(w[:-1], col) for col in P._tangent_frame[3]):
+        raise InternalInvariantError("%s is not constant on D" % label)
+
+
 def scalarize_witness(P: VLPProblem, u: Vector) -> Vector:
     """A dual vector y* in the relative interior of K* with u minimizing
     x -> <M^T y*, x> over D.
@@ -664,7 +686,8 @@ def _witness(P: VLPProblem, u: Vector, weak: bool) -> tuple:
     """scalarize_witness in ints, or weak_witness when weak: (at, w), with
     at the feasible form of u (see _require_feasible) and w = (*Y, h) the
     verified weight Y / h.  Where K decides every point (_trivial), the
-    weight is zero, and it is verified as any other."""
+    weight is zero, and its argmin re-check is the int check of
+    _verify_constant, with no LP."""
     at = _require_feasible(P, u)
     label = "weak witness" if weak else "witness"
     verdict = _trivial(P, weak)
@@ -672,7 +695,7 @@ def _witness(P: VLPProblem, u: Vector, weak: bool) -> tuple:
         raise NotEfficientError("not weakly efficient")
     if verdict:
         w = (0,) * P.cone.dim + (1,)
-        _verify_argmin(P, w, at, "zero " + label)
+        _verify_constant(P, w, "zero " + label)
         return at, w
     region_point = _point_weight(P, at, weak)
     weight = _dual_weight(P.cone, P._cone_split, region_point[:-1], weak)

@@ -3,7 +3,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
-from gpolyvlp import polyhedron
+from gpolyvlp import lp, polyhedron
 
 settings.register_profile(
     "default",
@@ -49,3 +49,30 @@ def adjacency_verdicts(monkeypatch):
     monkeypatch.setattr(polyhedron, "_dd", dd)
     monkeypatch.setattr(polyhedron, "_adjacent", adjacent)
     return verdicts
+
+
+@pytest.fixture
+def cone_program_oracle():
+    """A check of lp._cone_descent on one homogeneous cone program
+    (free, rows, cost) against the general simplex, lp._optimize_rows with
+    the rows written as (ints [a | 0], 1) and the trailing columns
+    sign-constrained.  The statuses must agree, a bounded program must
+    have the value 0 there, and a returned direction d is checked in ints:
+    a.d <= 0 on every row, d >= 0 on the sign-constrained columns and
+    cost.d < 0.  Returns the status."""
+
+    def check(free, rows, cost):
+        n = len(cost)
+        d = lp._cone_descent(free, rows, cost)
+        want = lp._optimize_rows(n, (), [([*a, 0], 1) for a in rows], (*cost, 1), n - free)[0]
+        if d is None:
+            assert (want.status, want.value) == (lp.LPStatus.OPTIMAL, 0)
+            return lp.LPStatus.OPTIMAL
+        assert want.status is lp.LPStatus.UNBOUNDED
+        assert len(d) == n and all(isinstance(x, int) for x in d)
+        assert all(sum(a * x for a, x in zip(row, d)) <= 0 for row in rows)
+        assert all(x >= 0 for x in d[free:])
+        assert sum(c * x for c, x in zip(cost, d)) < 0
+        return lp.LPStatus.UNBOUNDED
+
+    return check

@@ -27,7 +27,7 @@ from gpolyvlp.lp import (
     parametric_breakpoints,
     solve_lp,
 )
-from gpolyvlp.polyhedron import HRep, _int_vector, contains, h_to_v
+from gpolyvlp.polyhedron import HRep, InternalInvariantError, _int_vector, contains, h_to_v
 
 
 def unit_square():
@@ -489,21 +489,26 @@ class TestKernelCases:
         assert oracle_status(P, c) == (LPStatus.OPTIMAL, want.value)
 
     def test_efficiency_test_runs_phase_two_only(self, monkeypatch):
-        # the slack program is posed at the point it tests, so it starts
-        # feasible and only the phase-two simplex runs
+        # the slack program is a homogeneous cone program posed at the point
+        # it tests, so it runs once on the cone core, phase two from the
+        # slack basis, and the general simplex does not run at all
+        from gpolyvlp import vlp
         from gpolyvlp.instances import triangle_problem
-        from gpolyvlp.vlp import is_efficient
 
         calls = []
-        simplex = lp._simplex
 
-        def counting(T, frozen=None):
-            calls.append(T)
-            return simplex(T, frozen)
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(lp, "_simplex", counting)
-        assert is_efficient(triangle_problem(), vec([0, 1]))
-        assert len(calls) == 1
+            return wrapper
+
+        monkeypatch.setattr(vlp, "_cone_descent", counting("core", lp._cone_descent))
+        for name in ("_simplex", "_phase_one"):
+            monkeypatch.setattr(lp, name, counting(name, getattr(lp, name)))
+        assert vlp.is_efficient(triangle_problem(), vec([0, 1]))
+        assert calls == ["core"]
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +618,7 @@ def test_free_columns_match_the_split_hrep_entry():
     statuses = Counter()
     for n, k, eqs, ineqs, c in sign_constrained_corpus():
         dim = n + k
-        got = lp._solve_rows(dim, eqs, ineqs, _int_vector(c), k)
+        got = lp._optimize_rows(dim, eqs, ineqs, _int_vector(c), k)[0]
         want = solve_lp(int_rows_as_hrep(dim, eqs, ineqs + sign_rows(n, k)), c)
         assert (got.status, got.value) == (want.status, want.value)
         statuses[got.status] += 1
@@ -656,7 +661,7 @@ def test_free_column_simplex_terminates_and_agrees_on_degenerate_programs(progra
         real(T, row, col)
 
     with mock.patch.object(lp._Tableau, "pivot", counting):
-        got = lp._solve_rows(dim, eqs, ineqs, _int_vector(c), k)
+        got = lp._optimize_rows(dim, eqs, ineqs, _int_vector(c), k)[0]
     # a free column never leaves the basis once it has entered
     assert all(pivots)
     # Bland's rule visits no basis twice in a phase: phase one, the
@@ -665,3 +670,45 @@ def test_free_column_simplex_terminates_and_agrees_on_degenerate_programs(progra
     assert len(pivots) <= 2 * math.comb(dim + len(ineqs) + m, m) + m
     want = solve_lp(int_rows_as_hrep(dim, eqs, ineqs + sign_rows(n, k)), c)
     assert (got.status, got.value) == (want.status, want.value)
+
+
+# ---------------------------------------------------------------------------
+# the cone core: homogeneous programs from the slack basis
+
+
+def homogeneous_corpus(count=400, seed=2424):
+    """Seeded homogeneous cone programs (free, rows, cost): 0 to 3 free
+    columns, then 1 to 3 sign-constrained ones.  Entries are small, so
+    ties and zero entries abound, and some rows repeat, as the row itself
+    or a positive multiple of it."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        free, k = rng.randint(0, 3), rng.randint(1, 3)
+        n = free + k
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n + 2))]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            rows.append([rng.choice((1, 2)) * v for v in rng.choice(rows)])
+        rng.shuffle(rows)
+        cases.append((free, rows, [rng.randint(-2, 2) for _ in range(n)]))
+    return cases
+
+
+def test_cone_core_matches_the_general_simplex(cone_program_oracle):
+    statuses = Counter(cone_program_oracle(*case) for case in homogeneous_corpus())
+    assert statuses == {LPStatus.UNBOUNDED: 237, LPStatus.OPTIMAL: 163}
+
+
+def test_cone_core_checks_both_of_its_answers(monkeypatch):
+    # min -x0 over x0 <= x1, x >= 0 is unbounded along (1, 1); min x over
+    # -x <= 0, x free, is bounded, with the dual weight 1 on its row.  A dot
+    # product that reads 0 fails the descent check of the first and the
+    # dual certificate of the second.
+    unbounded, bounded = (0, [[1, -1]], [-1, 0]), (1, [[-1]], [1])
+    assert lp._cone_descent(*unbounded) == [1, 1]
+    assert lp._cone_descent(*bounded) is None
+    monkeypatch.setattr(lp, "_dot", lambda a, b: 0)
+    with pytest.raises(InternalInvariantError, match="does not descend"):
+        lp._cone_descent(*unbounded)
+    with pytest.raises(InternalInvariantError, match="zero-optimum certificate"):
+        lp._cone_descent(*bounded)

@@ -114,10 +114,23 @@ def _functions(source: str) -> list:
     ]
 
 
+def _callers(name: str) -> list:
+    return sorted(
+        node.name
+        for path in SOURCES
+        for node in _functions(path.name)
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] == name
+            for call in ast.walk(node)
+        )
+    )
+
+
 def test_one_simplex_core():
-    # free columns, sign-constrained columns and the HRep split all run on
-    # one tableau, one phase one and one simplex; the split is written as
-    # data, so the row writer has exactly one caller
+    # the general simplex: free columns, sign-constrained columns and the
+    # HRep split all run on one tableau, one phase one and one simplex; the
+    # split is written as data, so the row writer has exactly one caller
     core = ("_Tableau", "_write_rows", "_phase_one", "_simplex")
     defined = Counter(
         (path.name, node.name)
@@ -126,17 +139,15 @@ def test_one_simplex_core():
         if node.name in core
     )
     assert defined == {("lp.py", name): 1 for name in core}
-    callers = sorted(
-        node.name
-        for path in SOURCES
-        for node in _functions(path.name)
-        if isinstance(node, ast.FunctionDef)
-        and any(
-            isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] == "_write_rows"
-            for call in ast.walk(node)
-        )
-    )
-    assert callers == ["_optimize_rows"]
+    assert _callers("_write_rows") == ["_optimize_rows"]
+
+
+def test_cone_core_serves_the_slack_programs_only():
+    # the efficiency tests' slack programs run on the cone core; the argmin
+    # re-checks stay on the general simplex, a second LP code for weights
+    # that a double description found
+    assert _callers("_cone_descent") == ["_max_slack"]
+    assert "_verify_argmin" in _callers("_solve_rows")
 
 
 def _names_used(source: str, functions: tuple, idents: set) -> list:
@@ -161,10 +172,12 @@ def _names_used(source: str, functions: tuple, idents: set) -> list:
 
 
 def test_per_point_programs_are_written_in_ints():
-    # the slack programs and the argmin re-check take their rows and their
-    # int cost from the problem's int frame, with no rational in between
+    # the slack programs and the argmin re-checks take their rows and their
+    # int cost from the problem's int frame, with no rational in between,
+    # and the slack verdict is an int
     rational = {"Vector", "ONE", "ZERO", "tmatvec"}
-    assert _names_used("vlp.py", ("_max_slack", "_verify_argmin"), rational) == []
+    functions = ("_max_slack", "_slack_program", "_verify_argmin", "_verify_constant")
+    assert _names_used("vlp.py", functions, rational) == []
 
 
 def test_connect_is_written_in_ints():

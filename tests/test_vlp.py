@@ -395,6 +395,21 @@ def test_argmin_recheck_accepts_a_weight_that_scalarizes_u():
     vlp._verify_argmin(P, ints(V(0, 0)), at(V("2/3", "2/3")), "witness")
 
 
+def test_constant_recheck_rejects_a_weight_whose_cost_varies_on_d():
+    # the zero weight's argmin re-check is an int test that its cost is
+    # constant on D; on the segment x1 + x2 = 1 of the first quadrant the
+    # weight (1, 1) passes it too, and (1, 3) fails it on that segment and
+    # on the triangle
+    ints = polyhedron._int_vector
+    D = HRep.of(2, [([1, 1], 1)], [([-1, 0], 0), ([0, -1], 0)])
+    segment = VLPProblem(Matrix.identity(2), D, first_quadrant())
+    for P in (triangle_problem(), segment):
+        vlp._verify_constant(P, ints(V(0, 0)), "zero witness")
+        with pytest.raises(InternalInvariantError, match="label is not constant on D"):
+            vlp._verify_constant(P, ints(V(1, 3)), "label")
+    vlp._verify_constant(segment, ints(V(1, 1)), "witness")
+
+
 def test_connect_converts_the_feasible_set_once(monkeypatch):
     # every DD of a polyhedron, h_to_v and the witness regions included,
     # runs polyhedron._generators; the one of D runs on D's int rows, which
@@ -1257,17 +1272,34 @@ def cut_box_with_equality(rng):
     return VLPProblem(P.objective, D, P.cone)
 
 
+def per_point_corpus():
+    """Fresh copies of the set corpus, the problem files and 30 cut boxes
+    with an equality: 296 problems, 158 of them with equalities in D."""
+    rng = random.Random(1717)
+    problems = [VLPProblem(P.objective, P.feasible_set, P.cone) for P in SET_CORPUS]
+    problems += [load_problem(str(path)) for path in sorted(PROBLEMS_DIR.glob("*.json"))]
+    return problems + [cut_box_with_equality(rng) for _ in range(30)]
+
+
 def test_per_point_programs_have_no_equality_row_and_no_artificial(monkeypatch):
     # every slack program and argmin re-check is written in the frame of
-    # D's equalities, over the tangent cone: it reaches the LP core with no
-    # equality row and only zero right-hand sides, so phase one takes its
-    # rows as the tableau, with no artificial column and no pivot
+    # D's equalities, over the tangent cone.  The slack programs run on the
+    # cone core; the argmin re-checks reach the general LP core with no
+    # equality row and only zero right-hand sides, so phase one takes their
+    # rows as the tableau, with no artificial column and no pivot; the zero
+    # weight's re-check runs no LP
     caller, seen = [], Counter()
-    real_optimize, real_phase_one = lp._optimize_rows, lp._phase_one
+    real_core, real_optimize, real_phase_one = (
+        vlp._cone_descent,
+        lp._optimize_rows,
+        lp._phase_one,
+    )
 
     def within(name, real):
         def wrapper(*args, **kwargs):
             caller.append(name)
+            if name == "_verify_constant":
+                seen[name] += 1
             try:
                 return real(*args, **kwargs)
             finally:
@@ -1275,10 +1307,14 @@ def test_per_point_programs_have_no_equality_row_and_no_artificial(monkeypatch):
 
         return wrapper
 
+    def core(free, rows, cost):
+        seen[caller[-1], "_cone_descent"] += 1
+        return real_core(free, rows, cost)
+
     def optimize(dim, eqs, ineqs, cost, nonneg=0):
         if caller:
             assert not eqs and all(ints[dim] == 0 for ints, _ in ineqs)
-            seen[caller[-1]] += 1
+            seen[caller[-1], "_optimize_rows"] += 1
         return real_optimize(dim, eqs, ineqs, cost, nonneg)
 
     def phase_one(rows, scales, nvars, free=0):
@@ -1296,15 +1332,13 @@ def test_per_point_programs_have_no_equality_row_and_no_artificial(monkeypatch):
         real_pivot(T, row, col)
 
     in_phase_one, real_pivot = [], lp._Tableau.pivot
-    for name in ("_max_slack", "_verify_argmin"):
+    for name in ("_max_slack", "_verify_argmin", "_verify_constant"):
         monkeypatch.setattr(vlp, name, within(name, getattr(vlp, name)))
+    monkeypatch.setattr(vlp, "_cone_descent", core)
     monkeypatch.setattr(lp, "_optimize_rows", optimize)
     monkeypatch.setattr(lp, "_phase_one", phase_one)
     monkeypatch.setattr(lp._Tableau, "pivot", pivot)
-    rng = random.Random(1717)
-    problems = [VLPProblem(P.objective, P.feasible_set, P.cone) for P in SET_CORPUS]
-    problems += [load_problem(str(path)) for path in sorted(PROBLEMS_DIR.glob("*.json"))]
-    problems += [cut_box_with_equality(rng) for _ in range(30)]
+    problems = per_point_corpus()
     with_eqs = 0
     for P in problems:
         with_eqs += bool(P.feasible_set.eq_rows())
@@ -1318,8 +1352,33 @@ def test_per_point_programs_have_no_equality_row_and_no_artificial(monkeypatch):
                     pass
     assert (len(problems), with_eqs) == (296, 158)
     # no slack program on a subspace K (strict) or an empty-interior K
-    # (weak), whose verdicts K decides; the zero weight of either is verified
-    assert seen == {"_max_slack": 1282, "_verify_argmin": 696}
+    # (weak), whose verdicts K decides; the zero weight of either is
+    # verified in ints
+    assert seen == {
+        ("_max_slack", "_cone_descent"): 1282,
+        ("_verify_argmin", "_optimize_rows"): 426,
+        "_verify_constant": 270,
+    }
+
+
+def test_slack_programs_on_the_cone_core_match_the_general_simplex(cone_program_oracle):
+    # every slack program of both kinds at every vertex of the corpus, on
+    # the cone core and on the general simplex, with the core's unbounded
+    # edges checked in ints
+    statuses = Counter()
+    for P in per_point_corpus():
+        for u in P.feasible_vrep.points:
+            at = vlp._require_feasible(P, u)
+            for weak in (False, True):
+                if vlp._trivial(P, weak) is None:
+                    program = vlp._slack_program(P, at, weak)
+                    statuses[weak, cone_program_oracle(*program)] += 1
+    assert statuses == {
+        (False, LPStatus.OPTIMAL): 216,
+        (False, LPStatus.UNBOUNDED): 236,
+        (True, LPStatus.OPTIMAL): 210,
+        (True, LPStatus.UNBOUNDED): 192,
+    }
 
 
 def test_connect_paths_pass_the_lp_oracle_over_d():
