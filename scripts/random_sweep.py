@@ -10,7 +10,10 @@ solved once more on the general simplex, which must give the status of the
 cone core that the tests use.  Each of those vertices also gets its strict
 and its weak witness, which must exist exactly for the (weakly) efficient
 ones, and each witness is checked without a solver, against the rational
-cone decomposition and D's generator form, as the path weights below are.  On every instance with two
+cone decomposition and D's generator form, as the path weights below are.
+Every argmin re-check that the witnesses and the paths below run on the
+cone core is solved once more on the general simplex too, and the two must
+agree.  On every instance with two
 decided vertices of a kind, efficient or weakly efficient, it connects the
 first and the last of them and checks the path without a solver: every
 point lies in D by exact row checks, every segment weight is admissible (in
@@ -30,6 +33,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import random
 import sys
 import time
@@ -39,6 +43,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from gpolyvlp import vlp
 from gpolyvlp.cli import DEFAULT_MAX_FACES
 from gpolyvlp.crosscheck import (
     dominated_via_generators,
@@ -51,6 +56,7 @@ from gpolyvlp.lp import LPStatus, _cone_descent, _solve_rows
 from gpolyvlp.polyhedron import contains
 from gpolyvlp.vlp import (
     NotEfficientError,
+    _argmin_program,
     _require_feasible,
     _slack_program,
     _trivial,
@@ -124,6 +130,43 @@ def slack_statuses(P, u, weak: bool):
     return core, general.status
 
 
+@contextlib.contextmanager
+def recorded_argmin_programs():
+    """Within the block, every argmin re-check that the witnesses and
+    connect run (vlp._verify_argmin) also appends its program
+    (free, rows, cost), as vlp._argmin_program writes it, to the list the
+    block gets."""
+    programs = []
+    real = vlp._verify_argmin
+
+    def recording(P, w, at, label):
+        programs.append(_argmin_program(P, w, at))
+        return real(P, w, at, label)
+
+    vlp._verify_argmin = recording
+    try:
+        yield programs
+    finally:
+        vlp._verify_argmin = real
+
+
+def argmin_fault(programs: list):
+    """What is wrong with the recorded argmin re-check programs, or None;
+    empties the list.  Each is solved on the cone core that the re-checks
+    run and on the general simplex (lp._solve_rows, every column free), and
+    the two statuses must agree."""
+    try:
+        for free, rows, cost in programs:
+            core = _cone_descent(free, rows, cost)
+            general = _solve_rows(free, (), [([*a, 0], 1) for a in rows], (*cost, 1)).status
+            if (core is None) != (general is LPStatus.OPTIMAL):
+                bounded = "bounded" if core is None else "unbounded"
+                return f"argmin re-check: cone core {bounded}, general simplex {general.value}"
+        return None
+    finally:
+        programs.clear()
+
+
 def weight_fault(P, w, points, weak: bool):
     """What is wrong with the weight w as a certificate that every point in
     points minimizes (M^T w).x over D, or None.  w must be admissible: in
@@ -181,9 +224,16 @@ def path_fault(P, u, v, weak: bool):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    with recorded_argmin_programs() as programs:
+        return sweep(args, programs)
+
+
+def sweep(args: argparse.Namespace, programs: list) -> int:
+    """The sweep of main, with the argmin re-checks it runs recorded into
+    programs (see recorded_argmin_programs)."""
     config = args.config
     rng = random.Random(args.seed)
-    verdicts = efficient = witnesses = sets_checked = paths = slacks = 0
+    verdicts = efficient = witnesses = sets_checked = paths = slacks = argmins = 0
     t0 = time.perf_counter()
     for i in range(args.count):
         P = random_problem(rng, config, allow_subspace=args.allow_subspace)
@@ -224,6 +274,8 @@ def main(argv=None) -> int:
                 slacks += 1
             for weak, ok in ((False, verdict), (True, weak_verdict)):
                 fault = witness_fault(P, u, ok, weak)
+                argmins += len(programs)
+                fault = fault or argmin_fault(programs)
                 if fault:
                     kind = "weak witness" if weak else "witness"
                     print(f"{kind} of vertex {u} of instance {i}: {fault}", file=sys.stderr)
@@ -237,6 +289,8 @@ def main(argv=None) -> int:
             if len(found) < 2:
                 continue
             fault = path_fault(P, found[0], found[-1], weak)
+            argmins += len(programs)
+            fault = fault or argmin_fault(programs)
             if fault:
                 kind = "weakly efficient" if weak else "efficient"
                 print(f"{kind} path of instance {i}: {fault}", file=sys.stderr)
@@ -267,7 +321,8 @@ def main(argv=None) -> int:
     print(
         f"{args.count} instances, {verdicts} vertex verdicts "
         f"({efficient} efficient) agree on all four routes, "
-        f"{slacks} slack programs agree on the cone core and the general simplex, "
+        f"{slacks} slack programs and {argmins} argmin re-checks agree on the cone core "
+        "and the general simplex, "
         f"{witnesses} witnesses check out, "
         f"{sets_checked} set pairs match the all-faces route and nest, "
         f"{paths} connect paths check out, {elapsed:.1f}s"

@@ -9,11 +9,10 @@ the optimal value is read off.  Phase one starts from the slack basis: only
 the rows without a usable slack (equalities, and inequalities with a
 negative right-hand side) take an artificial, and the phase-one simplex
 runs only when some artificial starts above zero.  Its starting basis is
-read off one transpose of the rows.  Artificials serve only the HRep
+read off one transpose of the rows.  The general simplex serves the HRep
 entries (solve_lp, feasible, argmin_face and parametric_breakpoints'
-checks) and the oracles' weight-region programs: vlp.py's argmin
-re-checks have no equality row and only zero right-hand sides, so phase
-one takes their rows as the tableau.
+checks) and the oracles' weight-region programs (vlp.face_scalarizable);
+the pipeline's per-point programs run on the cone core below.
 
 The general simplex has two entries.  Its core, _optimize_rows, takes
 int rows (ints [a | b], scale), the row format polyhedron._scaled_rows
@@ -22,11 +21,11 @@ vector in the library's int form (*C, L), standing for C / L.  It gives
 every variable one column: free variables come first and are pivoted in
 with either sign of their reduced cost, never to leave the basis again;
 trailing sign-constrained variables need no -x <= 0 rows.  _solve_rows is
-the value-only entry, every variable free: vlp.py builds its argmin
-re-checks and weight regions as int rows with no HRep in between, and
-feasible, argmin_face and parametric_breakpoints hand it an HRep's
-_scaled_rows.  They read only the status and the optimal value, which
-every optimal basis shares, so no point and no ray is built for them.
+the value-only entry, every variable free: vlp.face_scalarizable builds
+its weight regions as int rows with no HRep in between, and feasible,
+argmin_face and parametric_breakpoints hand it an HRep's _scaled_rows.
+They read only the status and the optimal value, which every optimal
+basis shares, so no point and no ray is built for them.
 solve_lp, the entry that returns a point, writes the split x = x+ - x- as
 data: rows [a | -a | b] over 2 dim sign-constrained variables with cost
 (c, -c), so its tableau is the split one, and reads a certified descent
@@ -39,10 +38,11 @@ slack basis is feasible and every pivot degenerate, so it runs Bland's
 phase two alone on a condensed int tableau whose rows are scaled one by
 one, with no right-hand side, no common denominator, no row writer, no
 phase one and no LPOutcome.  It answers "bounded, optimum 0" with a dual
-certificate checked in ints, or with a descending edge direction.  The
-efficiency tests' slack programs run on it.  vlp.py's argmin re-checks,
-cone programs too, stay on the general simplex on purpose: a weight that
-a double description found is then re-checked by a second LP code.
+certificate checked in ints, or with a descending edge direction checked
+in ints, so a caller trusts no pivot of it.  Every per-point program of
+vlp.py runs on it: the efficiency tests' slack programs, and the argmin
+re-checks of the witnesses and of connect's breakpoints, whose certificate
+is the Farkas multipliers that prove c.d >= 0 on the tangent cone.
 
 Exact breakpoint analysis of objectives moving along a segment needs no
 simplex: it reads the candidate breakpoints off the int generators of the
@@ -411,7 +411,8 @@ def _solve_rows(dim: int, eqs: Sequence, ineqs: Sequence, cost: Sequence) -> LPO
     cost c = C / L is the int generator cost = (*C, L), L > 0.  Every
     variable is one free simplex column.  The outcome has no point and no
     ray; an unbounded one has passed the descent check in ints.  The
-    pipeline builds its programs this way, with no HRep.
+    oracles' weight regions (vlp.face_scalarizable) are written this way,
+    with no HRep.
     """
     return _optimize_rows(dim, eqs, ineqs, cost)[0]
 

@@ -14,32 +14,37 @@ piecewise-linear connectivity certificates.  Everything is exact.
 
 Witnesses come first.  By the efficiency criterion a verified weight
 (ri(K*) for efficiency, K* \\ {0} for weak efficiency) that puts u in the
-argmin over D certifies u by itself, so scalarize_witness, weak_witness and
-connect run no efficiency test of their own; only an empty weight region
-runs the primal slack program of is_efficient / is_weakly_efficient, to
-confirm that u is dominated.  No LP here reads an optimal point.  The
-slack programs run on lp._cone_descent, the simplex for homogeneous cone
-programs; the argmin re-checks run on the general value-only
-lp._solve_rows, so a weight that a DD found is re-checked by a second LP
-code.  Both kinds share one body: _efficient behind the two tests, and
-_witness behind the two witnesses and connect.  Where K alone decides
-every point of D (_trivial: strict and K a subspace, all; weak and int K
-empty, all; weak and K = R^q, none), the tests run no program, the
-witness is the zero weight, whose argmin re-check is an int test that
-its cost is constant on D (_verify_constant), and the set routines
-return all of D or nothing.
+argmin over D certifies u by itself, so scalarize_witness, weak_witness
+and connect run no efficiency test of their own; only an empty weight
+region runs the primal slack program of is_efficient /
+is_weakly_efficient, to confirm that u is dominated.  No LP here reads an
+optimal point.  The slack programs and the argmin re-checks all run on
+lp._cone_descent, the simplex for homogeneous cone programs, and none
+trusts its pivots: the core checks its own answer in ints, a dual
+certificate (Farkas multipliers on the tight rows) for a bounded program
+or the descent of an edge for an unbounded one.  Both kinds share one
+body: _efficient behind the two tests, and _witness behind the two
+witnesses and connect.  Where K alone decides every point of D (_trivial:
+strict and K a subspace, all; weak and int K empty, all; weak and K = R^q,
+none), the tests run no program, the witness is the zero weight, whose
+argmin re-check is an int test that its cost is constant on D
+(_verify_constant), and the set routines return all of D or nothing.
 
 The certificates of a point u are posed on the tangent cone
 T_D(u) = cone(D - u), cut out by D's equalities and the inequalities tight
-at u; the rows slack at u play no part.  D is convex, so a direction d of
-T_D(u) has u + e d in D for small e > 0.  The slack programs ask whether
-some d has -M d in K \\ l(K) (strict) or in int K (weak), sets closed under
-positive scaling, which holds exactly when some x in D dominates u.  They
-are cone programs, with no <= 1 rows on their slacks: bounded, with
-optimum 0, exactly when u is (weakly) efficient, and unbounded otherwise.
-The argmin re-check of a weight c asks whether c.d >= 0 on T_D(u), which
-holds exactly when u minimizes c.x over D; it certifies the witnesses and
-the breakpoints of connect's paths.  All of them are written in one
+at u; the rows slack at u play no part, and no point query builds a DD of
+D.  D is convex, so a direction d of T_D(u) has u + e d in D for small
+e > 0.  The slack programs ask whether some d has -M d in K \\ l(K)
+(strict) or in int K (weak), sets closed under positive scaling, which
+holds exactly when some x in D dominates u.  They are cone programs, with
+no <= 1 rows on their slacks: bounded, with optimum 0, exactly when u is
+(weakly) efficient, and unbounded otherwise.  The argmin re-check of a
+weight c asks whether c.d >= 0 on T_D(u), which holds exactly when u
+minimizes c.x over D; it certifies the witnesses and the breakpoints of
+connect's paths.  For the same reason a witness's weight region is
+written over T_D(u): the admissible y with y.M d >= 0 on T's extreme rays
+and = 0 on its lineality, from one small DD of the tight rows.  All of
+them are written in one
 equality-free frame per problem: d = B z over the kernel of D's
 equalities, B its int basis (the identity without equalities), with z
 free, one simplex column per coordinate.  D's inequality rows, the cone
@@ -50,24 +55,25 @@ other than 0 or a phase one.
 
 A problem has one integer set-up, each part a cached property built on
 first use by the programs that read it, from the ints the DD cores
-produce: D's scaled rows (_d_rows), D's generators and their row
-incidence from the one DD of D (_d_generators, each point or ray a tuple
-(*g, h) of ints standing for g / h), the split K = Y0 + K1 from one
-integer kernel and one DD of K (_cone_split), S M (_image_rows) and
-S (-M^T n_j) over the cone normals (_weak_image_rows), an int product of
-the normals with S M, and the frame of the tangent-cone programs
-(_tangent_frame), D's inequality rows and these rows times the int kernel
-basis of D's equalities.  feasible_vrep and decomposition are rational views
-of the same results, built only when asked for, and the certificates and
-set routines read neither: every weight they emit is checked against the
-int split by cone._dual_weight, and a witness is worked out in ints from
-its region's int generators, with a rational built only for each
-coordinate it returns.
+produce: D's scaled rows (_d_rows), D's generators and their row incidence
+from the one DD of D (_d_generators, each point or ray a tuple (*g, h) of
+ints standing for g / h; read by the set routines and by connect's
+breakpoints only), the split K = Y0 + K1 from one integer kernel and one
+DD of K (_cone_split), S M (_image_rows) and S (-M^T n_j) over the cone
+normals (_weak_image_rows), an int product of the normals with S M, and
+the frame of the tangent-cone programs (_tangent_frame), D's inequality
+rows and these rows times the int kernel basis of D's equalities.
+feasible_vrep and decomposition are rational views of the same results,
+built only when asked for, and the certificates and set routines read
+neither: every weight they emit is checked against the int split by
+cone._dual_weight, and a witness is worked out in ints from its region's
+int generators, with a rational built only for each coordinate it returns.
 
-Every LP, and the DD of every witness's weight region, is written as int
-rows straight from the set-up; membership in D is tested on the same
-ints.  Each int row carries its factor over the rational row it stands for,
-so the simplex sees the program the rational formula describes.
+Every LP, and the DDs of every witness's tangent cone and weight region,
+are written as int rows straight from the set-up; membership in D is
+tested on the same ints.  Each int row carries its factor over the
+rational row it stands for, so the simplex sees the program the rational
+formula describes.
 
 The set routines solve no LP per face.  By geometric duality (Heyde &
 Loehne, SIAM J. Optim. 2008), taken here over the ri(K*) weights of a
@@ -109,6 +115,7 @@ from .polyhedron import (
     InternalInvariantError,
     VRep,
     _Generators,
+    _cone_ints,
     _dot,
     _echelon_int,
     _generators,
@@ -482,8 +489,8 @@ def _efficient(P: VLPProblem, u: Vector, weak: bool) -> bool:
 # _WeightSpace is a plain slotted class: a dataclass generates its methods
 # with exec when the module is imported.
 class _WeightSpace:
-    """The weights of one set call or one witness, ready to write the weight
-    region of a face as int rows.
+    """The weights of one set call or one face test, ready to write the
+    weight region of a face as int rows.
 
     Strict weights y* in ri(K*) live in y-space: y*.w = 0 on Y0 and
     y*.r >= 1 on the extreme rays of K1.  Weak weights y* = sum lambda_j g_j
@@ -503,6 +510,27 @@ class _WeightSpace:
         self.n_points, self.n_rays = n_points, n_rays
 
 
+def _admissible(P: VLPProblem, weak: bool) -> tuple:
+    """The admissible weights of P and the int rows that map a direction d
+    of R^n into their space, as (dim, eqs, ineqs, rows, S).
+
+    eqs and ineqs are _WeightSpace's admissibility rows, each (ints
+    [a | b], scale), in the dim coordinates of the weights.  The strict
+    rows are read off the int split of K (P._cone_split): a y0 vector g / h
+    gives the row (g | 0) of scale h, and a k1 ray g / h the row (-g | -h)
+    of scale h.  rows over S are the weight-space rows of the kind,
+    P._image_rows or P._weak_image_rows."""
+    if weak:
+        dim = len(P.cone.normals)
+        eqs = [([1] * (dim + 1), 1)]
+        ineqs = [([-int(i == j) for j in range(dim)] + [0], 1) for i in range(dim)]
+        return (dim, eqs, ineqs, *P._weak_image_rows)
+    y0, k1 = P._cone_split
+    eqs = [(list(v[:-1]) + [0], v[-1]) for v in y0]
+    ineqs = [([-x for x in v], v[-1]) for v in k1]
+    return (P.cone.dim, eqs, ineqs, *P._image_rows)
+
+
 def _int_weight_space(P: VLPProblem, weak: bool, extra: tuple) -> _WeightSpace:
     """The weight space of P with the images of D's points and rays and of
     the int generators (*g, h) in extra, computed together over one common
@@ -511,22 +539,10 @@ def _int_weight_space(P: VLPProblem, weak: bool, extra: tuple) -> _WeightSpace:
     D's generators are P._d_generators.  For every generator g / h here, h
     is the lcm of the denominators of g / h, so L is the lcm of all the h,
     and the image of g / h is (L / h) times the int rows dotted with g: the
-    rows times the vector scaled to ints over L.  The strict admissibility
-    rows are read off the int split of K (P._cone_split): a y0 vector g / h
-    gives the row (g | 0) of scale h, and a k1 ray g / h the row (-g | -h)
-    of scale h."""
+    rows times the vector scaled to ints over L.  The admissibility rows
+    are _admissible's."""
     gens = P._d_generators
-    if weak:
-        dim = len(P.cone.normals)
-        eqs = [([1] * (dim + 1), 1)]
-        ineqs = [([-int(i == j) for j in range(dim)] + [0], 1) for i in range(dim)]
-        rows, S = P._weak_image_rows
-    else:
-        y0, k1 = P._cone_split
-        dim = P.cone.dim
-        eqs = [(list(v[:-1]) + [0], v[-1]) for v in y0]
-        ineqs = [([-x for x in v], v[-1]) for v in k1]
-        rows, S = P._image_rows
+    dim, eqs, ineqs, rows, S = _admissible(P, weak)
     generators = gens.points + gens.rays + extra
     L = lcm(*[v[-1] for v in generators])
     images = []
@@ -585,19 +601,41 @@ def _relative_interior_point(gens: _Generators) -> tuple:
 
 
 def _point_region(P: VLPProblem, at: tuple, weak: bool) -> tuple:
-    """_face_region of the flat u + lin(D), with u in its int form from its
-    feasible form at (see _require_feasible) and D's int lineality basis as
-    they are."""
-    W = _int_weight_space(P, weak, (at[0],) + P._d_generators.lineality)
-    first = W.n_points + W.n_rays
-    return _weight_region(W, [first], range(first + 1, len(W.images)))
+    """The admissible dual weights that put u in the argmin over D, as
+    (dim, eqs, ineqs) in int rows for polyhedron._generators, with u given
+    by its feasible form at (see _require_feasible).  The region is written
+    over the tangent cone T_D(u) in P._tangent_frame, and no DD of D runs.
+
+    D is convex, so u minimizes y.M x over D exactly when y.M d >= 0 for
+    every d in T_D(u) = {B z : (a B) z <= 0 on the rows tight at u}.  One
+    small DD of those rows (polyhedron._cone_ints, no homogenization) gives
+    T's extreme rays t and lineality basis l in z, and the region is the
+    admissible y (_admissible) with y.(S M B) t >= 0 and y.(S M B) l = 0;
+    the weak kind, in lambda-space, reads the frame's cone rows in place of
+    S M B.  Each row (ints, scale) stands for the rational row times its
+    scale S h, for t or l = g / h.
+
+    It is the set _weight_region writes from D's generators for the flat
+    u + lin(D): y.M(p - u) >= 0 on D's points p, y.M r >= 0 on its rays r
+    and y.M l = 0 on lin(D), since p - u, r and +-l generate T_D(u).
+    polyhedron._generators is canonical on sets, so the region's
+    generators, and the witness read off them, are the same either way."""
+    width, ineqs, cone_rows, image_cols = P._tangent_frame
+    dim, eqs, adm, _, S = _admissible(P, weak)
+    frame = cone_rows if weak else tuple(zip(*image_cols))
+    lin, rays = _cone_ints(width, [], [ineqs[i][0] for i in at[1]])
+    # t's trailing h is past the end of every frame row, so _dot skips it
+    eqs = eqs + [([_dot(a, l) for a in frame] + [0], S * l[-1]) for l in lin]
+    adm = adm + [([-_dot(a, t) for a in frame] + [0], S * t[-1]) for t in rays]
+    return dim, eqs, adm
 
 
 def _point_weight(P: VLPProblem, at: tuple, weak: bool) -> tuple:
-    """The relative interior point of the weight region of u + lin(D), the
-    smallest flat of D that every weight scalarizing u scalarizes whole, in
-    ints as _relative_interior_point gives it, read off the region's int
+    """The relative interior point of the weight region of u (_point_region),
+    in ints as _relative_interior_point gives it, read off the region's int
     generators; u comes in its feasible form at (see _require_feasible).
+    Every weight of the region is zero on M lin(D), so it puts all of the
+    flat u + lin(D) in the argmin.
 
     An empty region means u is not (weakly) efficient, and that verdict is
     cross-checked by the primal slack program before NotEfficientError is
@@ -610,24 +648,35 @@ def _point_weight(P: VLPProblem, at: tuple, weak: bool) -> tuple:
     return _relative_interior_point(region)
 
 
-def _verify_argmin(P: VLPProblem, w: tuple, at: tuple, label: str) -> None:
-    """Re-verify by an exact LP that u, a point of D with feasible form at
-    (see _require_feasible), minimizes c.x over D for c = M^T y*, the weight
-    y* = Y / h given as the int generator w = (*Y, h).  D is convex, so that
-    holds exactly when c.d >= 0 on the tangent cone T_D(u): min c.d over
-    T_D(u) is then OPTIMAL with value 0, and otherwise it is unbounded
-    below.
+def _argmin_program(P: VLPProblem, w: tuple, at: tuple) -> tuple:
+    """_verify_argmin's program as (free, rows, cost) for lp._cone_descent.
 
-    The program is written in P._tangent_frame: with d = B z and S M the
-    image rows, c.d = Y.(S M B) z / (S h), so the cost is the int generator
-    (Y.(S M B), S h) over the free z, and the rows are the tight
-    inequalities (a B | 0)."""
+    With d = B z and S M the image rows, c.d = Y.(S M B) z / (S h) for the
+    weight w = (*Y, h), so the cost is the int row Y.(S M B) over the free
+    z, scaled by S h > 0, which changes no answer, and the rows are the
+    tight inequalities a B of P._tangent_frame, all <= 0."""
     width, ineqs, _, image_cols = P._tangent_frame
-    Y = w[:-1]
-    cost = (*[_dot(Y, col) for col in image_cols], P._image_rows[1] * w[-1])
-    rows = [(ineqs[i][0] + (0,), ineqs[i][1]) for i in at[1]]
-    out = _solve_rows(width, (), rows, cost)
-    if out.status is not LPStatus.OPTIMAL or out.value != 0:
+    # w's trailing h is past the end of each column, so _dot skips it
+    return width, [ineqs[i][0] for i in at[1]], tuple([_dot(w, col) for col in image_cols])
+
+
+def _verify_argmin(P: VLPProblem, w: tuple, at: tuple, label: str) -> None:
+    """Re-verify that u, a point of D with feasible form at (see
+    _require_feasible), minimizes c.x over D for c = M^T y*, the weight
+    y* = Y / h given as the int generator w = (*Y, h).  D is convex, so
+    that holds exactly when c.d >= 0 on the tangent cone T_D(u): min c.d
+    over T_D(u) is then bounded, with optimum 0, and otherwise it is
+    unbounded below.
+
+    The program (_argmin_program) is a homogeneous cone program with every
+    column free, so it runs on lp._cone_descent, which checks its answer in
+    ints.  A bounded answer carries a dual certificate: multipliers y >= 0
+    on the tight rows a B and alpha > 0 with alpha C + y.(a B) = 0 for the
+    program's int cost C, which proves c.d >= 0 on T_D(u) without trusting
+    a pivot.  An unbounded answer carries a descending edge.  Either failed
+    check raises InternalInvariantError, and so does an unbounded
+    answer."""
+    if _cone_descent(*_argmin_program(P, w, at)) is not None:
         raise InternalInvariantError(
             "%s does not scalarize its point to an argmin of D" % label
         )

@@ -76,3 +76,36 @@ def cone_program_oracle():
         return lp.LPStatus.UNBOUNDED
 
     return check
+
+
+
+@pytest.fixture
+def corrupt_argmin_recheck(monkeypatch):
+    """Plant a fault in the cone core inside every argmin re-check
+    (vlp._verify_argmin), and nowhere else.  "edge": the core answers a
+    bogus edge, the zero direction, whatever the program.  "reduced cost":
+    the core runs, but its dual check reads every product off by one, so
+    the reduced costs do not match the multipliers.  Returns the function
+    that plants a fault by name and gives the end of the error message it
+    must raise."""
+    from gpolyvlp import vlp
+
+    real_verify, real_dot = vlp._verify_argmin, lp._dot
+    messages = {
+        "edge": "does not scalarize its point to an argmin of D",
+        "reduced cost": "bounded cone program without a zero-optimum certificate",
+    }
+
+    def plant(fault):
+        def verify(P, w, at, label):
+            with monkeypatch.context() as m:
+                if fault == "edge":
+                    m.setattr(vlp, "_cone_descent", lambda free, rows, cost: [0] * len(cost))
+                else:
+                    m.setattr(lp, "_dot", lambda a, b: real_dot(a, b) + 1)
+                real_verify(P, w, at, label)
+
+        monkeypatch.setattr(vlp, "_verify_argmin", verify)
+        return messages[fault]
+
+    return plant

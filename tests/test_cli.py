@@ -450,6 +450,18 @@ class TestTest:
         assert code == 3 and out == ""
         assert err == "error: witness left the relative interior of the dual\n"
 
+    @pytest.mark.parametrize("fault", ["edge", "reduced cost"])
+    def test_corrupted_argmin_recheck_exits_3(
+        self, fault, triangle_file, capsys, corrupt_argmin_recheck
+    ):
+        # the witness's argmin re-check runs on the cone core, which checks
+        # its own answer; a wrong answer there is an invariant failure and
+        # prints no verdict
+        message = corrupt_argmin_recheck(fault)
+        code, out, err = run(capsys, "test", "--problem", triangle_file, "--point", "0,1")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.endswith(message + "\n")
+
     def test_kernel_value_error_exits_3(self, triangle_file, capsys, monkeypatch):
         # a ValueError raised by a kernel after parsing is an internal
         # failure, not bad input

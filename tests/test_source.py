@@ -142,12 +142,19 @@ def test_one_simplex_core():
     assert _callers("_write_rows") == ["_optimize_rows"]
 
 
-def test_cone_core_serves_the_slack_programs_only():
-    # the efficiency tests' slack programs run on the cone core; the argmin
-    # re-checks stay on the general simplex, a second LP code for weights
-    # that a double description found
-    assert _callers("_cone_descent") == ["_max_slack"]
-    assert "_verify_argmin" in _callers("_solve_rows")
+def test_cone_core_serves_the_per_point_programs():
+    # the efficiency tests' slack programs and the argmin re-checks of the
+    # witnesses and of connect run on the cone core, which checks its own
+    # answers in ints; the general simplex serves the public LP entries and
+    # the oracles' weight regions, and no per-point program reaches it
+    assert _callers("_cone_descent") == ["_max_slack", "_verify_argmin"]
+    assert _callers("_solve_rows") == [
+        "argmin_face",
+        "face_scalarizable",
+        "feasible",
+        "parametric_breakpoints",
+    ]
+    assert _callers("_optimize_rows") == ["_solve_rows", "solve_lp"]
 
 
 def _names_used(source: str, functions: tuple, idents: set) -> list:
@@ -176,7 +183,13 @@ def test_per_point_programs_are_written_in_ints():
     # int cost from the problem's int frame, with no rational in between,
     # and the slack verdict is an int
     rational = {"Vector", "ONE", "ZERO", "tmatvec"}
-    functions = ("_max_slack", "_slack_program", "_verify_argmin", "_verify_constant")
+    functions = (
+        "_max_slack",
+        "_slack_program",
+        "_verify_argmin",
+        "_argmin_program",
+        "_verify_constant",
+    )
     assert _names_used("vlp.py", functions, rational) == []
 
 

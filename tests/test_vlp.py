@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -410,53 +411,93 @@ def test_constant_recheck_rejects_a_weight_whose_cost_varies_on_d():
     vlp._verify_constant(segment, ints(V(1, 1)), "witness")
 
 
+def dd_caller():
+    """The function that asked for the running polyhedron._dd: the first
+    frame above it outside polyhedron.py."""
+    frame = sys._getframe(2)
+    while frame.f_code.co_filename == polyhedron.__file__:
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
 def test_connect_converts_the_feasible_set_once(monkeypatch):
-    # every DD of a polyhedron, h_to_v and the witness regions included,
-    # runs polyhedron._generators; the one of D runs on D's int rows, which
-    # the endpoint checks have cached by then
-    calls = []
-    real = polyhedron._generators
+    # every DD runs polyhedron._dd, counted here by the function that asked
+    # for it: D's one DD (_d_generators), for the breakpoints, on D's int
+    # rows, which the endpoint checks have cached by then, and per endpoint
+    # one DD of its tangent cone (_point_region) and one of its witness
+    # region (_point_weight)
+    calls = Counter()
+    real = polyhedron._dd
 
-    def counting(d, eqs, ineqs):
-        calls.append((eqs, ineqs))
-        return real(d, eqs, ineqs)
+    def counting(*args, **kwargs):
+        calls[dd_caller()] += 1
+        return real(*args, **kwargs)
 
-    for module in (polyhedron, lp, vlp):
-        monkeypatch.setattr(module, "_generators", counting)
+    monkeypatch.setattr(polyhedron, "_dd", counting)
     P = triangle_problem()
     connect(P, V(0, 1), V(1, 0))
-    assert sum(ineqs is P._d_rows[1] for _, ineqs in calls) == 1
-    assert len(calls) == 3  # and one witness region per endpoint
+    assert "_d_rows" in vars(P)
+    assert calls == {"_split": 1, "_d_generators": 1, "_point_region": 2, "_point_weight": 2}
+
+
+def test_point_queries_build_no_dd_of_d(monkeypatch):
+    # the verdicts, the witnesses and their re-checks read only the rows of
+    # D tight at the point, so on fresh problems none of them builds D's
+    # generators; on the orthant 12-cube (4,096 vertices) each witness runs
+    # two small DDs, of its point's tangent cone and of its weight region
+    dds = []
+    real = polyhedron._dd
+
+    def recording(dim, eq_rows, ineq_rows, cap=None):
+        dds.append((dd_caller(), len(ineq_rows)))
+        return real(dim, eq_rows, ineq_rows, cap)
+
+    monkeypatch.setattr(polyhedron, "_dd", recording)
+    cube = orthant_cube(12)
+    corner = Vector.zero(12)
+    assert is_efficient(cube, corner) and is_weakly_efficient(cube, corner)
+    assert scalarize_witness(cube, corner) == Vector.of([2] * 12)
+    assert weak_witness(cube, corner) == Vector.of([rat(1, 12)] * 12)
+    with pytest.raises(NotEfficientError):
+        scalarize_witness(cube, Vector.of([1] + [0] * 11))
+    assert "_d_generators" not in vars(cube)
+    # K's split, then per witness query the tangent cone's 12 rows and the
+    # region's 12 admissibility rows, 12 tangent rows and homogenizing row
+    assert dds == [("_split", 12)] + [("_point_region", 12), ("_point_weight", 25)] * 3
+    queried = 0
+    for source in SET_CORPUS + [load_problem(str(p)) for p in sorted(PROBLEMS_DIR.glob("*.json"))]:
+        P = VLPProblem(source.objective, source.feasible_set, source.cone)
+        for u in source.feasible_vrep.points:
+            is_efficient(P, u)
+            is_weakly_efficient(P, u)
+            for witness in (scalarize_witness, weak_witness):
+                try:
+                    witness(P, u)
+                except NotEfficientError:
+                    pass
+            queried += 1
+        assert "_d_generators" not in vars(P)
+    assert queried == 440
 
 
 def test_connect_runs_one_cone_program_per_interior_breakpoint(monkeypatch):
     # the witnesses certify the ends of the path at t = 0 and t = 1, and
     # each interior breakpoint gets one argmin check on the tangent cone of
-    # its named point: connect reaches the LP core only with cone programs
-    # (no equality row, zero right-hand sides, the rows as the tableau and
-    # no phase-one pivot), one per witness and one per interior
-    # breakpoint, none per segment; a weak path through an empty-interior K
-    # is the straight segment
-    programs, in_phase_one = [], []
-    real_optimize, real_phase_one, real_pivot = lp._optimize_rows, lp._phase_one, lp._Tableau.pivot
+    # its named point: connect runs the cone core with cone programs (no
+    # right-hand side, every column free), one per witness and one per
+    # interior breakpoint, none per segment, and never reaches the general
+    # simplex; a weak path through an empty-interior K is the straight
+    # segment
+    programs = []
+    real_core = vlp._cone_descent
 
-    def optimize(dim, eqs, ineqs, cost, nonneg=0):
-        assert not eqs and all(ints[dim] == 0 for ints, _ in ineqs)
-        programs.append(dim)
-        return real_optimize(dim, eqs, ineqs, cost, nonneg)
+    def core(free, rows, cost):
+        assert free == len(cost) and all(len(a) == free for a in rows)
+        programs.append(free)
+        return real_core(free, rows, cost)
 
-    def phase_one(rows, scales, nvars, free=0):
-        in_phase_one.append(True)
-        try:
-            T = real_phase_one(rows, scales, nvars, free)
-        finally:
-            in_phase_one.pop()
-        assert T is not None and T.rows is rows and T.ncols == nvars
-        return T
-
-    def pivot(T, row, col):
-        assert not in_phase_one
-        real_pivot(T, row, col)
+    def general(*args, **kwargs):
+        raise AssertionError("connect reached the general simplex")
 
     rng = random.Random(2017)
     segments, interior = Counter(), 0
@@ -470,9 +511,8 @@ def test_connect_runs_one_cone_program_per_interior_breakpoint(monkeypatch):
                 continue
             programs.clear()
             with monkeypatch.context() as m:
-                m.setattr(lp, "_optimize_rows", optimize)
-                m.setattr(lp, "_phase_one", phase_one)
-                m.setattr(lp._Tableau, "pivot", pivot)
+                m.setattr(vlp, "_cone_descent", core)
+                m.setattr(lp, "_optimize_rows", general)
                 cert = connect(P, ends[0], ends[-1], weak=weak)
             # the two witnesses' re-checks and one per interior breakpoint
             breakpoints = len(cert.breakpoints) - 2
@@ -481,6 +521,23 @@ def test_connect_runs_one_cone_program_per_interior_breakpoint(monkeypatch):
             segments[len(cert.weights)] += 1
     assert segments == {1: 28, 2: 14, 3: 3}
     assert interior == 48
+
+
+@pytest.mark.parametrize("fault", ["edge", "reduced cost"])
+def test_argmin_recheck_rejects_a_corrupted_core_answer(fault, corrupt_argmin_recheck):
+    # the argmin re-checks trust no pivot of the cone core: a bogus edge
+    # fails the re-check, and reduced costs that do not match the
+    # multipliers fail the core's own dual check, in the witnesses of
+    # both kinds and in connect
+    message = corrupt_argmin_recheck(fault)
+    P = triangle_problem()
+    for run in (
+        lambda: scalarize_witness(P, V(0, 1)),
+        lambda: weak_witness(P, V(1, 0)),
+        lambda: connect(P, V(0, 1), V(1, 0)),
+    ):
+        with pytest.raises(InternalInvariantError, match=message):
+            run()
 
 
 class TestEfficientSets:
@@ -1283,17 +1340,13 @@ def per_point_corpus():
 
 def test_per_point_programs_have_no_equality_row_and_no_artificial(monkeypatch):
     # every slack program and argmin re-check is written in the frame of
-    # D's equalities, over the tangent cone.  The slack programs run on the
-    # cone core; the argmin re-checks reach the general LP core with no
-    # equality row and only zero right-hand sides, so phase one takes their
-    # rows as the tableau, with no artificial column and no pivot; the zero
-    # weight's re-check runs no LP
+    # D's equalities, over the tangent cone, and runs on the cone core: int
+    # rows with no right-hand side, so no equality row, no artificial and
+    # no phase one, the z columns free and leading, and in an argmin
+    # re-check every column free.  No per-point program reaches the
+    # general simplex, and the zero weight's re-check runs no program
     caller, seen = [], Counter()
-    real_core, real_optimize, real_phase_one = (
-        vlp._cone_descent,
-        lp._optimize_rows,
-        lp._phase_one,
-    )
+    real_core, real_optimize = vlp._cone_descent, lp._optimize_rows
 
     def within(name, real):
         def wrapper(*args, **kwargs):
@@ -1308,36 +1361,22 @@ def test_per_point_programs_have_no_equality_row_and_no_artificial(monkeypatch):
         return wrapper
 
     def core(free, rows, cost):
+        # an argmin re-check has only free columns, a slack program its
+        # sign-constrained slacks after them
+        assert all(len(a) == len(cost) for a in rows)
+        assert (free == len(cost)) == (caller[-1] == "_verify_argmin")
         seen[caller[-1], "_cone_descent"] += 1
         return real_core(free, rows, cost)
 
-    def optimize(dim, eqs, ineqs, cost, nonneg=0):
+    def optimize(*a, **kwargs):
         if caller:
-            assert not eqs and all(ints[dim] == 0 for ints, _ in ineqs)
             seen[caller[-1], "_optimize_rows"] += 1
-        return real_optimize(dim, eqs, ineqs, cost, nonneg)
+        return real_optimize(*a, **kwargs)
 
-    def phase_one(rows, scales, nvars, free=0):
-        in_phase_one.append(True)
-        try:
-            T = real_phase_one(rows, scales, nvars, free)
-        finally:
-            in_phase_one.pop()
-        if caller:
-            assert T is not None and T.rows is rows and T.ncols == nvars
-        return T
-
-    def pivot(T, row, col):
-        assert not (caller and in_phase_one)
-        real_pivot(T, row, col)
-
-    in_phase_one, real_pivot = [], lp._Tableau.pivot
     for name in ("_max_slack", "_verify_argmin", "_verify_constant"):
         monkeypatch.setattr(vlp, name, within(name, getattr(vlp, name)))
     monkeypatch.setattr(vlp, "_cone_descent", core)
     monkeypatch.setattr(lp, "_optimize_rows", optimize)
-    monkeypatch.setattr(lp, "_phase_one", phase_one)
-    monkeypatch.setattr(lp._Tableau, "pivot", pivot)
     problems = per_point_corpus()
     with_eqs = 0
     for P in problems:
@@ -1356,7 +1395,7 @@ def test_per_point_programs_have_no_equality_row_and_no_artificial(monkeypatch):
     # verified in ints
     assert seen == {
         ("_max_slack", "_cone_descent"): 1282,
-        ("_verify_argmin", "_optimize_rows"): 426,
+        ("_verify_argmin", "_cone_descent"): 426,
         "_verify_constant": 270,
     }
 
@@ -1548,13 +1587,70 @@ def int_setup_corpus():
 INT_SETUP_CORPUS = int_setup_corpus()
 
 
+def d_wide_point_region(P, at, weak):
+    """The weight region of the point u with feasible form at, written over
+    all of D's generators as the flat u + lin(D): _weight_region of u's int
+    form with D's int lineality basis.  The oracle of vlp._point_region,
+    which writes the same set over the tangent cone T_D(u)."""
+    W = vlp._int_weight_space(P, weak, (at[0],) + P._d_generators.lineality)
+    first = W.n_points + W.n_rays
+    return vlp._weight_region(W, [first], range(first + 1, len(W.images)))
+
+
+def region_generators(region):
+    """The int generator form of a weight region (dim, eqs, ineqs): its
+    points, rays and lineality, without the incidence with its rows."""
+    gens = polyhedron._generators(*region)
+    return gens.points, gens.rays, gens.lineality
+
+
+def test_tangent_region_has_the_generators_of_the_d_wide_region():
+    # at every vertex of the set corpus, and at a relative interior point
+    # of each face of D, the weight region over the tangent cone has the
+    # generators of the region over D's generators, in both kinds:
+    # polyhedron._generators is canonical on sets, so the witnesses are
+    # the same bit for bit
+    shapes = Counter()
+    for P in SET_CORPUS:
+        gens = P._d_generators
+        points = [(p, "vertex") for p in gens.points]
+        points += [
+            (vlp._relative_interior_point(face_generators(P, G)), "face")
+            for G, _ in lattice_faces(P)
+        ]
+        width, ineqs, _, _ = P._tangent_frame
+        for ui, where in points:
+            at = vlp._feasible_form(P, ui)
+            lineality, _ = polyhedron._cone_ints(width, [], [ineqs[i][0] for i in at[1]])
+            shapes[where, "tangent cone with lineality"] += bool(lineality)
+            for weak in (False, True):
+                got = region_generators(vlp._point_region(P, at, weak))
+                assert got == region_generators(d_wide_point_region(P, at, weak))
+                region = "witness" if got[0] else "empty"
+                shapes[where, "weak" if weak else "strict", region] += 1
+    # (where, kind, region) and the tangent cones with a lineality space,
+    # whose basis the region writes as equalities
+    assert shapes == {
+        ("vertex", "strict", "witness"): 252,
+        ("vertex", "strict", "empty"): 176,
+        ("vertex", "weak", "witness"): 275,
+        ("vertex", "weak", "empty"): 153,
+        ("vertex", "tangent cone with lineality"): 47,
+        ("face", "strict", "witness"): 471,
+        ("face", "strict", "empty"): 690,
+        ("face", "weak", "witness"): 565,
+        ("face", "weak", "empty"): 596,
+        ("face", "tangent cone with lineality"): 780,
+    }
+
+
 def test_int_generators_stand_for_the_feasible_vrep():
     # every int generator (*g, h) is h times its feasible_vrep vector, with
     # g and h coprime, so h is the lcm of the vector's denominators, and a
     # ray's h is its leading entry; the incidence read off the DD's zero
     # sets is the one the rational rows of D and the rational VRep give by
-    # dot products, and a vertex's weight region is _face_region of
-    # u + lin(D)
+    # dot products, and a vertex's weight region, written over its tangent
+    # cone, has the generators of the one written over D's generators
     shapes = Counter()
     for P in INT_SETUP_CORPUS:
         gens, geom = P._d_generators, P.feasible_vrep
@@ -1579,10 +1675,11 @@ def test_int_generators_stand_for_the_feasible_vrep():
             for a, b in P.feasible_set.ineq_rows()
         )
         for u in geom.points:
-            F = VRep(geom.dim, (u,), (), geom.lineality)
+            at = vlp._require_feasible(P, u)
             for weak in (False, True):
-                at = vlp._require_feasible(P, u)
-                assert vlp._point_region(P, at, weak) == vlp._face_region(P, F, weak)
+                assert region_generators(vlp._point_region(P, at, weak)) == region_generators(
+                    d_wide_point_region(P, at, weak)
+                )
         shapes["rays"] += bool(geom.rays)
         shapes["lineality"] += bool(geom.lineality)
         shapes["h > 1"] += any(v[-1] > 1 for v in gens.points + gens.rays + gens.lineality)
