@@ -19,7 +19,10 @@ first and the last of them and checks the path without a solver: every
 point lies in D by exact row checks, every segment weight is admissible (in
 ri(K*), or a nonzero element of K* for the weak kind), and both ends of
 every segment attain the minimum of (M^T w).x over D, read off D's
-generator form.  On a configurable subset of instances it also recomputes
+generator form.  Each path is computed once more on a fresh problem of the
+same data, which has no face weight kept from earlier queries, and the two
+certificates must be identical: points, weights and breakpoints.  On a
+configurable subset of instances it also recomputes
 the full efficient and weakly efficient sets, capped as `gpoly-vlp solve`
 caps them (cli.DEFAULT_MAX_FACES), checks that each equals the
 set found by testing every face of the feasible set, and checks that every
@@ -56,6 +59,7 @@ from gpolyvlp.lp import LPStatus, _cone_descent, _solve_rows
 from gpolyvlp.polyhedron import contains
 from gpolyvlp.vlp import (
     NotEfficientError,
+    VLPProblem,
     _argmin_program,
     _require_feasible,
     _slack_program,
@@ -207,10 +211,9 @@ def witness_fault(P, u, efficient: bool, weak: bool):
     return weight_fault(P, w, [u], weak)
 
 
-def path_fault(P, u, v, weak: bool):
-    """What is wrong with connect's path from u to v, or None.  The checks
-    use exact dot products only, no LP."""
-    cert = connect(P, u, v, weak=weak)
+def path_fault(P, u, v, cert, weak: bool):
+    """What is wrong with cert as connect's path from u to v, or None.  The
+    checks use exact dot products only, no LP."""
     if cert.points[0] != u or cert.points[-1] != v:
         return "path does not run between the queried vertices"
     if any(not contains(P.feasible_set, x) for x in cert.points):
@@ -234,6 +237,7 @@ def sweep(args: argparse.Namespace, programs: list) -> int:
     config = args.config
     rng = random.Random(args.seed)
     verdicts = efficient = witnesses = sets_checked = paths = slacks = argmins = 0
+    fresh_argmins = 0
     t0 = time.perf_counter()
     for i in range(args.count):
         P = random_problem(rng, config, allow_subspace=args.allow_subspace)
@@ -288,9 +292,18 @@ def sweep(args: argparse.Namespace, programs: list) -> int:
         for weak, found in ends.items():
             if len(found) < 2:
                 continue
-            fault = path_fault(P, found[0], found[-1], weak)
+            cert = connect(P, found[0], found[-1], weak=weak)
+            fault = path_fault(P, found[0], found[-1], cert, weak)
             argmins += len(programs)
             fault = fault or argmin_fault(programs)
+            if not fault:
+                # no endpoint weight is kept on a fresh problem of the same data
+                fresh = VLPProblem(P.objective, P.feasible_set, P.cone)
+                same = connect(fresh, found[0], found[-1], weak=weak) == cert
+                fresh_argmins += len(programs)
+                fault = argmin_fault(programs) or (
+                    None if same else "path differs from the path on a fresh problem"
+                )
             if fault:
                 kind = "weakly efficient" if weak else "efficient"
                 print(f"{kind} path of instance {i}: {fault}", file=sys.stderr)
@@ -321,11 +334,12 @@ def sweep(args: argparse.Namespace, programs: list) -> int:
     print(
         f"{args.count} instances, {verdicts} vertex verdicts "
         f"({efficient} efficient) agree on all four routes, "
-        f"{slacks} slack programs and {argmins} argmin re-checks agree on the cone core "
+        f"{slacks} slack programs and {argmins} argmin re-checks "
+        f"(and {fresh_argmins} on fresh problems) agree on the cone core "
         "and the general simplex, "
         f"{witnesses} witnesses check out, "
         f"{sets_checked} set pairs match the all-faces route and nest, "
-        f"{paths} connect paths check out, {elapsed:.1f}s"
+        f"{paths} connect paths check out and equal a fresh problem's, {elapsed:.1f}s"
     )
     return 0
 

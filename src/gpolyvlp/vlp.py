@@ -30,6 +30,17 @@ none), the tests run no program, the witness is the zero weight, whose
 argmin re-check is an int test that its cost is constant on D
 (_verify_constant), and the set routines return all of D or nothing.
 
+A witness is certified once per face.  By the scalarization formula one
+weight puts a whole face in the argmin, and the weight _witness works out
+is a function of the kind and of the rows tight at u alone: the weight
+region, its relative interior point, the admissibility check and the
+argmin re-check read nothing else of u.  So a problem keeps each weight
+that passed its re-check, keyed by (kind, tight rows)
+(VLPProblem._face_weights), and a later query on the same face returns
+those bits and the certificate that proved them.  Nothing that raised is
+kept, and the efficiency tests never read the kept weights, so the slack
+program stays an independent primal route.
+
 The certificates of a point u are posed on the tangent cone
 T_D(u) = cone(D - u), cut out by D's equalities and the inequalities tight
 at u; the rows slack at u play no part, and no point query builds a DD of
@@ -169,6 +180,10 @@ class VLPProblem:
     objective:    q x n rational matrix M.
     feasible_set: the polyhedron D, in halfspace form, with dim n.
     cone:         the ordering cone K in R^q, in outer-normal form.
+
+    The problem's integer set-up is built once, on first use, and so is one
+    verified witness weight per kind and face of D (_face_weights), which
+    later witness queries on that face return.
     """
 
     objective: Matrix
@@ -290,6 +305,14 @@ class VLPProblem:
             tuple([in_z(a) for a in self._weak_image_rows[0]]),
             tuple([tuple([_dot(a, v) for a in image]) for v in basis]),
         )
+
+    @cached_property
+    def _face_weights(self) -> dict:
+        """The verified weights of _witness, w = (*Y, h) keyed by (weak,
+        tight), the kind and the indices of D's inequality rows tight at the
+        queried point.  Filled by _witness only, after the argmin re-check
+        passes, and read by it only."""
+        return {}
 
     @cached_property
     def cone_interior_empty(self) -> bool:
@@ -736,7 +759,15 @@ def _witness(P: VLPProblem, u: Vector, weak: bool) -> tuple:
     at the feasible form of u (see _require_feasible) and w = (*Y, h) the
     verified weight Y / h.  Where K decides every point (_trivial), the
     weight is zero, and its argmin re-check is the int check of
-    _verify_constant, with no LP."""
+    _verify_constant, with no LP.
+
+    Otherwise w is looked up in P._face_weights under (weak, at[1]), and
+    worked out only on a miss, then kept once its argmin re-check passes.
+    That is exact: _point_region, _point_weight's slack cross-check and
+    _argmin_program read only at[1], so a kept weight is the weight a
+    recomputation would give, and its re-check proved it for every point
+    with those tight rows, the relative interior of one face of D.  A
+    query that raises keeps nothing."""
     at = _require_feasible(P, u)
     label = "weak witness" if weak else "witness"
     verdict = _trivial(P, weak)
@@ -745,6 +776,10 @@ def _witness(P: VLPProblem, u: Vector, weak: bool) -> tuple:
     if verdict:
         w = (0,) * P.cone.dim + (1,)
         _verify_constant(P, w, "zero " + label)
+        return at, w
+    key = (weak, at[1])
+    w = P._face_weights.get(key)
+    if w is not None:
         return at, w
     region_point = _point_weight(P, at, weak)
     weight = _dual_weight(P.cone, P._cone_split, region_point[:-1], weak)
@@ -757,6 +792,7 @@ def _witness(P: VLPProblem, u: Vector, weak: bool) -> tuple:
     Y, s = weight
     w = (*Y, s * region_point[-1])
     _verify_argmin(P, w, at, label)
+    P._face_weights[key] = w
     return at, w
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpolyvlp import cli, vlp
+from gpolyvlp import cli, cone, vlp
 from gpolyvlp.cli import main
 from gpolyvlp.polyhedron import InternalInvariantError
 from gpolyvlp.exact import format_rational, parse_rational
@@ -461,6 +461,17 @@ class TestTest:
         code, out, err = run(capsys, "test", "--problem", triangle_file, "--point", "0,1")
         assert code == 3 and out == ""
         assert err.startswith("error: ") and err.endswith(message + "\n")
+
+    def test_lineality_kept_in_the_pointed_part_exits_3(self, capsys, monkeypatch):
+        # K of subspace_cone.json is the line y1 = 0; with the line's vector
+        # dropped from the kernel of the normals, the split of K fails its
+        # own check before any verdict is printed
+        real = cone._kernel_int
+        monkeypatch.setattr(cone, "_kernel_int", lambda rows, dim: real(rows, dim)[:-1])
+        problem = str(Path(__file__).resolve().parent.parent / "problems" / "subspace_cone.json")
+        code, out, err = run(capsys, "test", "--problem", problem, "--point", "0,0")
+        assert code == 3 and out == ""
+        assert err == "error: the pointed part of the cone kept a lineality direction\n"
 
     def test_kernel_value_error_exits_3(self, triangle_file, capsys, monkeypatch):
         # a ValueError raised by a kernel after parsing is an internal

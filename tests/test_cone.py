@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from gpolyvlp import cone, vlp
 from gpolyvlp.cone import ConeDecomposition, ConeH, decompose, ri_generated_cone_contains
 from gpolyvlp.exact import Matrix, Vector, kernel_basis, rat, vec
-from gpolyvlp.polyhedron import HRep, dd_cone
+from gpolyvlp.polyhedron import HRep, InternalInvariantError, dd_cone
 
 
 def orthant2():
@@ -234,6 +234,18 @@ def check_int_split(K):
 )
 def test_int_split_of_hand_cones(K):
     check_int_split(K)
+
+
+@pytest.mark.parametrize("K", [halfspace2(), axis_subspace()], ids=["half-plane", "line"])
+def test_split_rejects_a_pointed_part_with_a_lineality_direction(K, monkeypatch):
+    # the integer kernel that _split takes Y0 from loses its last vector,
+    # which K1's DD then keeps as a lineality direction
+    real = cone._kernel_int
+    monkeypatch.setattr(cone, "_kernel_int", lambda rows, dim: real(rows, dim)[:-1])
+    with pytest.raises(
+        InternalInvariantError, match="the pointed part of the cone kept a lineality direction"
+    ):
+        cone._split(K)
 
 
 @st.composite

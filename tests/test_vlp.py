@@ -540,6 +540,143 @@ def test_argmin_recheck_rejects_a_corrupted_core_answer(fault, corrupt_argmin_re
             run()
 
 
+def _kept_witness(P, u, weak):
+    """_witness's int weight of u, or None where u has none."""
+    try:
+        return vlp._witness(P, u, weak)[1]
+    except NotEfficientError:
+        return None
+
+
+def _face_point(F: VRep) -> Vector:
+    """The mean of a face's points plus the sum of its rays: a relative
+    interior point, tight on exactly the face's rows."""
+    u = F.points[0]
+    for p in F.points[1:]:
+        u = u + p
+    u = u.scale(rat(1, len(F.points)))
+    for r in F.rays:
+        u = u + r
+    return u
+
+
+def test_repeated_faces_are_certified_once_with_the_same_weight(monkeypatch):
+    # a witness reads only the rows of D tight at its point, so one problem
+    # keeps one verified weight per (kind, tight set): on a shared problem,
+    # queried vertex, face point, vertex again in both kinds, every weight
+    # equals the one a fresh problem works out, and a query whose tight set
+    # has been answered with a weight before runs no DD and no cone program
+    work = Counter()
+    real_dd, real_core = polyhedron._dd, vlp._cone_descent
+
+    def dd(*args, **kwargs):
+        work["dd"] += 1
+        return real_dd(*args, **kwargs)
+
+    def core(*args):
+        work["core"] += 1
+        return real_core(*args)
+
+    outcomes = Counter()
+    for source in SET_CORPUS + [load_problem(str(p)) for p in sorted(PROBLEMS_DIR.glob("*.json"))]:
+        data = (source.objective, source.feasible_set, source.cone)
+        P = VLPProblem(*data)
+        vertices = list(source.feasible_vrep.points)
+        inner = [_face_point(F.geometry) for F in faces(source.feasible_set)]
+        answered = set()
+        for u in vertices + inner + vertices:
+            for weak in (False, True):
+                want = _kept_witness(VLPProblem(*data), u, weak)
+                key = (weak, vlp._require_feasible(P, u)[1])
+                work.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(polyhedron, "_dd", dd)
+                    m.setattr(vlp, "_cone_descent", core)
+                    got = _kept_witness(P, u, weak)
+                assert got == want
+                if key in answered:
+                    assert not work
+                    outcomes["repeat"] += 1
+                elif want is None:
+                    outcomes["no weight"] += 1
+                elif vlp._trivial(P, weak) is not None:
+                    outcomes["zero weight"] += 1
+                else:
+                    # a first weight runs its DDs and its argmin re-check
+                    assert work["dd"] >= 2 and work["core"] >= 1
+                    outcomes["first"] += 1
+                if want is not None:
+                    answered.add(key)
+    assert outcomes == {"first": 390, "repeat": 1092, "zero weight": 683, "no weight": 1971}
+
+
+@pytest.mark.parametrize("fault", ["edge", "reduced cost"])
+def test_failed_witnesses_are_not_kept(fault, corrupt_argmin_recheck, monkeypatch):
+    # a witness that raises is not kept: under the planted fault every call
+    # raises again, and once the fault is gone the weight is worked out,
+    # re-checked once and then returned as kept
+    P = triangle_problem()
+    real_verify = vlp._verify_argmin
+    message = corrupt_argmin_recheck(fault)
+    for _ in range(3):
+        with pytest.raises(InternalInvariantError, match=message):
+            scalarize_witness(P, V(0, 1))
+    labels = []
+
+    def counting(P, w, at, label):
+        labels.append(label)
+        return real_verify(P, w, at, label)
+
+    monkeypatch.setattr(vlp, "_verify_argmin", counting)
+    assert scalarize_witness(P, V(0, 1)) == V(3, 2)
+    assert scalarize_witness(P, V(0, 1)) == V(3, 2)
+    assert labels == ["witness"]
+
+
+@pytest.mark.parametrize("fault", ["edge", "reduced cost"])
+def test_connect_rechecks_its_interior_breakpoints_after_its_ends_are_kept(
+    fault, corrupt_argmin_recheck, monkeypatch
+):
+    # the triangle's path from (0, 1) to (1, 0) has an interior breakpoint
+    # at t = 1/2; with both endpoint weights kept, the planted fault still
+    # fails the re-check of the point named there
+    P = triangle_problem()
+    assert scalarize_witness(P, V(0, 1)) == V(3, 2)
+    assert scalarize_witness(P, V(1, 0)) == V(2, 3)
+    message = corrupt_argmin_recheck(fault)
+    planted = vlp._verify_argmin
+    labels = []
+
+    def recording(P, w, at, label):
+        labels.append(label)
+        return planted(P, w, at, label)
+
+    monkeypatch.setattr(vlp, "_verify_argmin", recording)
+    with pytest.raises(InternalInvariantError, match=message):
+        connect(P, V(0, 1), V(1, 0))
+    assert labels == ["path weight"]
+
+
+def test_verdicts_run_their_slack_program_after_the_weight_is_kept(monkeypatch):
+    # the efficiency tests never read the kept weights: the slack program
+    # stays an independent primal route
+    calls = []
+    real = vlp._max_slack
+
+    def counting(P, at, weak):
+        calls.append(weak)
+        return real(P, at, weak)
+
+    monkeypatch.setattr(vlp, "_max_slack", counting)
+    P = triangle_problem()
+    assert scalarize_witness(P, V(0, 1)) == V(3, 2)
+    assert weak_witness(P, V(0, 1)) == V("3/4", "1/4")
+    assert calls == []
+    assert is_efficient(P, V(0, 1)) and is_weakly_efficient(P, V(0, 1))
+    assert is_efficient(P, V(0, 1))
+    assert calls == [False, True, False]
+
+
 class TestEfficientSets:
     def test_triangle_efficient_set_is_one_edge(self, triangle):
         E = efficient_set(triangle)
