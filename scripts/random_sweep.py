@@ -122,8 +122,8 @@ def parse_args(argv=None) -> argparse.Namespace:
 def slack_statuses(P, u, weak: bool):
     """The status of the slack program of u, of one kind, on the cone core
     that the efficiency tests run and on the general simplex
-    (lp._solve_rows, every column free, the slacks' signs written as rows
-    -s <= 0), or None where K decides u and no program runs."""
+    (lp._solve_rows, on its split layout, with the slacks' signs written as
+    rows -s <= 0), or None where K decides u and no program runs."""
     if _trivial(P, weak) is not None:
         return None
     free, rows, cost = _slack_program(P, _require_feasible(P, u), weak)
@@ -157,8 +157,9 @@ def recorded_argmin_programs():
 def argmin_fault(programs: list):
     """What is wrong with the recorded argmin re-check programs, or None;
     empties the list.  Each is solved on the cone core that the re-checks
-    run and on the general simplex (lp._solve_rows, every column free), and
-    the two statuses must agree."""
+    run and on the general simplex (lp._solve_rows, with no sign row, since
+    every variable of an argmin program is free), and the two statuses
+    must agree."""
     try:
         for free, rows, cost in programs:
             core = _cone_descent(free, rows, cost)

@@ -9,28 +9,27 @@ the optimal value is read off.  Phase one starts from the slack basis: only
 the rows without a usable slack (equalities, and inequalities with a
 negative right-hand side) take an artificial, and the phase-one simplex
 runs only when some artificial starts above zero.  Its starting basis is
-read off one transpose of the rows.  The general simplex serves the HRep
-entries (solve_lp, feasible, argmin_face and parametric_breakpoints'
-checks) and the oracles' weight-region programs (vlp.face_scalarizable);
-the pipeline's per-point programs run on the cone core below.
+read off one transpose of the rows.
 
-The general simplex has two entries.  Its core, _optimize_rows, takes
-int rows (ints [a | b], scale), the row format polyhedron._scaled_rows
-gives and the double description's int entry takes too, and a cost
-vector in the library's int form (*C, L), standing for C / L.  It gives
-every variable one column: free variables come first and are pivoted in
-with either sign of their reduced cost, never to leave the basis again;
-trailing sign-constrained variables need no -x <= 0 rows.  _solve_rows is
-the value-only entry, every variable free: vlp.face_scalarizable builds
-its weight regions as int rows with no HRep in between, and feasible,
-argmin_face and parametric_breakpoints hand it an HRep's _scaled_rows.
-They read only the status and the optimal value, which every optimal
-basis shares, so no point and no ray is built for them.
-solve_lp, the entry that returns a point, writes the split x = x+ - x- as
-data: rows [a | -a | b] over 2 dim sign-constrained variables with cost
-(c, -c), so its tableau is the split one, and reads a certified descent
-ray off the entering column of an unbounded program.  It adds a
+The general simplex has one column layout: every variable is free and
+split as x = x+ - x-, so a row [a | b] is written [a | -a | slacks | b]
+and a sign constraint is one more row -x <= 0.  Its core, _optimize_rows,
+takes int rows (ints [a | b], scale), the row format
+polyhedron._scaled_rows gives and the double description's int entry
+takes too, and a cost vector in the library's int form (*C, L), standing
+for C / L, which it splits as (C, -C) itself.  It has two entries, and
+both pass an HRep's _scaled_rows as they are.  solve_lp, the entry that
+returns a point (crosscheck's oracles run it), reads a certified descent
+ray off the entering column of an unbounded program, and adds a
 lexicographic refinement on top, so its optimal points are canonical.
+_solve_rows is the value-only entry of feasible (which
+cone.ConeH.has_nonempty_interior runs), argmin_face and
+parametric_breakpoints' re-checks, and of the oracles' weight regions,
+which vlp.face_scalarizable writes as int rows with no HRep in between.
+They read only the status and the optimal value, which every optimal
+basis shares, so no point and no ray is built for them.  No pipeline
+program and no benchmark query reaches the general simplex; the
+per-point programs run on the cone core below.
 
 Homogeneous cone programs, min c.x over {x : a.x <= 0} with free and
 sign-constrained columns, have their own simplex, _cone_descent: the
@@ -59,7 +58,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import Rational, Vector, ZERO, _integers
+from .exact import Rational, Vector, ZERO
 from .polyhedron import (
     HRep,
     InternalInvariantError,
@@ -115,9 +114,8 @@ class UnsolvableSegmentError(ValueError):
 # ---------------------------------------------------------------------------
 # simplex core on equality-standard form
 #
-# The tableau works on  A z = b  with z the variables and one slack per
-# inequality; every slack and every sign-constrained variable is >= 0, and
-# the free variables, the leading columns, have no sign.  Each row of
+# The tableau works on  A z = b,  z >= 0, with z the split variables x+
+# and x- and one slack per inequality (see _write_rows).  Each row of
 # [A | b] is scaled by the lcm of its denominators, so the data are
 # integers, and pivoting is integer-preserving (Edmonds; Bareiss): the
 # stored rows are det * B^-1 [A | b] for the current basis B and one
@@ -130,21 +128,15 @@ class UnsolvableSegmentError(ValueError):
 
 
 class _Tableau:
-    def __init__(self, rows: list, basis: list, free: int):
+    def __init__(self, rows: list, basis: list):
         self.rows = rows  # integer rows, right-hand side last
         self.basis = basis
         self.ncols = len(rows[0]) - 1
-        self.free = free  # columns below free are free variables
-        self.flipped: set = set()  # free columns negated to enter (see _simplex)
         self.det = 1
         self.obj: Optional[list] = None  # reduced-cost row, rhs slot last
 
     def set_objective(self, cost: Sequence):
-        """Carry the reduced costs of the integer cost vector cost, given
-        over the variables as written (a flipped column's cost is negated)."""
-        flipped = self.flipped
-        if flipped:
-            cost = [-v if j in flipped else v for j, v in enumerate(cost)]
+        """Carry the reduced costs of the integer cost vector cost."""
         det = self.det
         obj = [det * v for v in cost] + [0]
         for row, col in zip(self.rows, self.basis):
@@ -152,13 +144,6 @@ class _Tableau:
             if f:
                 obj = [o - f * v for o, v in zip(obj, row)]
         self.obj = obj
-
-    def flip(self, col: int):
-        """Negate the nonbasic column col, so it stands for -x_col."""
-        for row in self.rows:
-            row[col] = -row[col]
-        self.obj[col] = -self.obj[col]
-        self.flipped ^= {col}
 
     def pivot(self, row: int, col: int):
         """Integer-preserving pivot on (row, col); the pivot row stays as it
@@ -200,8 +185,6 @@ class _Tableau:
         z = [0] * self.ncols
         for row, col in zip(self.rows, self.basis):
             z[col] = row[-1]
-        for j in self.flipped:
-            z[j] = -z[j]
         return z
 
     def direction(self, col: int) -> list:
@@ -212,39 +195,28 @@ class _Tableau:
         delta[col] = self.det
         for row, basic in zip(self.rows, self.basis):
             delta[basic] = -row[col]
-        for j in self.flipped:
-            delta[j] = -delta[j]
         return delta
 
 
 def _simplex(T: _Tableau, frozen: Optional[set] = None) -> tuple:
     """Minimize the carried objective from the current basic feasible solution.
 
-    Bland's rule both for the entering column (lowest eligible index) and the
-    leaving row (smallest basic variable index among the ratio ties), which
-    rules out cycling.  A nonbasic free column is eligible with either sign
-    of its reduced cost: with a positive one it is flipped first, so that it
-    enters increasing.  The ratio test skips the rows of basic free
-    variables, so a free column never leaves once it has entered; the free
-    columns come first, so they enter first, each at most once, and
-    afterwards the simplex is Bland's on the sign-constrained columns.
-    Columns in frozen are never entered.  Returns ("optimal", None) or
-    ("unbounded", entering_column_index).
+    Bland's rule both for the entering column (lowest index with a negative
+    reduced cost) and the leaving row (smallest basic variable index among
+    the ratio ties), which rules out cycling.  Columns in frozen are never
+    entered.  Returns ("optimal", None) or ("unbounded", entering_column_index).
     """
     cols = [j for j in range(T.ncols) if frozen is None or j not in frozen]
     basis = T.basis
-    free = T.free
     while True:
         obj = T.obj
-        enter = next((j for j in cols if obj[j] < 0 or (j < free and obj[j])), None)
+        enter = next((j for j in cols if obj[j] < 0), None)
         if enter is None:
             return "optimal", None
-        if obj[enter] > 0:
-            T.flip(enter)
         leave = None
         for r, row in enumerate(T.rows):
             a = row[enter]
-            if a > 0 and basis[r] >= free:
+            if a > 0:
                 # b / a < best_b / best_a, by cross-multiplying positive a's
                 if leave is None:
                     leave, best_b, best_a = r, row[-1], a
@@ -259,10 +231,11 @@ def _simplex(T: _Tableau, frozen: Optional[set] = None) -> tuple:
 
 def _write_rows(dim: int, eqs: Sequence, ineqs: Sequence) -> tuple:
     """Integer equality standard form of the rows a.x = b (eqs) and
-    a.x <= b (ineqs), each given as (ints [a | b], scale).
+    a.x <= b (ineqs) over dim free variables, each row given as
+    (ints [a | b], scale).
 
-    Each of the dim variables is one column, whatever its sign constraint
-    (the tableau knows its free columns), then comes one slack per
+    Each variable is split as x = x+ - x-, so a row [a | b] becomes
+    [a | -a | slacks | b]: the columns x+, then x-, then one slack per
     inequality.  Each int row is written straight out, with slack entry 1.
     That is a positive scaling of the slack column, which changes no sign,
     ratio or Bland choice, and slacks are never read off.  Rows with a
@@ -281,9 +254,9 @@ def _write_rows(dim: int, eqs: Sequence, ineqs: Sequence) -> tuple:
         if b < 0:
             a, b = [-v for v in a], -b
             unit = -1
-        row = [*a, *[0] * n_ineq, b]
+        row = [*a, *[-v for v in a], *[0] * n_ineq, b]
         if slack is not None:
-            row[dim + slack] = unit
+            row[2 * dim + slack] = unit
         rows.append(row)
         scales.append(scale)
 
@@ -291,23 +264,12 @@ def _write_rows(dim: int, eqs: Sequence, ineqs: Sequence) -> tuple:
         add(ints, scale, None)
     for i, (ints, scale) in enumerate(ineqs):
         add(ints, scale, i)
-    return rows, scales, dim + n_ineq
+    return rows, scales, 2 * dim + n_ineq
 
 
-def _split_rows(P: HRep) -> tuple:
-    """The scaled rows of an HRep over x = x+ - x-: each row (ints [a | b],
-    scale) of _scaled_rows becomes ([a | -a | b], scale), over 2 dim
-    sign-constrained variables."""
-    d = P.dim
-    return tuple(
-        [(a[:d] + [-v for v in a[:d]] + a[d:], scale) for a, scale in rows]
-        for rows in _scaled_rows(P)
-    )
-
-
-def _phase_one(rows: list, scales: list, nvars: int, free: int = 0) -> Optional[_Tableau]:
+def _phase_one(rows: list, scales: list, nvars: int) -> Optional[_Tableau]:
     """Feasible tableau from the slack basis, or None if infeasible.  The
-    tableau takes over rows; its first free columns are free variables.
+    tableau takes over rows.
 
     A row starts with the first column that is 1 in it and 0 in every other
     row as its basic variable.  The slack of every inequality with b >= 0 is
@@ -334,14 +296,14 @@ def _phase_one(rows: list, scales: list, nvars: int, free: int = 0) -> Optional[
                 basis[r] = j
     arts = [r for r in range(m) if basis[r] is None]
     if not arts:
-        return _Tableau(rows, basis, free)
+        return _Tableau(rows, basis)
     for k, r in enumerate(arts):
         basis[r] = nvars + k
     A = [
         row[:-1] + [int(basis[i] == nvars + k) for k in range(len(arts))] + row[-1:]
         for i, row in enumerate(rows)
     ]
-    T = _Tableau(A, basis, free)
+    T = _Tableau(A, basis)
     if any(rows[r][-1] for r in arts):
         L = math.lcm(*[scales[r] for r in arts])
         T.set_objective([0] * nvars + [L // scales[r] for r in arts])
@@ -369,14 +331,11 @@ def _phase_one(rows: list, scales: list, nvars: int, free: int = 0) -> Optional[
     return T
 
 
-def _optimize_rows(
-    dim: int, eqs: Sequence, ineqs: Sequence, cost: Sequence, nonneg: int = 0
-) -> tuple:
+def _optimize_rows(dim: int, eqs: Sequence, ineqs: Sequence, cost: Sequence) -> tuple:
     """Phase one and phase two of min c.x over integer rows (ints [a | b],
-    scale), as _scaled_rows gives them, for the cost c = C / L given as the
-    int generator cost = (*C, L), L > 0.  The first dim - nonneg variables
-    are free columns and the last nonneg are sign-constrained; those need at
-    least one row.
+    scale), as _scaled_rows gives them, over dim free variables, for the
+    cost c = C / L given as the int generator cost = (*C, L), L > 0.  The
+    tableau is the split one of _write_rows, with cost (C, -C) on x+, x-.
 
     Returns (outcome, T, enter).  The outcome has the status and, for
     OPTIMAL, the value of c at the basic optimal point; no point and no ray.
@@ -385,16 +344,17 @@ def _optimize_rows(
     For UNBOUNDED, enter is the column that can increase forever, and c
     descends along T.direction(enter), as checked in ints.
     """
-    cx, L = cost[:-1], cost[-1]
-    if not eqs and not ineqs and not nonneg:
-        if not any(cx):
+    C, L = cost[:-1], cost[-1]
+    if not eqs and not ineqs:
+        if not any(C):
             return LPOutcome(LPStatus.OPTIMAL, ZERO), None, None
         return LPOutcome(LPStatus.UNBOUNDED), None, None
     rows, scales, nvars = _write_rows(dim, eqs, ineqs)
-    T = _phase_one(rows, scales, nvars, dim - nonneg)
+    T = _phase_one(rows, scales, nvars)
     if T is None:
         return LPOutcome(LPStatus.INFEASIBLE), None, None
-    T.set_objective([*cx, *[0] * (nvars - dim)])
+    cx = [*C, *[-v for v in C]]
+    T.set_objective([*cx, *[0] * (nvars - 2 * dim)])
     status, enter = _simplex(T)
     if status == "unbounded":
         if _dot(cx, T.direction(enter)) >= 0:
@@ -406,13 +366,13 @@ def _optimize_rows(
 
 def _solve_rows(dim: int, eqs: Sequence, ineqs: Sequence, cost: Sequence) -> LPOutcome:
     """Status and optimal value of min c.x over integer rows: eqs are the
-    rows a.x = b and ineqs the rows a.x <= b, each (ints [a | b], scale)
-    with scale the row's positive factor over its rational row, and the
-    cost c = C / L is the int generator cost = (*C, L), L > 0.  Every
-    variable is one free simplex column.  The outcome has no point and no
-    ray; an unbounded one has passed the descent check in ints.  The
-    oracles' weight regions (vlp.face_scalarizable) are written this way,
-    with no HRep.
+    rows a.x = b and ineqs the rows a.x <= b over dim free variables, each
+    (ints [a | b], scale) with scale the row's positive factor over its
+    rational row, and the cost c = C / L is the int generator
+    cost = (*C, L), L > 0.  A sign constraint is one more row -x <= 0.  The
+    outcome has no point and no ray; an unbounded one has passed the
+    descent check in ints.  The oracles' weight regions
+    (vlp.face_scalarizable) are written this way, with no HRep.
     """
     return _optimize_rows(dim, eqs, ineqs, cost)[0]
 
@@ -521,10 +481,9 @@ def _cone_descent(free: int, rows: Sequence, cost: Sequence) -> Optional[list]:
 def solve_lp(P: HRep, c: Vector) -> LPOutcome:
     """Minimize c.x over an HRep, exactly and deterministically.
 
-    The HRep is written as data over x = x+ - x-: rows [a | -a | b] over 2
-    dim sign-constrained variables, cost (c, -c) (see _split_rows).  An
-    unbounded program comes with a certified descent ray, read off the
-    entering column as x+ - x-.  The optimal point is canonical: after the
+    The HRep's scaled rows go to _optimize_rows as they are, so the tableau
+    is the split one over x = x+ - x-.  An unbounded program comes with a
+    certified descent ray, read off the entering column as x+ - x-.  The optimal point is canonical: after the
     two phases the simplex is re-run restricted to the optimal face,
     minimizing one coordinate after another, so whenever the optimal face
     has a lexicographically smallest point that is the point returned.  A
@@ -535,15 +494,14 @@ def solve_lp(P: HRep, c: Vector) -> LPOutcome:
     if c.dim != P.dim:
         raise ValueError("objective dimension differs from ambient dimension")
     d = P.dim
-    eqs, ineqs = _split_rows(P)
+    eqs, ineqs = _scaled_rows(P)
     if not eqs and not ineqs:
         # whole space: bounded only for the zero objective, where every
         # point is optimal and the origin is the canonical pick
         if c.is_zero():
             return LPOutcome(LPStatus.OPTIMAL, ZERO, Vector.zero(d))
         return LPOutcome(LPStatus.UNBOUNDED, descent_ray=(-c).normalized_direction())
-    cx, L = _integers(c.coords)
-    out, T, enter = _optimize_rows(2 * d, eqs, ineqs, (*cx, *[-v for v in cx], L), 2 * d)
+    out, T, enter = _optimize_rows(d, eqs, ineqs, _int_vector(c))
     if out.status is LPStatus.UNBOUNDED:
         delta = T.direction(enter)
         ray = _direction([delta[j] - delta[d + j] for j in range(d)])

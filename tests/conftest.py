@@ -54,17 +54,18 @@ def adjacency_verdicts(monkeypatch):
 @pytest.fixture
 def cone_program_oracle():
     """A check of lp._cone_descent on one homogeneous cone program
-    (free, rows, cost) against the general simplex, lp._optimize_rows with
-    the rows written as (ints [a | 0], 1) and the trailing columns
-    sign-constrained.  The statuses must agree, a bounded program must
-    have the value 0 there, and a returned direction d is checked in ints:
-    a.d <= 0 on every row, d >= 0 on the sign-constrained columns and
-    cost.d < 0.  Returns the status."""
+    (free, rows, cost) against the general simplex, lp._solve_rows with
+    the rows written as (ints [a | 0], 1) and the trailing columns'
+    signs as more such rows -x <= 0.  The statuses must agree, a bounded
+    program must have the value 0 there, and a returned direction d is
+    checked in ints: a.d <= 0 on every row, d >= 0 on the sign-constrained
+    columns and cost.d < 0.  Returns the status."""
 
     def check(free, rows, cost):
         n = len(cost)
         d = lp._cone_descent(free, rows, cost)
-        want = lp._optimize_rows(n, (), [([*a, 0], 1) for a in rows], (*cost, 1), n - free)[0]
+        signs = [[0] * j + [-1] + [0] * (n - j - 1) for j in range(free, n)]
+        want = lp._solve_rows(n, (), [([*a, 0], 1) for a in rows + signs], (*cost, 1))
         if d is None:
             assert (want.status, want.value) == (lp.LPStatus.OPTIMAL, 0)
             return lp.LPStatus.OPTIMAL

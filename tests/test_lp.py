@@ -468,7 +468,7 @@ class TestKernelCases:
             ineqs=[([-1, 0], 0), ([0, -1], 0)],
         )
         c = vec([1, 2])
-        rows, scales, nvars = lp._write_rows(2 * P.dim, *lp._split_rows(P))
+        rows, scales, nvars = lp._write_rows(P.dim, *lp._scaled_rows(P))
         assert len(lp._phase_one(rows, scales, nvars).rows) == len(rows) - 1
         out = solve_lp(P, c)
         assert out == LPOutcome(LPStatus.OPTIMAL, rat(2), vec([2, 0]))
@@ -478,7 +478,7 @@ class TestKernelCases:
         # every inequality has b >= 0 and there is no equality: the slacks
         # are a feasible basis, so phase one pivots nowhere
         P = HRep.of(2, ineqs=[([1, 2], 4), ([rat(-1, 3), -1], 0), ([-1, 0], rat(5, 2))])
-        rows, scales, nvars = lp._write_rows(2 * P.dim, *lp._split_rows(P))
+        rows, scales, nvars = lp._write_rows(P.dim, *lp._scaled_rows(P))
         pivots = record_pivot_elements(monkeypatch)
         T = lp._phase_one(rows, scales, nvars)
         assert pivots == []
@@ -512,7 +512,7 @@ class TestKernelCases:
 
 
 # ---------------------------------------------------------------------------
-# free and sign-constrained columns
+# the split layout
 
 
 def reference_write_rows(dim, eqs, ineqs):
@@ -532,21 +532,12 @@ def reference_write_rows(dim, eqs, ineqs):
     return rows, scales, 2 * dim + n_ineq
 
 
-def test_write_rows_without_sign_constraints_keeps_the_free_layout():
-    # the HRep entry writes its split as data, so its standard form is the
-    # split tableau column for column; int rows get one column per variable
+def test_write_rows_writes_the_split_layout():
+    # both entries hand the row writer their scaled rows as they are, and
+    # it writes the split tableau column for column
     for P, _ in GOLDEN:
         rows = lp._scaled_rows(P)
-        assert lp._write_rows(2 * P.dim, *lp._split_rows(P)) == reference_write_rows(P.dim, *rows)
-        got, scales, nvars = lp._write_rows(P.dim, *rows)
-        eqs, ineqs = rows
-        assert nvars == P.dim + len(ineqs) and scales == [s for _, s in eqs + ineqs]
-        for i, (row, (ints, _)) in enumerate(zip(got, eqs + ineqs)):
-            sign = -1 if ints[-1] < 0 else 1
-            slack = [0] * len(ineqs)
-            if i >= len(eqs):
-                slack[i - len(eqs)] = sign
-            assert row == [sign * v for v in ints[:-1]] + slack + [sign * ints[-1]]
+        assert lp._write_rows(P.dim, *rows) == reference_write_rows(P.dim, *rows)
 
 
 def sign_constrained_corpus(count=400, seed=5150):
@@ -573,32 +564,6 @@ def sign_rows(n, k):
     return [([0] * (n + j) + [-1] + [0] * (k - j - 1) + [0], 1) for j in range(k)]
 
 
-def test_sign_constrained_columns_match_explicit_sign_rows():
-    statuses = Counter()
-    for n, k, eqs, ineqs, c in sign_constrained_corpus():
-        dim = n + k
-        signs = sign_rows(n, k)
-        got, T, enter = lp._optimize_rows(dim, eqs, ineqs, _int_vector(c), k)
-        want = lp._solve_rows(dim, eqs, ineqs + signs, _int_vector(c))
-        assert (got.status, got.value) == (want.status, want.value)
-        assert got.point is None and got.descent_ray is None
-        if got.status is LPStatus.UNBOUNDED:
-            # the direction of the entering column, read off the narrower
-            # tableau, descends and is a recession direction of the program
-            # with the sign rows written out
-            ray = T.direction(enter)[:dim]
-            assert sum(a * x for a, x in zip(c.coords, ray)) < 0
-            for rows, holds in ((eqs, lambda v: v == 0), (ineqs + signs, lambda v: v <= 0)):
-                for ints, _ in rows:
-                    assert holds(sum(a * x for a, x in zip(ints[:dim], ray)))
-        statuses[got.status] += 1
-    assert statuses == {
-        LPStatus.UNBOUNDED: 158,
-        LPStatus.INFEASIBLE: 147,
-        LPStatus.OPTIMAL: 95,
-    }
-
-
 def int_rows_as_hrep(dim, eqs, ineqs):
     """The program of int rows (ints [a | b], scale) as a rational HRep."""
     return HRep.of(
@@ -608,19 +573,19 @@ def int_rows_as_hrep(dim, eqs, ineqs):
     )
 
 
-def test_free_columns_match_the_split_hrep_entry():
-    # the int-row core pivots free columns in; the HRep entry splits every
-    # variable as x+ - x-.  Status and value agree on every program.
-    for P, c in GOLDEN:
-        got = lp._solve_rows(P.dim, *lp._scaled_rows(P), _int_vector(c))
-        want = solve_lp(P, c)
-        assert (got.status, got.value) == (want.status, want.value)
+def test_sign_rows_on_the_value_only_entry_match_the_hrep_entry():
+    # sign constraints are written as rows -x <= 0; the int rows on the
+    # value-only entry, the same program as an HRep on solve_lp and the
+    # generator oracle agree in status and value on every program
     statuses = Counter()
     for n, k, eqs, ineqs, c in sign_constrained_corpus():
         dim = n + k
-        got = lp._optimize_rows(dim, eqs, ineqs, _int_vector(c), k)[0]
-        want = solve_lp(int_rows_as_hrep(dim, eqs, ineqs + sign_rows(n, k)), c)
-        assert (got.status, got.value) == (want.status, want.value)
+        signs = sign_rows(n, k)
+        got = lp._solve_rows(dim, eqs, ineqs + signs, _int_vector(c))
+        P = int_rows_as_hrep(dim, eqs, ineqs + signs)
+        want = solve_lp(P, c)
+        assert got.point is None and got.descent_ray is None
+        assert (got.status, got.value) == (want.status, want.value) == oracle_status(P, c)
         statuses[got.status] += 1
     assert statuses == {
         LPStatus.UNBOUNDED: 158,
@@ -653,23 +618,66 @@ def degenerate_programs(draw):
 def test_free_column_simplex_terminates_and_agrees_on_degenerate_programs(program):
     n, k, eqs, ineqs, c = program
     dim = n + k
+    ineqs = ineqs + sign_rows(n, k)
     pivots = []
     real = lp._Tableau.pivot
 
     def counting(T, row, col):
-        pivots.append(T.basis[row] >= T.free)
+        pivots.append((row, col))
         real(T, row, col)
 
     with mock.patch.object(lp._Tableau, "pivot", counting):
-        got = lp._optimize_rows(dim, eqs, ineqs, _int_vector(c), k)[0]
-    # a free column never leaves the basis once it has entered
-    assert all(pivots)
+        got = lp._solve_rows(dim, eqs, ineqs, _int_vector(c))
     # Bland's rule visits no basis twice in a phase: phase one, the
-    # drive-out of the artificials and phase two stay under this count
+    # drive-out of the artificials and phase two stay under this count,
+    # over the 2 dim + len(ineqs) columns of the split layout
     m = len(eqs) + len(ineqs)
-    assert len(pivots) <= 2 * math.comb(dim + len(ineqs) + m, m) + m
-    want = solve_lp(int_rows_as_hrep(dim, eqs, ineqs + sign_rows(n, k)), c)
-    assert (got.status, got.value) == (want.status, want.value)
+    assert len(pivots) <= 2 * math.comb(2 * dim + len(ineqs) + m, m) + m
+    P = int_rows_as_hrep(dim, eqs, ineqs)
+    want = solve_lp(P, c)
+    assert (got.status, got.value) == (want.status, want.value) == oracle_status(P, c)
+
+
+# ---------------------------------------------------------------------------
+# the general simplex's invariant checks, each tripped by one planted fault
+
+
+def test_phase_one_rejects_an_unbounded_answer(monkeypatch):
+    # x + y = 1 starts its artificial at 1, so phase one runs the simplex,
+    # whose objective, a sum of artificials >= 0, cannot descend forever
+    P = HRep.of(2, eqs=[([1, 1], 1)], ineqs=[([-1, 0], 0), ([0, -1], 0)])
+    monkeypatch.setattr(lp, "_simplex", lambda T, frozen=None: ("unbounded", 0))
+    with pytest.raises(InternalInvariantError, match="phase one came back unbounded"):
+        solve_lp(P, vec([1, 1]))
+
+
+def test_optimize_rows_rejects_a_ray_that_does_not_descend(monkeypatch):
+    # min -x over x >= 0 is unbounded along x; the edge read with the wrong
+    # sign ascends, on either entry
+    P = HRep.of(1, ineqs=[([-1], 0)])
+    c = vec([-1])
+
+    def value_only():
+        return lp._solve_rows(1, *lp._scaled_rows(P), _int_vector(c))
+
+    assert value_only().status is solve_lp(P, c).status is LPStatus.UNBOUNDED
+    real = lp._Tableau.direction
+    monkeypatch.setattr(lp._Tableau, "direction", lambda T, col: [-v for v in real(T, col)])
+    for solve in (value_only, lambda: solve_lp(P, c)):
+        with pytest.raises(InternalInvariantError, match="unbounded ray does not descend"):
+            solve()
+
+
+def test_lexicographic_refinement_rejects_a_point_off_the_optimal_face(monkeypatch):
+    # min -x over the unit square has the optimal face x = 1; a refinement
+    # that ignores its freezes minimizes x over the whole square instead
+    P = HRep.of(2, ineqs=[([1, 0], 1), ([-1, 0], 0), ([0, 1], 1), ([0, -1], 0)])
+    c = vec([-1, 0])
+    assert solve_lp(P, c) == LPOutcome(LPStatus.OPTIMAL, rat(-1), vec([1, 0]))
+    real = lp._simplex
+    monkeypatch.setattr(lp, "_simplex", lambda T, frozen=None: real(T))
+    with pytest.raises(InternalInvariantError, match="refinement left the optimal face"):
+        solve_lp(P, c)
 
 
 # ---------------------------------------------------------------------------

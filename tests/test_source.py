@@ -128,9 +128,11 @@ def _callers(name: str) -> list:
 
 
 def test_one_simplex_core():
-    # the general simplex: free columns, sign-constrained columns and the
-    # HRep split all run on one tableau, one phase one and one simplex; the
-    # split is written as data, so the row writer has exactly one caller
+    # the general simplex has one column layout, the split x = x+ - x-:
+    # one tableau, one phase one and one simplex, and the row writer, which
+    # writes the split, has exactly one caller, whose rows are over free
+    # variables only; no tableau column is flipped and no entry writes its
+    # own split
     core = ("_Tableau", "_write_rows", "_phase_one", "_simplex")
     defined = Counter(
         (path.name, node.name)
@@ -140,6 +142,12 @@ def test_one_simplex_core():
     )
     assert defined == {("lp.py", name): 1 for name in core}
     assert _callers("_write_rows") == ["_optimize_rows"]
+    (optimize,) = [f for f in _functions("lp.py") if f.name == "_optimize_rows"]
+    assert [a.arg for a in optimize.args.args] == ["dim", "eqs", "ineqs", "cost"]
+    assert optimize.args.defaults == [] and optimize.args.kwonlyargs == []
+    (tableau,) = [f for f in _functions("lp.py") if f.name == "_Tableau"]
+    assert "flip" not in {f.name for f in tableau.body if isinstance(f, ast.FunctionDef)}
+    assert not any(f.name == "_split_rows" for path in SOURCES for f in _functions(path.name))
 
 
 def test_cone_core_serves_the_per_point_programs():
